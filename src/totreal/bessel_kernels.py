@@ -20,6 +20,10 @@ e^{pi u} of precision.  The exponential factors are removed analytically:
   e^{-pi u} into an explicit prefactor; for x >= pi u - 13 the real-axis
   integral is already stable.
 
+* k_scaled, the seed of the Whittaker grids: e^w K_mu(w) and e^w K_mu'(w)
+  for one order mu and an array of w, from scipy for real mu and otherwise
+  from K_mu(w) = int_0^inf e^{-w cosh t} cosh(mu t) dt.
+
 Everything is vectorized over the quadrature nodes in s; mpmath is used
 only in the test oracles.
 """
@@ -29,8 +33,9 @@ from __future__ import annotations
 import math
 
 import numpy as np
+from scipy.special import kve
 
-from .quadrature import gl_panels
+from .quadrature import gl_panels, gl_rows
 
 _M = 30.0  # contour-shift margin: e^{-M} bounds the neglected horizontal piece
 
@@ -181,3 +186,27 @@ def wk_bound(u: np.ndarray, x: float) -> np.ndarray:
             best = min(best, val)
         out[i] = best
     return out
+
+
+def k_scaled(mu: complex, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """e^w K_mu(w) and e^w K_mu'(w) for an array of w > 0.
+
+    Real mu takes scipy's scaled kve, with K_mu' = -(K_{mu-1} + K_{mu+1})/2.
+    Otherwise the integral over t in [0, T] is cut where w (cosh T - 1) = 46
+    (the tail is below e^{-46} relative to the integrand at t = 0) and each
+    row gets its own Gauss-Legendre rule on [0, T].  The integrand is O(1)
+    while K_{iu}(w) falls like e^{-pi u/2} for w < u, so the relative error
+    grows like 1e-16 e^{pi |Im mu|/2}.
+    """
+    w = np.asarray(w, dtype=float)
+    if mu.imag == 0:
+        m = mu.real
+        return kve(m, w), -0.5 * (kve(m - 1, w) + kve(m + 1, w))
+    k = np.empty(len(w), dtype=complex)
+    dk = np.empty(len(w), dtype=complex)
+    for sl, t, wt in gl_rows(np.zeros_like(w), np.arccosh(1.0 + 46.0 / w)):
+        ch = np.cosh(t)
+        f = np.exp(-w[sl, None] * (ch - 1.0)) * np.cosh(mu * t) * wt
+        k[sl] = f.sum(axis=1)
+        dk[sl] = -(f * ch).sum(axis=1)
+    return k, dk

@@ -227,9 +227,6 @@ class FiniteCharacter:
         return all(t == 0 for t in self.exponents)
 
     def order(self) -> int:
-        out = 1
-        for t, n in zip(self.exponents, self.structure.orders):
-            out = out * n // math.gcd(out, n // math.gcd(t, n) if t else 1)
         # lcm of the orders of each component
         out = 1
         for t, n in zip(self.exponents, self.structure.orders):

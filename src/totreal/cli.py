@@ -276,16 +276,18 @@ def _dispatch(args, started: float) -> int:
         }, started)
 
     if cmd == "whittaker" and subcmd == "gram":
+        if args.qmax < 0 or not args.numax >= 0:
+            raise ValueError("--qmax and --numax must be nonnegative")
         kw = {"tol": args.tol} if args.tol else {}
         qs = list(range(-args.qmax, args.qmax + 1, 2))
-        nus = []
-        k = 0
-        while k * 0.5 <= args.numax:
-            nus.append(0.5j * k)
-            k += 1
         rows = ["nu,q1,q2,value"]
         worst = 0.0
-        for nu in nus:
+        # nu = 0.5i k is made as it is used: past the evaluator's range of
+        # Im nu, gram_matrix raises before an oversized --numax builds a list
+        k = 0
+        while k * 0.5 <= args.numax:
+            nu = 0.5j * k
+            k += 1
             G = gram_matrix(qs, nu, **kw)
             for i, q1 in enumerate(qs):
                 for j, q2 in enumerate(qs):

@@ -58,22 +58,6 @@ def _level_measure_eq(Np: int, j: int) -> Fraction:
     return _level_measure_ge(Np, j) - _level_measure_ge(Np, j + 1)
 
 
-def _profile(spec: LocalVectorSpec) -> list[tuple[int, int, Fraction]]:
-    """Value profile [(level, half_power, coeff)]: value = coeff * Np^(half_power/2)
-    on {v(b) = level} (with the last entry meaning v(b) >= level)."""
-    N, j, m = spec.Np, spec.j, spec.m
-    if m > 0:
-        return [(m + j, m + j, Fraction(1))]  # |chi-phase| = 1
-    if j == 0:
-        return [(0, 0, Fraction(1))]
-    if j == 1:
-        return [(0, -1, Fraction(1)), (1, 1, Fraction(-1))]
-    return [
-        (j - 1, j - 2, Fraction(-1)),
-        (j, j, Fraction(1) - Fraction(1, N)),
-    ]
-
-
 def local_vector_norm_sq(spec: LocalVectorSpec) -> Fraction:
     """||phi_{p,j}||^2, exact rational."""
     rat, irr = local_inner_product(spec, spec)

@@ -401,9 +401,6 @@ class Ideal:
         b1, b2 = other.basis()
         return self.contains(b1) and self.contains(b2)
 
-    def is_coprime(self, other: "Ideal") -> bool:
-        return (self + other).norm() == 1
-
     def reduce(self, x: RingElement) -> RingElement:
         """Canonical representative of x modulo this integral ideal."""
         if not self.is_integral():

@@ -261,9 +261,6 @@ class KTestGaussian:
             return math.exp((nu**2 - 0.25) / self.Z**2)
         return 1.0 if abs(nu) <= self.Z else 0.0
 
-    def axis_bound(self, u: float) -> float:
-        return math.exp(-(u**2 + 0.25) / self.Z**2)
-
 
 def _truncation_height(k: KTestGaussian, bound_fn, target: float) -> tuple[float, float]:
     """Smallest T (on a half-integer grid) with the tail integral of

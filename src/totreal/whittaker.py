@@ -2,10 +2,21 @@
 
 The normalized functions carry the Gamma-factor normalization making the
 family {W~_{q/2,nu} : q in Z} orthonormal in L^2(R^x, d^x y) for fixed
-admissible nu.  Evaluation routes for the classical W: a terminating
-Laguerre closed form in the discrete-series range, the K-Bessel relation
-at kappa = 0, and mpmath's confluent-hypergeometric implementation
-otherwise; the chosen route is reported alongside the value.
+admissible nu.  Evaluation routes for the classical W, each reported
+alongside the value:
+
+* ``laguerre``: the terminating closed form in the discrete-series range;
+* ``kbessel``: integer kappa >= 0, from the seeds e^w K_mu(w), e^w K_mu'(w)
+  at w = x/2 (``bessel_kernels.k_scaled``) and the contiguous relations in
+  kappa (DLMF 13.15), run upward, the direction in which they are stable;
+* ``laplace``: integer kappa < 0, where the same relations run downward lose
+  digits at large x, from the Laplace integral of U (DLMF 13.4(i)) on a log
+  axis;
+* ``mpmath``: half-integer kappa (odd q) that does not terminate, where no
+  Bessel seed exists.
+
+The two integer-kappa routes evaluate a whole array of x at once, which is
+how the Gram grids are built.
 """
 
 from __future__ import annotations
@@ -17,11 +28,17 @@ from typing import Callable, Optional, Sequence
 
 import mpmath as mp
 import numpy as np
-from scipy.special import kv as _scipy_kv
+from scipy.special import loggamma
 
-from .quadrature import log_axis_grid
+from .bessel_kernels import k_scaled
+from .quadrature import gl_rows, log_axis_grid
 
 _TWO_PI = 2 * math.pi
+# The integer-kappa routes sum an O(1) oscillating integrand to a value that
+# falls like e^{-pi |Im mu|/2} (K seeds) or e^{-pi |Im mu|} (Laplace) for small
+# x.  At |Im mu| = 4, against mpmath, the relative error reaches 3e-7 near
+# x = 1e-10, 6e-11 of max|W| in absolute terms; beyond it they refuse.
+_MU_IMAG_MAX = 4.0
 
 
 class WhittakerDomainError(ValueError):
@@ -83,32 +100,94 @@ def _laguerre_value(n: int, alpha: complex, x: float) -> complex:
     return l
 
 
+def _terminating(kappa: float, mu: complex) -> Optional[tuple[int, float]]:
+    """(n, mu') with 1/2 + mu' - kappa = -n, mu' = +-mu real, 0 <= n <= 60:
+    the discrete-series cases, where W is a Laguerre polynomial."""
+    for m in (mu, -mu):
+        if abs(m.imag) < 1e-14:
+            a = 0.5 + m.real - kappa
+            if _is_int(a) and round(a) <= 0 and -round(a) <= 60:
+                return -int(round(a)), m.real
+    return None
+
+
+def _w_kbessel(kappa: int, mu: complex, x: np.ndarray) -> np.ndarray:
+    """W_{kappa,mu}(x), kappa >= 0, from W_0 = sqrt(x/pi) K_mu(x/2),
+    W_1 = (x/2) W_0 - x W_0' and W_{k+1} = (x - 2k) W_k -
+    ((k - 1/2)^2 - mu^2) W_{k-1}; every W_k carries the factor e^{x/2}
+    until the end."""
+    w = x / 2
+    k, dk = k_scaled(mu, w)
+    r = np.sqrt(x / math.pi)
+    cur = r * k
+    if kappa > 0:
+        prev, cur = cur, r * ((w - 0.5) * k - w * dk)
+    for j in range(1, kappa):
+        prev, cur = cur, (x - 2 * j) * cur - ((j - 0.5) ** 2 - mu * mu) * prev
+    return cur * np.exp(-w)
+
+
+def _w_laplace(kappa: int, mu: complex, x: np.ndarray) -> np.ndarray:
+    """W_{kappa,mu}(x), kappa < 0, from W = e^{-x/2} x^{1/2+mu} U(a, 1+2mu, x)
+    and U's Laplace integral; with t = e^tau / x,
+
+        W = x^kappa e^{-x/2} / Gamma(a) int exp(a tau - e^tau) (1 + e^tau/x)^b dtau,
+
+    a = 1/2 + mu - kappa, b = mu + kappa - 1/2, and Re a >= 3/2 once mu is
+    replaced by the one of +-mu with Re mu >= 0 (W is even in mu).  The
+    integrand falls like e^{Re(a) tau} below min(log x, 0) and like
+    exp(-e^tau) above 0; each row gets a Gauss-Legendre rule between the
+    cuts, where the integrand is below e^{-40} of its peak."""
+    if mu.real < 0:
+        mu = -mu
+    a, b = 0.5 + mu - kappa, mu + kappa - 0.5
+    lx = np.log(x)
+    lo = np.minimum(lx, 0.0) - 40.0 / a.real
+    hi = np.full_like(lx, math.log(50.0 + 4.0 * a.real))
+    # the prefactor goes into the exponent: x^kappa alone overflows at small x
+    pre = kappa * lx - x / 2 - loggamma(a)
+    out = np.empty(len(x), dtype=complex)
+    for sl, tau, wt in gl_rows(lo, hi):
+        e = np.exp(a * tau - np.exp(tau) + b * np.log1p(np.exp(tau - lx[sl, None])) + pre[sl, None])
+        out[sl] = (e * wt).sum(axis=1)
+    return out
+
+
+def whittaker_w_int(kappa: int, mu: complex, x: np.ndarray) -> tuple[np.ndarray, str]:
+    """W_{kappa,mu}(x) for integer kappa on an array of x > 0, with its
+    route tag (``kbessel`` for kappa >= 0, ``laplace`` below)."""
+    mu = complex(mu)
+    if abs(mu.imag) > _MU_IMAG_MAX:
+        raise WhittakerDomainError(
+            f"|Im mu| = {abs(mu.imag):g} above {_MU_IMAG_MAX:g}, the accuracy range "
+            "of the integer-kappa routes"
+        )
+    x = np.asarray(x, dtype=float)
+    if kappa >= 0:
+        return _w_kbessel(kappa, mu, x), "kbessel"
+    return _w_laplace(kappa, mu, x), "laplace"
+
+
 def whittaker_w(kappa: float, mu: complex, x: float) -> tuple[complex, str]:
     """Classical Whittaker W_{kappa,mu}(x) for x > 0 with its route tag."""
     if x <= 0:
         raise WhittakerDomainError("x must be positive")
     mu = complex(mu)
-    # terminating (discrete-series) cases: 1/2 + mu' - kappa = -n, mu' = +-mu
-    for m in (mu, -mu):
-        if abs(m.imag) < 1e-14:
-            a = 0.5 + m.real - kappa
-            if _is_int(a) and round(a) <= 0 and -round(a) <= 60:
-                n = -int(round(a))
-                sign = (-1) ** n
-                val = (
-                    cmath.exp(-x / 2)
-                    * x ** (m.real + 0.5)
-                    * sign
-                    * math.factorial(n)
-                    * _laguerre_value(n, 2 * m.real, x)
-                )
-                return val, "laguerre"
-    if kappa == 0:
-        if abs(mu.imag) < 1e-14:
-            val = math.sqrt(x / math.pi) * float(_scipy_kv(mu.real, x / 2))
-            return val, "kbessel"
-        val = math.sqrt(x / math.pi) * complex(mp.besselk(mu, x / 2))
-        return val, "kbessel"
+    term = _terminating(kappa, mu)
+    if term is not None:
+        n, m = term
+        sign = (-1) ** n
+        val = (
+            cmath.exp(-x / 2)
+            * x ** (m + 0.5)
+            * sign
+            * math.factorial(n)
+            * _laguerre_value(n, 2 * m, x)
+        )
+        return val, "laguerre"
+    if _is_int(kappa):
+        vals, route = whittaker_w_int(round(kappa), mu, [x])
+        return complex(vals[0]), route
     return complex(mp.whitw(kappa, mu, x)), "mpmath"
 
 
@@ -158,6 +237,9 @@ def normalized_whittaker(spec: WhittakerSpec, y: Sequence[float]) -> complex:
 # L^2 pairings on R^x
 
 
+# First in, first out; one default grid is 757 complex values (12 kB), and
+# criterion 1 and the benchmark's warm passes use at most 20 keys.
+_GRID_CACHE_MAX = 64
 _GRID_CACHE: dict[tuple, np.ndarray] = {}
 
 
@@ -167,18 +249,22 @@ def _cached_values(q: int, nu: complex, sign: int, u_lo: float, u_hi: float, h: 
     The vector depends on (q, sign) only through m = sign*q/2, so grids are
     cached per m and shared between (q, +) and (-q, -)."""
     m = sign * q / 2
-    key = (m, complex(nu), u_lo, u_hi, h)
+    nu = complex(nu)
+    key = (m, nu, u_lo, u_hi, h)
     if key not in _GRID_CACHE:
         ys, _ = log_axis_grid(u_lo, u_hi, h)
-        p = _gamma_pair(m, complex(nu))
+        p = _gamma_pair(m, nu)
         if p is None:
             out = np.zeros(len(ys), dtype=complex)
         else:
-            phase = cmath.exp(1j * math.pi * m / 2)
-            out = np.empty(len(ys), dtype=complex)
-            for i, y in enumerate(ys):
-                w, _ = whittaker_w(m, nu, 4 * math.pi * y)
-                out[i] = phase * w / math.sqrt(p)
+            xs = 4 * math.pi * ys
+            if _is_int(m) and _terminating(m, nu) is None:
+                w, _ = whittaker_w_int(round(m), nu, xs)
+            else:
+                w = np.array([whittaker_w(m, nu, x)[0] for x in xs])
+            out = cmath.exp(1j * math.pi * m / 2) * w / math.sqrt(p)
+        if len(_GRID_CACHE) >= _GRID_CACHE_MAX:
+            del _GRID_CACHE[next(iter(_GRID_CACHE))]
         _GRID_CACHE[key] = out
     return _GRID_CACHE[key]
 

@@ -62,6 +62,11 @@ def test_domain_error_exit_2():
     assert "error" in json.loads(out)
     code, out = run("field", "info", "--D", "12")
     assert code == 2
+    # negative sizes, and an imaginary order beyond the evaluator's range
+    for args in (("--qmax", "-3", "--numax", "-1"), ("--qmax", "0", "--numax", "10")):
+        code, out = run("whittaker", "gram", *args)
+        assert code == 2
+        assert "error" in json.loads(out)
 
 
 def test_deterministic_output():

@@ -6,6 +6,8 @@ import mpmath as mp
 import numpy as np
 import pytest
 
+from totreal import whittaker
+from totreal.quadrature import log_axis_grid
 from totreal.whittaker import (
     WhittakerDomainError,
     WhittakerSpec,
@@ -16,6 +18,7 @@ from totreal.whittaker import (
     nu_admissible,
     whittaker_inner,
     whittaker_w,
+    whittaker_w_int,
 )
 
 
@@ -30,12 +33,33 @@ def test_closed_form_examples():
 
 
 def test_against_mpmath_grid():
-    # relative 1e-9 on x in [1e-3, 50] across parameter classes
-    for kappa, mu in ((1, 0.3j), (0, 0.25), (2, 0.5), (-1, 0.7j), (1.5, 1.0j)):
+    # relative 1e-9 on x in [1e-3, 50] across parameter classes; mpmath only
+    # for half-integer kappa
+    cases = [(1, 0.3j), (0, 0.25), (2, 0.5), (-1, 0.7j), (1.5, 1.0j)]
+    cases += [(k, mu) for k in (-2, -1, 0, 1, 2) for mu in (0, 0.25, 1 / 9, 0.5j, 1j)]
+    for kappa, mu in cases:
         for x in (1e-3, 0.1, 1.0, 10.0, 50.0):
-            got, _ = whittaker_w(kappa, mu, x)
+            got, route = whittaker_w(kappa, mu, x)
+            assert (route == "mpmath") == (kappa != int(kappa)), (kappa, mu, route)
             want = complex(mp.whitw(kappa, mu, x))
             assert abs(got - want) <= 1e-9 * max(abs(want), 1e-300), (kappa, mu, x)
+
+
+def test_gram_grid_against_mpmath():
+    # every 16th node of the default Gram grid, one nu per class, at every
+    # order criterion 1 uses; relative 1e-9 where |W| >= 1e-12 max|W|
+    ys, _ = log_axis_grid(-26.0, 4.2, 0.04)
+    xs = 4 * math.pi * ys[::16]
+    for nu in (0.5j, 1 / 9, 0.0):
+        for kappa in (-2, -1, 0, 1, 2):
+            got, _ = whittaker_w_int(kappa, nu, xs)
+            want = np.array([complex(mp.whitw(kappa, nu, x)) for x in xs])
+            keep = np.abs(want) >= 1e-12 * np.max(np.abs(want))
+            assert np.all(np.abs(got - want)[keep] <= 1e-9 * np.abs(want)[keep]), (nu, kappa)
+    # an order at which x^kappa alone overflows on the first nodes
+    got, _ = whittaker_w_int(-35, 0.5j, xs[:4])
+    want = np.array([complex(mp.whitw(-35, 0.5j, x)) for x in xs[:4]])
+    assert np.all(np.abs(got - want) <= 1e-9 * np.abs(want))
 
 
 def test_asymptotic_normalization():
@@ -53,6 +77,9 @@ def test_admissibility():
     assert not nu_admissible(1, 0.25)
     with pytest.raises(WhittakerDomainError):
         WhittakerSpec((2,), (0.7,))
+    # beyond the accuracy range of the integer-kappa routes
+    with pytest.raises(WhittakerDomainError):
+        whittaker_w(1, 5j, 1.0)
 
 
 def test_normalized_examples():
@@ -125,6 +152,12 @@ def test_decay_bounds_whittaker23():
 def test_gram_small():
     G = gram_matrix([-2, 0, 2], 0.5j)
     assert np.max(np.abs(G - np.eye(3))) < 1e-5
+
+
+def test_grid_cache_bounded():
+    for i in range(whittaker._GRID_CACHE_MAX + 5):
+        whittaker._cached_values(0, 0.5j, 1, -1.0, 1.0, 0.5 + 0.001 * i)
+    assert len(whittaker._GRID_CACHE) == whittaker._GRID_CACHE_MAX
 
 
 def test_a_norm_examples():
