@@ -1,8 +1,9 @@
 """Finite characters mod q and Grossencharacters with archimedean exponents.
 
-Finite character values are exact root-of-unity exponents (Fractions mod 1);
-complex numbers appear only at evaluation time, so orthogonality relations
-can be tested essentially exactly.  The multiplicative group (o/q)^x is
+Finite character values are exact root-of-unity exponents k/L, an integer k
+over the exponent L of the group (value_exponent returns it as a Fraction
+mod 1); complex numbers appear only at evaluation time, so orthogonality
+relations can be tested essentially exactly.  The multiplicative group (o/q)^x is
 decomposed into cyclic factors via the Smith normal form of its relation
 lattice on a small generating set.
 """
@@ -128,8 +129,11 @@ class UnitGroupStructure:
         self.field = rs.field
         units = rs.units
         self.order = rs.phi
+        # conductor of each character, keyed by its exponent vector
+        self._conductors: dict[tuple, Ideal] = {}
         if rs.phi == 1:
             self.orders: list[int] = []
+            self.exponent = 1
             self._dlog: dict[tuple, tuple] = {u.coords(): () for u in units}
             return
         one = rs.reduce(rs.field.one())
@@ -151,7 +155,7 @@ class UnitGroupStructure:
             while frontier:
                 new_frontier = []
                 for key, vec in frontier:
-                    x = RingElement(self.field, Fraction(key[0]), Fraction(key[1]))
+                    x = RingElement(self.field, *key)
                     for i, g in enumerate(gens):
                         y = rs.mul(x, g)
                         yk = y.coords()
@@ -175,6 +179,8 @@ class UnitGroupStructure:
         keep = [i for i in range(r) if d[i] != 1]
         self.orders = [d[i] for i in keep]
         assert all(x > 0 for x in self.orders), "unit group relations of full rank"
+        # exponent of the group: every character value is e(k / exponent)
+        self.exponent = math.lcm(*self.orders)
         self._dlog = {}
         for key, vec in reached.items():
             w = []
@@ -205,23 +211,26 @@ class FiniteCharacter:
     def modulus(self) -> Ideal:
         return self.structure.rs.modulus
 
-    def value_exponent(self, x: RingElement) -> Optional[Fraction]:
-        """Exact exponent e with chi(x) = e(e), or None when chi(x) = 0."""
-        rs = self.structure.rs
-        xr = rs.reduce(x)
-        if xr.coords() not in self.structure._dlog:
+    def _exponent_num(self, x: RingElement) -> Optional[int]:
+        """k in [0, exponent) with chi(x) = e(k / exponent), or None when
+        chi(x) = 0."""
+        st = self.structure
+        w = st._dlog.get(st.rs.reduce(x).coords())
+        if w is None:
             return None
-        w = self.structure._dlog[xr.coords()]
-        tot = Fraction(0)
-        for t, wi, n in zip(self.exponents, w, self.structure.orders):
-            tot += Fraction(t * wi, n)
-        return tot % 1
+        L = st.exponent
+        return sum(t * wi * (L // n) for t, wi, n in zip(self.exponents, w, st.orders)) % L
+
+    def value_exponent(self, x: RingElement) -> Optional[Fraction]:
+        """Exact exponent e in [0, 1) with chi(x) = e(e), or None when chi(x) = 0."""
+        k = self._exponent_num(x)
+        return None if k is None else Fraction(k, self.structure.exponent)
 
     def __call__(self, x: RingElement) -> complex:
-        e = self.value_exponent(x)
-        if e is None:
+        k = self._exponent_num(x)
+        if k is None:
             return 0.0
-        return cmath.exp(2j * cmath.pi * float(e))
+        return cmath.exp(2j * cmath.pi * (k / self.structure.exponent))
 
     def is_trivial(self) -> bool:
         return all(t == 0 for t in self.exponents)
@@ -252,7 +261,13 @@ class FiniteCharacter:
 
     def conductor(self) -> Ideal:
         """Smallest divisor q' of q with the character trivial on the kernel
-        of reduction (o/q)^x -> (o/q')^x."""
+        of reduction (o/q)^x -> (o/q')^x; computed once per character."""
+        memo = self.structure._conductors
+        if self.exponents not in memo:
+            memo[self.exponents] = self._conductor()
+        return memo[self.exponents]
+
+    def _conductor(self) -> Ideal:
         q = self.modulus
         rs = self.structure.rs
         best = q
@@ -262,7 +277,7 @@ class FiniteCharacter:
             trivial = True
             for u in rs.units:
                 if q2.contains(u - rs.field.one()):
-                    if self.value_exponent(u) != 0:
+                    if self._exponent_num(u) != 0:
                         trivial = False
                         break
             if trivial and q2.norm() < best.norm():

@@ -82,7 +82,7 @@ def _emit(args, payload: dict, started: float) -> int:
 
 
 _COMMANDS = ("field", "chars", "whittaker", "kloosterman", "eisen", "spectral", "shifted")
-_GLOBAL_VALUE_OPTS = ("--field", "--tol", "--bound", "--seed", "--jobs", "--format")
+_GLOBAL_VALUE_OPTS = ("--field", "--tol", "--bound", "--seed", "--format")
 
 
 def _normalize_argv(argv: list[str]) -> list[str]:
@@ -134,7 +134,6 @@ def main(argv=None) -> int:
                         help="override module default tolerances/certificate targets")
     parser.add_argument("--bound", type=int, default=10**6)
     parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--jobs", type=int, default=1)
     parser.add_argument("--format", choices=("json", "csv"), default="json")
     parser.add_argument("--timing", action="store_true")
     sub = parser.add_subparsers(dest="cmd")
@@ -319,7 +318,7 @@ def _dispatch(args, started: float) -> int:
 
     if cmd == "kloosterman" and subcmd == "sweep":
         rows = ["c_norm,S_re,S_im,margin"]
-        records = list(weil_sweep(K, args.cmax, bound=args.bound, jobs=args.jobs))
+        records = list(weil_sweep(K, args.cmax, bound=args.bound))
         for rec in records:
             rows.append(
                 f"{rec['c_norm']},{rec['S'].real:.12e},{rec['S'].imag:.12e},{rec['margin']:.12e}"

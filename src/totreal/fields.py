@@ -2,10 +2,15 @@
 
 Elements, ideals in Hermite normal form, prime factorization, unit and
 class data, archimedean embeddings, and the additive character psi.
-Everything arithmetic is exact (integers / fractions); floating point
-enters only through the embedding helpers, and all box/positivity tests
-are decided by exact integer comparisons so that no boundary element is
-ever dropped.
+
+Everything arithmetic runs on Python integers.  An element is stored as
+(x + y*omega)/den with one shared denominator, an ideal as an integral
+HNF lattice over one denominator; Fractions appear only at the edges (the
+rational coordinates RingElement.a and .b, and the norm or trace of a
+non-integral element or ideal).  Floating point enters only through the
+embedding helpers, and every box/positivity test is decided by the exact
+sign of P + R*sqrt(D) on integers, so that no boundary element is ever
+dropped.
 
 The sentinel D = 1 denotes the rational field.
 """
@@ -14,7 +19,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt
 from typing import Optional, Sequence, Union
@@ -41,164 +46,216 @@ def _is_squarefree(n: int) -> bool:
     return True
 
 
-def _sqrt_cmp(p: Fraction, r: Fraction, D: int, q: Fraction) -> int:
-    """Sign of (p + r*sqrt(D)) - q, computed exactly."""
-    lhs = p - q
-    if r == 0:
-        return (lhs > 0) - (lhs < 0)
-    # compare r*sqrt(D) with -lhs = q - p
-    rhs = q - p
-    if r > 0:
-        if rhs <= 0:
-            return 1
-        # both positive: compare r^2 D with rhs^2
-        diff = r * r * D - rhs * rhs
-        return (diff > 0) - (diff < 0)
-    else:
-        if rhs >= 0:
-            return -1
-        diff = r * r * D - rhs * rhs
-        return (diff < 0) - (diff > 0)
+def _sign(n: int) -> int:
+    return (n > 0) - (n < 0)
 
 
-def _floor_sqrt_expr(p: Fraction, r: Fraction, D: int) -> int:
-    """floor(p + r*sqrt(D)) computed exactly."""
-    if r == 0:
-        return p.numerator // p.denominator
-    # floor(r sqrt(D)) for rational r = n/m with n of either sign
-    n, m = r.numerator, r.denominator
-    if n >= 0:
-        fl = isqrt(n * n * D) // m
-        # correct: fl <= n sqrt(D)/m < fl+1 may fail by one near integers
-        while _sqrt_cmp(Fraction(0), r, D, Fraction(fl + 1)) >= 0:
-            fl += 1
-        while _sqrt_cmp(Fraction(0), r, D, Fraction(fl)) < 0:
-            fl -= 1
-    else:
-        fl = -(isqrt(n * n * D) // m) - 1
-        while _sqrt_cmp(Fraction(0), r, D, Fraction(fl + 1)) >= 0:
-            fl += 1
-        while _sqrt_cmp(Fraction(0), r, D, Fraction(fl)) < 0:
-            fl -= 1
-    # now add the rational part
-    total = Fraction(fl) + p
-    guess = total.numerator // total.denominator
-    # adjust for the fractional parts interacting
-    while _sqrt_cmp(p, r, D, Fraction(guess + 1)) >= 0:
-        guess += 1
-    while _sqrt_cmp(p, r, D, Fraction(guess)) < 0:
-        guess -= 1
-    return guess
+def _sqrt_sign(P: int, R: int, D: int) -> int:
+    """Exact sign of P + R*sqrt(D) for integers P, R and D >= 1."""
+    sp, sr = _sign(P), _sign(R)
+    if sp == sr or sr == 0:
+        return sp
+    if sp == 0:
+        return sr
+    # opposite signs: the larger of P^2 and R^2 D wins
+    diff = P * P - R * R * D
+    return sp if diff > 0 else (sr if diff < 0 else 0)
 
 
-@dataclass(frozen=True)
+def _floor_sqrt(P: int, R: int, D: int, M: int) -> int:
+    """floor((P + R*sqrt(D)) / M) for integers P, R, D >= 1 and M > 0.
+
+    Exact, since floor(z / M) = floor(floor(z) / M) for real z and
+    floor(R*sqrt(D)) is an integer square root.
+    """
+    n = R * R * D
+    s = isqrt(n)
+    if R < 0:
+        s = -s - (s * s != n)
+    return (P + s) // M
+
+
+def _ceil_sqrt(P: int, R: int, D: int, M: int) -> int:
+    """ceil((P + R*sqrt(D)) / M) for M > 0."""
+    return -_floor_sqrt(-P, -R, D, M)
+
+
+def _ratio(q: Rat) -> tuple[int, int]:
+    """(numerator, denominator > 0) of an exact rational (ints, Fractions
+    and floats, which are dyadic rationals)."""
+    if type(q) is int:
+        return q, 1
+    q = Fraction(q)
+    return q.numerator, q.denominator
+
+
 class RingElement:
-    """a + b*omega in the field K; a, b exact rationals."""
+    """The element (x + y*omega)/den of the field K.
 
-    field: "FieldDesc"
-    a: Fraction
-    b: Fraction
+    x, y and den are integers with den > 0 and gcd(x, y, den) = 1, so
+    each element has exactly one representation (y = 0 over Q).  Elements
+    are immutable: the slots are read-only by contract.  The rational
+    coordinates in the basis (1, omega) are the Fraction-valued properties
+    a = x/den and b = y/den.
+    """
+
+    __slots__ = ("field", "x", "y", "den")
+
+    def __init__(self, field: "FieldDesc", x: int, y: int = 0, den: int = 1):
+        if den != 1:
+            if den < 0:
+                x, y, den = -x, -y, -den
+            g = math.gcd(x, y, den)
+            if g != 1:
+                x, y, den = x // g, y // g, den // g
+        self.field = field
+        self.x = x
+        self.y = y
+        self.den = den
 
     @staticmethod
     def make(K: "FieldDesc", a: Rat, b: Rat = 0) -> "RingElement":
-        return RingElement(K, Fraction(a), Fraction(b))
+        """The element a + b*omega for rationals a, b."""
+        if type(a) is int and type(b) is int:
+            return RingElement(K, a, b)
+        a, b = Fraction(a), Fraction(b)
+        den = _lcm(a.denominator, b.denominator)
+        return RingElement(
+            K, a.numerator * (den // a.denominator), b.numerator * (den // b.denominator), den
+        )
 
-    # --- internal exact representation p + r*sqrt(D) ---
-    def _pr(self) -> tuple[Fraction, Fraction]:
-        K = self.field
-        if K.d == 1:
-            return self.a, Fraction(0)
-        if K.omega_is_half:
-            return self.a + self.b / 2, self.b / 2
-        return self.a, self.b
+    @property
+    def a(self) -> Fraction:
+        return Fraction(self.x, self.den)
+
+    @property
+    def b(self) -> Fraction:
+        return Fraction(self.y, self.den)
 
     def __add__(self, other: "RingElement") -> "RingElement":
         self._check(other)
-        return RingElement(self.field, self.a + other.a, self.b + other.b)
+        d1, d2 = self.den, other.den
+        if d1 == d2:
+            return RingElement(self.field, self.x + other.x, self.y + other.y, d1)
+        return RingElement(
+            self.field, self.x * d2 + other.x * d1, self.y * d2 + other.y * d1, d1 * d2
+        )
 
     def __sub__(self, other: "RingElement") -> "RingElement":
-        self._check(other)
-        return RingElement(self.field, self.a - other.a, self.b - other.b)
+        return self + (-other)
 
     def __neg__(self) -> "RingElement":
-        return RingElement(self.field, -self.a, -self.b)
+        return RingElement(self.field, -self.x, -self.y, self.den)
 
     def __mul__(self, other: Union["RingElement", Rat]) -> "RingElement":
-        if isinstance(other, (int, Fraction)):
-            return RingElement(self.field, self.a * other, self.b * other)
-        self._check(other)
         K = self.field
-        a1, b1, a2, b2 = self.a, self.b, other.a, other.b
-        if K.d == 1:
-            return RingElement(K, a1 * a2, Fraction(0))
-        if K.omega_is_half:
-            # omega^2 = omega + (D-1)/4
-            c = Fraction(K.D - 1, 4)
-            return RingElement(K, a1 * a2 + b1 * b2 * c, a1 * b2 + a2 * b1 + b1 * b2)
-        return RingElement(K, a1 * a2 + b1 * b2 * K.D, a1 * b2 + a2 * b1)
+        if isinstance(other, RingElement):
+            self._check(other)
+            x1, y1, x2, y2 = self.x, self.y, other.x, other.y
+            den = self.den * other.den
+            if K.d == 1:
+                return RingElement(K, x1 * x2, 0, den)
+            # omega^2 = t*omega - n
+            yy = y1 * y2
+            return RingElement(
+                K, x1 * x2 - K.n_omega * yy, x1 * y2 + x2 * y1 + K.t_omega * yy, den
+            )
+        if isinstance(other, int):
+            return RingElement(K, self.x * other, self.y * other, self.den)
+        if isinstance(other, Fraction):
+            n, d = other.numerator, other.denominator
+            return RingElement(K, self.x * n, self.y * n, self.den * d)
+        return NotImplemented
 
     __rmul__ = __mul__
 
     def __truediv__(self, other: Union["RingElement", Rat]) -> "RingElement":
-        if isinstance(other, (int, Fraction)):
-            return RingElement(self.field, self.a / other, self.b / other)
-        return self * other.inverse()
+        if isinstance(other, RingElement):
+            return self * other.inverse()
+        n, d = _ratio(other)
+        if n == 0:
+            raise ZeroDivisionError("division by zero")
+        return RingElement(self.field, self.x * d, self.y * d, self.den * n)
+
+    def _norm_num(self) -> int:
+        """Norm of x + y*omega (the norm of self times den^2)."""
+        K = self.field
+        x, y = self.x, self.y
+        if K.d == 1:
+            return x
+        return x * x + K.t_omega * x * y + K.n_omega * y * y
 
     def inverse(self) -> "RingElement":
-        n = self.norm()
+        K = self.field
+        n = self._norm_num()
         if n == 0:
             raise ZeroDivisionError("zero element")
-        if self.field.d == 1:
-            return RingElement(self.field, Fraction(1) / self.a, Fraction(0))
-        return self.conj() * (Fraction(1) / n)
+        if K.d == 1:
+            return RingElement(K, self.den, 0, n)
+        # (v/den)^-1 = den * conj(v) / N(v)
+        return RingElement(K, (self.x + K.t_omega * self.y) * self.den, -self.y * self.den, n)
 
     def conj(self) -> "RingElement":
-        """Galois conjugate (identity over Q)."""
+        """Galois conjugate (identity over Q); conj(omega) = t - omega."""
         K = self.field
         if K.d == 1:
             return self
-        if K.omega_is_half:
-            # sigma(omega) = 1 - omega
-            return RingElement(K, self.a + self.b, -self.b)
-        return RingElement(K, self.a, -self.b)
+        return RingElement(K, self.x + K.t_omega * self.y, -self.y, self.den)
 
-    def norm(self) -> Fraction:
-        """Product of the embeddings (the element itself over Q)."""
-        return self.a if self.field.d == 1 else (self * self.conj()).a
+    def norm(self) -> Rat:
+        """Product of the embeddings (the element itself over Q); an int
+        when the element is integral."""
+        d = self.den if self.field.d == 1 else self.den * self.den
+        n = self._norm_num()
+        return n if d == 1 else Fraction(n, d)
 
-    def trace(self) -> Fraction:
-        if self.field.d == 1:
-            return self.a
-        return (self + self.conj()).a
+    def trace(self) -> Rat:
+        """Sum of the embeddings; an int when the element is integral."""
+        K = self.field
+        n = self.x if K.d == 1 else 2 * self.x + K.t_omega * self.y
+        return n if self.den == 1 else Fraction(n, self.den)
 
-    def embeddings(self) -> tuple[float, ...]:
+    def _sqrt_form(self) -> tuple[int, int, int]:
+        """(P, R, M) with sigma_1 = (P + R sqrt D)/M, sigma_2 = (P - R sqrt D)/M."""
         K = self.field
         if K.d == 1:
-            return (float(self.a),)
-        p, r = self._pr()
-        s = math.sqrt(K.D)
-        return (float(p) + float(r) * s, float(p) - float(r) * s)
+            return self.x, 0, self.den
+        return 2 * self.x + K.t_omega * self.y, K.s_omega * self.y, 2 * self.den
+
+    def embeddings(self) -> tuple[float, ...]:
+        P, R, M = self._sqrt_form()
+        if self.field.d == 1:
+            return (P / M,)
+        p, r = P / M, R / M
+        s = self.field.sqrt_D
+        return (p + r * s, p - r * s)
 
     def compare_embedding(self, j: int, q: Rat) -> int:
         """Exact sign of sigma_j(self) - q for rational q."""
-        p, r = self._pr()
-        if j == 1:
-            r = -r
-        return _sqrt_cmp(p, r, self.field.D, Fraction(q))
+        P, R, M = self._sqrt_form()
+        qn, qd = _ratio(q)
+        return _sqrt_sign(P * qd - qn * M, -R * qd if j == 1 else R * qd, self.field.D)
 
     def sgn(self) -> tuple[int, ...]:
-        return tuple(self.compare_embedding(j, 0) for j in range(self.field.d))
+        P, R, _ = self._sqrt_form()
+        if self.field.d == 1:
+            return (_sign(P),)
+        D = self.field.D
+        return (_sqrt_sign(P, R, D), _sqrt_sign(P, -R, D))
 
     def is_totally_positive(self) -> bool:
         return all(s > 0 for s in self.sgn())
 
     def is_integral(self) -> bool:
-        return self.a.denominator == 1 and self.b.denominator == 1
+        return self.den == 1
 
     def is_zero(self) -> bool:
-        return self.a == 0 and self.b == 0
+        return self.x == 0 and self.y == 0
 
-    def coords(self) -> tuple[Fraction, Fraction]:
+    def coords(self) -> tuple[Rat, Rat]:
+        """The coordinates (a, b); plain ints when the element is integral."""
+        if self.den == 1:
+            return (self.x, self.y)
         return (self.a, self.b)
 
     def _check(self, other: "RingElement") -> None:
@@ -206,19 +263,23 @@ class RingElement:
             raise FieldError("elements of different fields")
 
     def __repr__(self) -> str:
-        if self.field.d == 1 or self.b == 0:
+        if self.field.d == 1 or self.y == 0:
             return str(self.a)
         return f"({self.a}+{self.b}w)"
 
     def __eq__(self, other: object) -> bool:
         return (
             isinstance(other, RingElement)
+            and self.x == other.x
+            and self.y == other.y
+            and self.den == other.den
             and self.field.D == other.field.D
-            and self.a == other.a
-            and self.b == other.b
         )
 
     def __hash__(self) -> int:
+        # the hash of (D, a, b): ints hash like the equal Fractions
+        if self.den == 1:
+            return hash((self.field.D, self.x, self.y))
         return hash((self.field.D, self.a, self.b))
 
 
@@ -280,41 +341,54 @@ def _xgcd(a: int, b: int) -> tuple[int, int, int]:
     return old_r, old_s, old_t
 
 
-@dataclass(frozen=True)
 class Ideal:
     """Fractional ideal in HNF: (1/den) * (Z*a + Z*(b + c*omega)).
 
     For Q the lattice is Z*a (b = 0, c = 1).  Integral ideals have
-    den = 1.  The representation is canonical, so equality of ideals is
-    equality of tuples.
+    den = 1.  The representation is canonical (den is the least positive
+    integer with den*I integral), so equality of ideals is equality of
+    tuples.  Ideals are immutable: the slots are read-only by contract.
     """
 
-    field: "FieldDesc"
-    a: int
-    b: int
-    c: int
-    den: int = 1
+    __slots__ = ("field", "a", "b", "c", "den")
+
+    def __init__(self, field: "FieldDesc", a: int, b: int, c: int, den: int = 1):
+        self.field = field
+        self.a = a
+        self.b = b
+        self.c = c
+        self.den = den
 
     @staticmethod
     def from_hnf(K: "FieldDesc", a: int, b: int, c: int, den: int = 1) -> "Ideal":
-        g = math.gcd(math.gcd(a, b), math.gcd(c, den))
-        a, b, c, den = a // g, b // g, c // g, den // g
-        return Ideal(K, a, b % a if a else 0, c, den)
+        if K.d == 1:
+            g = math.gcd(a, den)
+            return Ideal(K, a // g, 0, 1, den // g)
+        g = math.gcd(a, b, c, den)
+        if g != 1:
+            a, b, c, den = a // g, b // g, c // g, den // g
+        return Ideal(K, a, b % a, c, den)
+
+    @staticmethod
+    def _from_vectors(K: "FieldDesc", vecs: Sequence[tuple[int, int]], den: int) -> "Ideal":
+        """The ideal (1/den) * (Z-span of the integer vectors)."""
+        a, b, c = _hnf_from_vectors(vecs)
+        return Ideal.from_hnf(K, a, b, c, den)
 
     @staticmethod
     def from_generators(K: "FieldDesc", gens: Sequence[RingElement]) -> "Ideal":
         den = 1
         for g in gens:
-            den = _lcm(den, _lcm(g.a.denominator, g.b.denominator))
+            den = _lcm(den, g.den)
         vecs = []
         for g in gens:
-            x = g * den
-            vecs.append((int(x.a), int(x.b)))
+            m = den // g.den
+            x, y = g.x * m, g.y * m
+            vecs.append((x, y))
             if K.d == 2:
-                xo = x * K.omega()
-                vecs.append((int(xo.a), int(xo.b)))
-        a, b, c = _hnf_from_vectors(vecs)
-        return Ideal.from_hnf(K, a, b, c, den)
+                # omega*(x + y*omega) = -n*y + (x + t*y)*omega
+                vecs.append((-K.n_omega * y, x + K.t_omega * y))
+        return Ideal._from_vectors(K, vecs, den)
 
     @staticmethod
     def principal(x: RingElement) -> "Ideal":
@@ -322,75 +396,84 @@ class Ideal:
             raise ValueError("zero ideal")
         return Ideal.from_generators(x.field, [x])
 
-    def basis(self) -> tuple[RingElement, RingElement]:
-        K = self.field
-        den = Fraction(1, self.den)
-        return (
-            RingElement(K, self.a * den, Fraction(0)),
-            RingElement(K, self.b * den, self.c * den),
-        )
-
-    def norm(self) -> Fraction:
-        K = self.field
-        if K.d == 1:
-            return Fraction(self.a, self.den)
-        return Fraction(self.a * self.c, self.den**2)
+    def norm(self) -> Rat:
+        """The norm; an int when the ideal is integral."""
+        if self.field.d == 1:
+            n, d = self.a, self.den
+        else:
+            n, d = self.a * self.c, self.den * self.den
+        return n if d == 1 else Fraction(n, d)
 
     def is_integral(self) -> bool:
         return self.den == 1
 
-    def contains(self, x: RingElement) -> bool:
-        xa, xb = x.a * self.den, x.b * self.den
-        if xa.denominator != 1 or xb.denominator != 1:
-            return False
-        xa, xb = int(xa), int(xb)
+    def _has(self, x: int, y: int, d: int) -> bool:
+        """Whether (x + y*omega)/d lies in the ideal."""
+        if d != 1 or self.den != 1:
+            x, rx = divmod(x * self.den, d)
+            y, ry = divmod(y * self.den, d)
+            if rx or ry:
+                return False
         if self.field.d == 1:
-            return xa % self.a == 0
-        if xb % self.c != 0:
+            return x % self.a == 0
+        if y % self.c:
             return False
-        return (xa - (xb // self.c) * self.b) % self.a == 0
+        return (x - (y // self.c) * self.b) % self.a == 0
+
+    def contains(self, x: RingElement) -> bool:
+        return self._has(x.x, x.y, x.den)
 
     def __mul__(self, other: Union["Ideal", RingElement]) -> "Ideal":
         if isinstance(other, RingElement):
             other = Ideal.principal(other)
         K = self.field
-        b1, b2 = self.basis()
-        c1, c2 = other.basis()
-        prods = [b1 * c1, b1 * c2, b2 * c1, b2 * c2]
-        den = 1
-        for p in prods:
-            den = _lcm(den, _lcm(p.a.denominator, p.b.denominator))
-        vecs = []
-        for p in prods:
-            x = p * den
-            vecs.append((int(x.a), int(x.b)))
-        a, b, c = _hnf_from_vectors(vecs)
-        return Ideal.from_hnf(K, a, b, c, den)
+        a1, b1, c1 = self.a, self.b, self.c
+        a2, b2, c2 = other.a, other.b, other.c
+        den = self.den * other.den
+        if K.d == 1:
+            return Ideal.from_hnf(K, a1 * a2, 0, 1, den)
+        # products of the two HNF bases; omega^2 = t*omega - n
+        cc = c1 * c2
+        vecs = [
+            (a1 * a2, 0),
+            (a1 * b2, a1 * c2),
+            (a2 * b1, a2 * c1),
+            (b1 * b2 - K.n_omega * cc, b1 * c2 + b2 * c1 + K.t_omega * cc),
+        ]
+        return Ideal._from_vectors(K, vecs, den)
 
     def __add__(self, other: "Ideal") -> "Ideal":
         """Ideal gcd."""
+        K = self.field
         den = _lcm(self.den, other.den)
-        vecs = []
-        for I in (self, other):
-            m = den // I.den
-            vecs.append((I.a * m, 0))
-            vecs.append((I.b * m, I.c * m))
-        a, b, c = _hnf_from_vectors(vecs)
-        return Ideal.from_hnf(self.field, a, b, c, den)
+        m1, m2 = den // self.den, den // other.den
+        if K.d == 1:
+            return Ideal.from_hnf(K, math.gcd(self.a * m1, other.a * m2), 0, 1, den)
+        vecs = [
+            (self.a * m1, 0),
+            (self.b * m1, self.c * m1),
+            (other.a * m2, 0),
+            (other.b * m2, other.c * m2),
+        ]
+        return Ideal._from_vectors(K, vecs, den)
+
+    def _conj_vectors(self, scale: int) -> list[tuple[int, int]]:
+        """scale times the conjugates of the HNF basis (conj(omega) = t - omega)."""
+        t = self.field.t_omega
+        return [(self.a * scale, 0), ((self.b + t * self.c) * scale, -self.c * scale)]
 
     def conj(self) -> "Ideal":
-        b1, b2 = self.basis()
-        return Ideal.from_generators(self.field, [b1.conj(), b2.conj()])
+        if self.field.d == 1:
+            return self
+        return Ideal._from_vectors(self.field, self._conj_vectors(1), self.den)
 
     def inverse(self) -> "Ideal":
-        n = self.norm()
-        if self.field.d == 1:
-            g = RingElement.make(self.field, Fraction(1) / n)
-            return Ideal.from_generators(self.field, [g])
-        # I * conj(I) = (N I) in a quadratic field, so I^{-1} = conj(I)/N(I)
-        num = Fraction(1) / n
-        b1, b2 = self.conj().basis()
-        return Ideal.from_generators(self.field, [b1 * num, b2 * num])
+        K = self.field
+        if K.d == 1:
+            return Ideal.from_hnf(K, self.den, 0, 1, self.a)
+        # I * conj(I) = (N I) in a quadratic field, so
+        # I^{-1} = conj(I)/N(I) = (den/(a*c)) * conj(Z*a + Z*(b + c*omega))
+        return Ideal._from_vectors(K, self._conj_vectors(self.den), self.a * self.c)
 
     def intersect(self, other: "Ideal") -> "Ideal":
         """Ideal lcm: a*b*(a+b)^{-1}."""
@@ -398,21 +481,22 @@ class Ideal:
 
     def divides(self, other: "Ideal") -> bool:
         """self | other, i.e. other subseteq self."""
-        b1, b2 = other.basis()
-        return self.contains(b1) and self.contains(b2)
+        if not self._has(other.a, 0, other.den):
+            return False
+        return self.field.d == 1 or self._has(other.b, other.c, other.den)
 
     def reduce(self, x: RingElement) -> RingElement:
         """Canonical representative of x modulo this integral ideal."""
         if not self.is_integral():
             raise ValueError("reduction requires an integral ideal")
-        xa, xb = int(x.a), int(x.b)
+        if not x.is_integral():
+            raise ValueError("reduction requires an integral element")
         K = self.field
         if K.d == 1:
-            return RingElement.make(K, xa % self.a)
-        j = xb % self.c
-        k = (xb - j) // self.c
-        xa2 = (xa - k * self.b) % self.a
-        return RingElement.make(K, xa2, j)
+            return RingElement(K, x.x % self.a)
+        j = x.y % self.c
+        k = (x.y - j) // self.c
+        return RingElement(K, (x.x - k * self.b) % self.a, j)
 
     def __repr__(self) -> str:
         if self.field.d == 1:
@@ -423,13 +507,16 @@ class Ideal:
         return (self.a, self.b, self.c, self.den)
 
     def __hash__(self) -> int:
-        return hash((self.field.D,) + self.key())
+        return hash((self.field.D, self.a, self.b, self.c, self.den))
 
     def __eq__(self, other: object) -> bool:
         return (
             isinstance(other, Ideal)
+            and self.a == other.a
+            and self.b == other.b
+            and self.c == other.c
+            and self.den == other.den
             and self.field.D == other.field.D
-            and self.key() == other.key()
         )
 
 
@@ -466,10 +553,19 @@ class FieldDesc:
         self.D = D
         self.d = 1 if D == 1 else 2
         self.omega_is_half = self.d == 2 and D % 4 == 1
+        # omega^2 = t_omega*omega - n_omega, omega_1 - omega_2 = s_omega*sqrt(D):
+        # omega = (1 + sqrt(D))/2 for D = 1 mod 4, else omega = sqrt(D)
         if self.d == 1:
             self.disc = 1
+            self.t_omega, self.n_omega, self.s_omega = 0, 0, 0
+        elif self.omega_is_half:
+            self.disc = D
+            self.t_omega, self.n_omega, self.s_omega = 1, -(D - 1) // 4, 1
         else:
-            self.disc = D if D % 4 == 1 else 4 * D
+            self.disc = 4 * D
+            self.t_omega, self.n_omega, self.s_omega = 0, -D, 2
+        self.sqrt_D = math.sqrt(D)
+        self._unit_ideal = Ideal(self, 1, 0, 1, 1)
         self._prime_cache: dict[int, list[PrimeIdeal]] = {}
         self._gen_cache: dict[tuple, RingElement] = {}
 
@@ -496,27 +592,27 @@ class FieldDesc:
             raise FieldError(
                 f"Q(sqrt({D})) has class number {self.h}; pass allow_class_number=True"
             )
-        self.different = self._compute_different()
         self.delta = self._compute_delta()
+        self.different = Ideal.principal(self.delta)
 
     # --- basic constructors -------------------------------------------------
     def one(self) -> RingElement:
-        return RingElement.make(self, 1)
+        return RingElement(self, 1)
 
     def zero(self) -> RingElement:
-        return RingElement.make(self, 0)
+        return RingElement(self, 0)
 
     def omega(self) -> RingElement:
         if self.d == 1:
             raise FieldError("no omega over Q")
-        return RingElement.make(self, 0, 1)
+        return RingElement(self, 0, 1)
 
     def sqrtD(self) -> RingElement:
         """The element sqrt(D)."""
         if self.d == 1:
             return self.one()
         if self.omega_is_half:
-            return RingElement(self, Fraction(-1), Fraction(2))  # 2*omega - 1
+            return RingElement(self, -1, 2)  # 2*omega - 1
         return self.omega()
 
     def element(self, a: Rat, b: Rat = 0) -> RingElement:
@@ -529,8 +625,8 @@ class FieldDesc:
             return RingElement.make(self, p)
         if self.omega_is_half:
             # p + q sqrt(D) = (p - q) + 2q * omega
-            return RingElement(self, p - q, 2 * q)
-        return RingElement(self, p, q)
+            return RingElement.make(self, p - q, 2 * q)
+        return RingElement.make(self, p, q)
 
     def ideal(self, *gens: Union[RingElement, Rat]) -> Ideal:
         elems = [
@@ -539,7 +635,7 @@ class FieldDesc:
         return Ideal.from_generators(self, elems)
 
     def unit_ideal(self) -> Ideal:
-        return self.ideal(self.one())
+        return self._unit_ideal
 
     # --- units ----------------------------------------------------------------
     def totally_positive_unit_gens(self) -> list[RingElement]:
@@ -559,23 +655,14 @@ class FieldDesc:
         return [self.one(), -self.one(), e, -e]
 
     # --- different --------------------------------------------------------------
-    def _compute_different(self) -> Ideal:
-        if self.d == 1:
-            return self.unit_ideal()
-        # f'(omega) generates the different for a monogenic order
-        if self.omega_is_half:
-            gen = RingElement(self, Fraction(-1), Fraction(2))  # 2*omega - 1 = sqrt(D)
-        else:
-            gen = RingElement(self, Fraction(0), Fraction(2))  # 2*sqrt(D)
-        return Ideal.principal(gen)
-
     def _compute_delta(self) -> RingElement:
-        """Canonical generator f'(omega) of the different (1 over Q)."""
+        """Canonical generator f'(omega) of the different (1 over Q); f'(omega)
+        generates the different for a monogenic order."""
         if self.d == 1:
             return self.one()
         if self.omega_is_half:
-            return RingElement(self, Fraction(-1), Fraction(2))
-        return RingElement(self, Fraction(0), Fraction(2))
+            return RingElement(self, -1, 2)  # 2*omega - 1 = sqrt(D)
+        return RingElement(self, 0, 2)  # 2*sqrt(D)
 
     # --- primes and factorization -------------------------------------------
     def primes_above(self, p: int) -> list[PrimeIdeal]:
@@ -646,8 +733,9 @@ class FieldDesc:
     def prime_valuation(self, P: PrimeIdeal, I: Ideal) -> int:
         v = 0
         J = I
+        inv = P.ideal.inverse()
         while P.ideal.divides(J):
-            J = J * P.ideal.inverse()
+            J = J * inv
             v += 1
         return v
 
@@ -739,8 +827,11 @@ def enumerate_in_box(
 ) -> list[RingElement]:
     """All elements of the ideal lattice whose embedding vector lies in box.
 
-    Box bounds are rationals, treated as closed intervals and tested
-    exactly.  Output in lexicographic order of (a, b) coordinates.
+    Box bounds are rationals (or floats, taken at their exact binary
+    value), treated as closed intervals.  Both the range of lattice rows
+    and the range within each row come from exact integer floors of
+    (P + R*sqrt(D))/M, so no boundary element is lost or gained.  Output
+    in lexicographic order of (a, b) coordinates.
     """
     K = I.field
     if len(box) != K.d:
@@ -748,71 +839,52 @@ def enumerate_in_box(
     for lo, hi in box:
         if not (math.isfinite(lo) and math.isfinite(hi)):
             raise ValueError("box must be bounded")
-        lo, hi = Fraction(lo), Fraction(hi)
-        if hi < lo:
-            return []
-    out = []
-    if K.d == 1:
-        lo, hi = Fraction(box[0][0]), Fraction(box[0][1])
-        if totally_positive:
-            lo = max(lo, Fraction(0))
-        step = Fraction(I.a, I.den)
-        k0 = math.ceil(lo / step)
-        k1 = math.floor(hi / step)
-        for k in range(k0, k1 + 1):
-            x = RingElement.make(K, k * step)
-            if x.is_zero() and totally_positive:
-                continue
-            if totally_positive and not x.is_totally_positive():
-                continue
-            out.append(x)
-        return out
-
-    (lo1, hi1), (lo2, hi2) = [(Fraction(l), Fraction(h)) for l, h in box]
+    bounds = [(_ratio(lo), _ratio(hi)) for lo, hi in box]
+    if any(hn * ld < ln * hd for (ln, ld), (hn, hd) in bounds):
+        return []
     if totally_positive:
-        lo1, lo2 = max(lo1, Fraction(0)), max(lo2, Fraction(0))
-    # lattice vectors: v1 = a/den, v2 = (b + c*omega)/den
-    # element m*v1 + n*v2: sigma_j = (m*a + n*b)/den + n*c*omega_j/den
+        bounds = [((max(ln, 0), ld), hi) for (ln, ld), hi in bounds]
     a, b, c, den = I.a, I.b, I.c, I.den
-    # sigma1(x) - sigma2(x) = n*c*(omega1 - omega2)/den, where omega1 - omega2
-    # is sqrt(D) for omega = (1+sqrt(D))/2 and 2*sqrt(D) for omega = sqrt(D)
-    mult = 1 if K.omega_is_half else 2
-    lo_d, hi_d = lo1 - hi2, hi1 - lo2
-    coef = Fraction(c * mult, den)
-    # float bounds for n with a margin of 2; candidates are then tested exactly
-    s = math.sqrt(K.D)
-    n_min = math.floor(float(lo_d) / (float(coef) * s)) - 2
-    n_max = math.ceil(float(hi_d) / (float(coef) * s)) + 2
-    half = Fraction(1, 2)
+    if K.d == 1:
+        # k*a/den in [lo, hi]
+        (ln, ld), (hn, hd) = bounds[0]
+        k0 = -((-ln * den) // (ld * a))
+        k1 = (hn * den) // (hd * a)
+        return [
+            RingElement(K, k * a, 0, den)
+            for k in range(k0, k1 + 1)
+            if k or not totally_positive
+        ]
+    # the element (m*a + n*b + n*c*omega)/den has sigma_j = (P + m*A +- R*sqrt D)/M
+    # with M = 2*den, A = 2*a, P = 2*n*b + t*n*c, R = s*n*c (see _sqrt_form)
+    D, t, s = K.D, K.t_omega, K.s_omega
+    ((l1n, l1d), (h1n, h1d)), ((l2n, l2d), (h2n, h2d)) = bounds
+    M, A = 2 * den, 2 * a
+    # sigma_1 - sigma_2 = s*c*n*sqrt(D)/den lies in [lo1 - hi2, hi1 - lo2] = [L, H]:
+    # n in [L, H] * den / (s*c*sqrt D) = [L, H] * den * sqrt(D) / (s*c*D)
+    Ln, Ld = l1n * h2d - h2n * l1d, l1d * h2d
+    Hn, Hd = h1n * l2d - l2n * h1d, h1d * l2d
+    n_min = _ceil_sqrt(0, Ln * den, D, Ld * s * c * D)
+    n_max = _floor_sqrt(0, Hn * den, D, Hd * s * c * D)
+    pts = []
     for n in range(n_min, n_max + 1):
-        # element x = (m*a + n*b)/den + (n*c/den) * omega
-        # sigma1(x) = q + r sqrt(D) + m*a/den with (q, r) from n-part
-        npart = RingElement(K, Fraction(n * b, den), Fraction(n * c, den))
-        p0, r0 = npart._pr()
-        step = Fraction(a, den)
-        # m-range from sigma1 in [lo1, hi1]: m*step in [lo1 - (p0 + r0 sqrt D), ...]
-        m_lo = _ceil_div_expr(lo1 - p0, -r0, K.D, step)
-        m_hi = _floor_div_expr(hi1 - p0, -r0, K.D, step)
+        P, R = 2 * n * b + t * n * c, s * n * c
+        # lo_j <= (P + m*A + e_j*R*sqrt D)/M <= hi_j for e = (+1, -1)
+        m_lo = max(
+            _ceil_sqrt(l1n * M - l1d * P, -l1d * R, D, l1d * A),
+            _ceil_sqrt(l2n * M - l2d * P, l2d * R, D, l2d * A),
+        )
+        m_hi = min(
+            _floor_sqrt(h1n * M - h1d * P, -h1d * R, D, h1d * A),
+            _floor_sqrt(h2n * M - h2d * P, h2d * R, D, h2d * A),
+        )
         for m in range(m_lo, m_hi + 1):
-            x = RingElement(K, Fraction(m * a + n * b, den), Fraction(n * c, den))
-            if x.compare_embedding(0, lo1) < 0 or x.compare_embedding(0, hi1) > 0:
-                continue
-            if x.compare_embedding(1, lo2) < 0 or x.compare_embedding(1, hi2) > 0:
-                continue
-            if totally_positive and not x.is_totally_positive():
-                continue
-            out.append(x)
-    out.sort(key=lambda e: (e.a, e.b))
-    return out
-
-
-def _floor_div_expr(p: Fraction, r: Fraction, D: int, step: Fraction) -> int:
-    """floor((p + r*sqrt(D)) / step) for step > 0."""
-    return _floor_sqrt_expr(p / step, r / step, D)
-
-
-def _ceil_div_expr(p: Fraction, r: Fraction, D: int, step: Fraction) -> int:
-    return -_floor_sqrt_expr(-p / step, -r / step, D)
+            pts.append((m * a + n * b, n * c))
+    # all points share den, so (a, b) order is the order of the numerators
+    pts.sort()
+    return [
+        RingElement(K, x, y, den) for x, y in pts if (x or y) or not totally_positive
+    ]
 
 
 class ResidueSystem:
@@ -829,12 +901,9 @@ class ResidueSystem:
         n = int(c.norm())
         self.size = n
         if K.d == 1:
-            self.reps = [RingElement.make(K, i) for i in range(c.a)]
+            self.reps = [RingElement(K, i) for i in range(c.a)]
         else:
-            self.reps = [
-                RingElement.make(K, i, j) for j in range(c.c) for i in range(c.a)
-            ]
-        one = K.unit_ideal()
+            self.reps = [RingElement(K, i, j) for j in range(c.c) for i in range(c.a)]
         self.units = [
             x for x in self.reps if not x.is_zero() and (Ideal.principal(x) + c).norm() == 1
         ] if n > 1 else []
@@ -1077,7 +1146,7 @@ def principal_generator(I: Ideal) -> RingElement:
         raise FieldError("principal generators require h = 1")
     # search elements with |sigma_j| <= sqrt(N * eps_+); unit-reduction bound
     eps_plus = float(K.totally_positive_unit_gens()[0].embeddings()[0])
-    B = Fraction(math.ceil(math.sqrt(float(n) * eps_plus) + 1))
+    B = math.ceil(math.sqrt(float(n) * eps_plus) + 1)
     cands = []
     for x in enumerate_in_box(I, [(-B, B), (-B, B)]):
         if x.is_zero():
@@ -1158,17 +1227,22 @@ def ideals_of_norm_up_to(K: FieldDesc, bound: int) -> list[Ideal]:
                 I = I * P.ideal
                 nm = P.norm() ** k
             pps.append(powers)
-    out = [K.unit_ideal()]
-    for powers in pps:
+    # (norm, ideal) pairs kept sorted by norm, so each power stops at the
+    # first partial product whose norm times N(P^k) exceeds the bound; the
+    # largest primes go first, so the list re-sorted after each prime stays
+    # short until the small primes, which have the most multiples
+    out = [(1, K.unit_ideal())]
+    for powers in reversed(pps):
         new = list(out)
         for I, nm in powers:
-            for J in out:
-                nj = int(J.norm()) * nm
-                if nj <= bound:
-                    new.append(J * I)
+            for nj, J in out:
+                if nj * nm > bound:
+                    break
+                new.append((nj * nm, J * I))
+        new.sort(key=lambda e: e[0])
         out = new
-    out.sort(key=lambda I: (I.norm(), I.key()))
-    return out
+    out.sort(key=lambda e: (e[0], e[1].key()))
+    return [I for _, I in out]
 
 
 def _is_prime(n: int) -> bool:

@@ -11,16 +11,16 @@ delta or the class-group generator gamma by a unit permutes the family
 {S(r1, r2; c)} without changing absolute values, realness, or the
 multiplicative structure; every downstream use is through |S|.
 
-Phases are computed as exact rationals (the trace pairing is linear in
-the residue coordinates), so the only floating point is the final
-complex exponential; sums are vectorized over the residue classes.
+Phases are computed as exact integer numerators over one denominator (the
+trace pairing is linear in the residue coordinates), so the only floating
+point is the final complex exponential; sums are vectorized over the
+residue classes.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Optional
 
 import numpy as np
@@ -94,7 +94,7 @@ class _ModulusTable:
                 if P.second is None:  # inert
                     ok &= ~((ii % p == 0) & (jj % p == 0))
                 else:
-                    r = int((-P.second.a) % p)  # second = omega - r
+                    r = (-P.second.x) % p  # second = omega - r
                     ok &= (ii + jj * r) % p != 0
             self.xi = ii[ok]
             self.xj = jj[ok]
@@ -124,8 +124,8 @@ class _ModulusTable:
         ri = np.zeros_like(self.xi)
         rj = np.zeros_like(self.xj)
         one = self.ideal.reduce(self.field.one())
-        ri += int(one.a)
-        rj += int(one.b)
+        ri += one.x
+        rj += one.y
         bi, bj = self.xi.copy(), self.xj.copy()
         while e:
             if e & 1:
@@ -134,20 +134,20 @@ class _ModulusTable:
             e >>= 1
         # verify closure: x * x^{-1} = 1
         ci, cj = self._mul(self.xi, self.xj, ri, rj)
-        if not (np.all(ci == int(one.a)) and np.all(cj == int(one.b))):
+        if not (np.all(ci == one.x) and np.all(cj == one.y)):
             raise RuntimeError("inversion table failed to close")
         return ri, rj
 
     def index_of(self, x: RingElement) -> int:
         xr = self.ideal.reduce(x)
-        hits = np.where((self.xi == int(xr.a)) & (self.xj == int(xr.b)))[0]
+        hits = np.where((self.xi == xr.x) & (self.xj == xr.y))[0]
         if len(hits) != 1:
             raise ValueError(f"{x} is not a unit modulo the table ideal")
         return int(hits[0])
 
     def inverse_element(self, x: RingElement) -> RingElement:
         k = self.index_of(x)
-        return RingElement.make(self.field, int(self.inv_i[k]), int(self.inv_j[k]))
+        return RingElement(self.field, int(self.inv_i[k]), int(self.inv_j[k]))
 
 
 _TABLES: dict[tuple, _ModulusTable] = {}
@@ -160,12 +160,15 @@ def _table(cI: Ideal, bound: int = 10**6) -> _ModulusTable:
     return _TABLES[key]
 
 
-def _trace_pair(w: RingElement) -> tuple[Fraction, Fraction]:
-    """(Tr w, Tr(omega*w)) so Tr((i + j*omega)*w) = i*Tr w + j*Tr(omega w)."""
+def _trace_pair(w: RingElement) -> tuple[tuple[int, int], tuple[int, int]]:
+    """(Tr w, Tr(omega*w)) as (numerator, denominator) pairs, so that
+    Tr((i + j*omega)*w) = i*Tr w + j*Tr(omega w)."""
     K = w.field
     if K.d == 1:
-        return w.trace(), Fraction(0)
-    return w.trace(), (K.omega() * w).trace()
+        return (w.x, w.den), (0, 1)
+    # w = (x + y*omega)/den and omega*w = (-n*y + (x + t*y)*omega)/den
+    x, y, t = w.x, w.y, K.t_omega
+    return (2 * x + t * y, w.den), (-2 * K.n_omega * y + t * (x + t * y), w.den)
 
 
 def kloosterman_sum(query: KloostermanQuery, bound: int = 10**6) -> complex:
@@ -176,13 +179,10 @@ def kloosterman_sum(query: KloostermanQuery, bound: int = 10**6) -> complex:
         return 1.0 + 0j
     tab = _table(cI, bound)
     w = (query.c * K.delta).inverse()
-    t1a, t1b = _trace_pair(query.r1 * w)
-    t2a, t2b = _trace_pair(query.r2 * w)
-    den = 1
-    for t in (t1a, t1b, t2a, t2b):
-        den = den * t.denominator // math.gcd(den, t.denominator)
-    n1a, n1b = int(t1a * den), int(t1b * den)
-    n2a, n2b = int(t2a * den), int(t2b * den)
+    traces = _trace_pair(query.r1 * w) + _trace_pair(query.r2 * w)
+    # the least common denominator of the four traces in lowest terms
+    den = math.lcm(*(d // math.gcd(n, d) for n, d in traces))
+    n1a, n1b, n2a, n2b = (n * den // d for n, d in traces)
     num = (
         (tab.xi * n1a + tab.xj * n1b) % den
         + (tab.inv_i * n2a + tab.inv_j * n2b) % den
@@ -251,32 +251,17 @@ def modulus_generators(K: FieldDesc, norm_max: int) -> list[RingElement]:
     return gens
 
 
-def weil_sweep(K: FieldDesc, cmax: int, r_values=(1, 2, 3), bound: int = 10**6, jobs: int = 1):
+def weil_sweep(K: FieldDesc, cmax: int, r_values=(1, 2, 3), bound: int = 10**6):
     """Margins for all moduli of norm <= cmax and r1, r2 in r_values.
 
     Yields dicts (one per (c, r1, r2)); the heavy tables are shared
-    across the nine r-pairs for each modulus.  jobs > 1 distributes the
-    moduli over a thread pool with a deterministic ordered merge.
+    across the nine r-pairs for each modulus.
     """
-    rs = [RingElement.make(K, r) for r in r_values]
-
-    def per_modulus(c: RingElement) -> list[dict]:
-        out = []
+    rs = [RingElement(K, r) for r in r_values]
+    for c in modulus_generators(K, cmax):
         for r1 in rs:
             for r2 in rs:
                 rec = weil_margin(KloostermanQuery(r1, r2, c), bound)
                 rec["c"] = c
                 rec["r1"], rec["r2"] = r1, r2
-                out.append(rec)
-        return out
-
-    gens = modulus_generators(K, cmax)
-    if jobs <= 1:
-        for c in gens:
-            yield from per_modulus(c)
-        return
-    from concurrent.futures import ThreadPoolExecutor
-
-    with ThreadPoolExecutor(max_workers=jobs) as pool:
-        for chunk in pool.map(per_modulus, gens):
-            yield from chunk
+                yield rec

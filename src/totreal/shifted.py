@@ -419,20 +419,27 @@ def amplified_moment(
                 xclass = (0, 0)
             cx[xclass] = cx.get(xclass, 0.0 + 0j) + cf * w
     B = phi_q * sum(abs(v) ** 2 for v in cx.values())
-    # diagonal l1 r1 = l2 r2 extraction (pair scan)
+    # diagonal l1 r1 = l2 r2 extraction: each product ell*r is formed once,
+    # and for every (ell1, ell2, r1) only the r2 with ell2*r2 = ell1*r1 are
+    # visited, in the order of rs
+    coprime = [q.norm() == 1 or rsys.reduce(r).coords() in rsys._index for r, _ in rs]
+    prods = [[ell * r for r, _ in rs] for ell in ells]
+    matches = []
+    for row in prods:
+        where: dict[RingElement, list[int]] = {}
+        for k, p in enumerate(row):
+            where.setdefault(p, []).append(k)
+        matches.append(where)
     diag_val = 0.0
     diag_count = 0
-    for i1, (ell1, c1) in enumerate(zip(ells, amp_coeffs)):
-        for i2, (ell2, c2) in enumerate(zip(ells, amp_coeffs)):
-            for r1, w1 in rs:
-                for r2, w2 in rs:
-                    if ell1 * r1 == ell2 * r2:
-                        if q.norm() > 1:
-                            rr = rsys.reduce(r1)
-                            if rr.coords() not in rsys._index:
-                                continue
-                        diag_count += 1
-                        diag_val += (c1 * w1 * (c2 * w2).conjugate()).real
+    for c1, row1 in zip(amp_coeffs, prods):
+        for c2, where2 in zip(amp_coeffs, matches):
+            for k1, (_, w1) in enumerate(rs):
+                if not coprime[k1]:
+                    continue
+                for k2 in where2.get(row1[k1], ()):
+                    diag_count += 1
+                    diag_val += (c1 * w1 * (c2 * rs[k2][1]).conjugate()).real
     diag_val *= phi_q
     rel = abs(A - B) / max(abs(A), abs(B), 1e-300)
     return {

@@ -3,9 +3,11 @@
 import cmath
 import math
 import random
+from decimal import Decimal, localcontext
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from totreal.fields import (
     BoundExceeded,
@@ -235,3 +237,161 @@ def test_principal_generator():
             assert Ideal.principal(g) == I
     g11 = principal_generator(factor_ideal(K5.ideal(11))[0][0].ideal)
     assert abs(g11.norm()) == 11
+
+
+# ---------------------------------------------------------------------------
+# property tests: each checks the integer core against an independent route
+
+FIELDS = {1: Q, 2: K2, 5: K5}
+
+rationals = st.fractions(-1000, 1000, max_denominator=60)
+
+
+def _frac_mul(D, u, v):
+    """(a1 + b1 w)(a2 + b2 w) by the textbook formulas: w = sqrt 2 over
+    Q(sqrt 2) (w^2 = 2) and w = (1 + sqrt 5)/2 over Q(sqrt 5) (w^2 = w + 1)."""
+    (a1, b1), (a2, b2) = u, v
+    if D == 1:
+        return a1 * a2, Fraction(0)
+    if D == 2:
+        return a1 * a2 + 2 * b1 * b2, a1 * b2 + a2 * b1
+    return a1 * a2 + b1 * b2, a1 * b2 + a2 * b1 + b1 * b2
+
+
+def _frac_norm_trace(D, u):
+    a, b = u
+    if D == 1:
+        return a, a
+    if D == 2:
+        return a * a - 2 * b * b, 2 * a
+    return a * a + a * b - b * b, 2 * a + b
+
+
+def _dec(f):
+    return Decimal(f.numerator) / f.denominator
+
+
+def _decimal_embedding(D, u, j):
+    """sigma_j(a + b w) in the current decimal precision."""
+    a, b = u
+    if D == 1:
+        return _dec(a)
+    r = Decimal(D).sqrt() * (1 if j == 0 else -1)
+    w = r if D == 2 else (1 + r) / 2
+    return _dec(a) + _dec(b) * w
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from([1, 2, 5]), rationals, rationals, rationals, rationals, rationals)
+def test_element_ops_against_fractions(D, a1, b1, a2, b2, q):
+    K = FIELDS[D]
+    if D == 1:
+        b1 = b2 = Fraction(0)
+    x, y = K.element(a1, b1), K.element(a2, b2)
+    assert (x.a, x.b) == (a1, b1)
+    assert x.den > 0 and math.gcd(x.x, x.y, x.den) == 1
+    assert (x + y).coords() == (a1 + a2, b1 + b2)
+    assert (x - y).coords() == (a1 - a2, b1 - b2)
+    assert (x * y).coords() == _frac_mul(D, (a1, b1), (a2, b2))
+    n, t = _frac_norm_trace(D, (a1, b1))
+    assert x.norm() == n and x.trace() == t
+    assert x.is_integral() == (a1.denominator == 1 and b1.denominator == 1)
+    if n != 0:
+        inv = x.inverse()
+        assert _frac_mul(D, (a1, b1), (inv.a, inv.b)) == (1, 0)
+    with localcontext() as ctx:
+        ctx.prec = 80
+        for j in range(K.d):
+            diff = _decimal_embedding(D, (a1, b1), j) - _dec(q)
+            # an embedding equals a rational only when it is rational itself
+            exact = D == 1 or b1 == 0
+            want = 0 if exact and a1 == q else (1 if diff > 0 else -1)
+            assert x.compare_embedding(j, q) == want
+
+
+def _lattice_brute(I, box):
+    """Lattice points (m*a + n*b + n*c*w)/den of I in box, over a float
+    estimate of the (m, n) range widened by 3 and tested in 80 digits."""
+    K = I.field
+    a, b, c, den = I.a, I.b, I.c, I.den
+    (lo1, hi1), (lo2, hi2) = box
+    w1, w2 = ((1 + math.sqrt(5)) / 2, (1 - math.sqrt(5)) / 2) if K.D == 5 else (
+        math.sqrt(K.D), -math.sqrt(K.D))
+    # sigma_1 - sigma_2 = n*c*(w1 - w2)/den
+    s = c * (w1 - w2) / den
+    ns = range(math.floor(float(lo1 - hi2) / s) - 3, math.ceil(float(hi1 - lo2) / s) + 4)
+    out = set()
+    with localcontext() as ctx:
+        ctx.prec = 80
+        for n in ns:
+            base = (n * b + n * c * w1) / den
+            for m in range(math.floor((float(lo1) - base) * den / a) - 3,
+                           math.ceil((float(hi1) - base) * den / a) + 4):
+                x = Fraction(m * a + n * b, den), Fraction(n * c, den)
+                e1, e2 = (_decimal_embedding(K.D, x, j) for j in (0, 1))
+                if _dec(lo1) <= e1 <= _dec(hi1) and _dec(lo2) <= e2 <= _dec(hi2):
+                    out.add(x)
+    return out
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.sampled_from([2, 5]),
+    st.integers(1, 6), st.integers(-3, 3), st.integers(1, 3),
+    st.tuples(*[st.integers(-10**6, 10**6)] * 2),
+    st.tuples(*[st.fractions(0, 12, max_denominator=7)] * 4),
+    st.integers(1, 3),
+)
+def test_enumerate_in_box_large_coordinates(D, ga, gb, gden, centre, offs, scale):
+    K = FIELDS[D]
+    I = Ideal.principal(K.element(Fraction(ga, gden), Fraction(gb, gden)))
+    lo1 = Fraction(centre[0]) - offs[0] * scale
+    lo2 = Fraction(centre[1]) - offs[1] * scale
+    box = [(lo1, lo1 + offs[2] * scale), (lo2, lo2 + offs[3] * scale)]
+    got = enumerate_in_box(I, box)
+    assert [(e.a, e.b) for e in got] == sorted(_lattice_brute(I, box))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from([1, 2, 5]),
+       st.lists(st.tuples(st.fractions(-30, 30, max_denominator=6),
+                          st.fractions(-30, 30, max_denominator=6)), min_size=1, max_size=4),
+       st.randoms(use_true_random=False))
+def test_hnf_canonical_under_permutation(D, coords, rnd):
+    K = FIELDS[D]
+    gens = [K.element(a, b if K.d == 2 else 0) for a, b in coords]
+    if all(g.is_zero() for g in gens):
+        return
+    I = Ideal.from_generators(K, gens)
+    # HNF shape: 0 <= b < a, c | a, c | b, den minimal
+    assert 0 <= I.b < I.a and I.a % I.c == 0 and I.b % I.c == 0
+    g = math.gcd(I.a, I.b, I.c, I.den) if K.d == 2 else math.gcd(I.a, I.den)
+    assert g == 1
+    assert all(I.contains(g) for g in gens)
+    for _ in range(3):
+        perm = list(gens)
+        rnd.shuffle(perm)
+        assert Ideal.from_generators(K, perm).key() == I.key()
+
+
+def _basis(I):
+    K = I.field
+    if K.d == 1:
+        return [K.element(Fraction(I.a, I.den))]
+    return [K.element(Fraction(I.a, I.den)), K.element(Fraction(I.b, I.den), Fraction(I.c, I.den))]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from([1, 2, 5]),
+       st.tuples(*[st.fractions(-30, 30, max_denominator=6)] * 4))
+def test_ideal_product_against_generators(D, v):
+    K = FIELDS[D]
+    x = K.element(v[0], v[1] if K.d == 2 else 0)
+    y = K.element(v[2], v[3] if K.d == 2 else 0)
+    if x.is_zero() or y.is_zero():
+        return
+    I, J = Ideal.principal(x), Ideal.principal(y)
+    prods = [u * w for u in _basis(I) for w in _basis(J)]
+    assert I * J == Ideal.from_generators(K, prods)
+    assert I * J == Ideal.principal(x * y)
+    assert (I * J).norm() == abs((x * y).norm())
