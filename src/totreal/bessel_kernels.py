@@ -24,8 +24,17 @@ e^{pi u} of precision.  The exponential factors are removed analytically:
   for one order mu and an array of w, from scipy for real mu and otherwise
   from K_mu(w) = int_0^inf e^{-w cosh t} cosh(mu t) dt.
 
+* wk_bound, the majorant that fixes the truncation height of every
+  K-kernel transform, minimises over four contour tilts eps for a whole
+  array of u at once; exp and sin go through math per element, so every
+  value is the one a scalar loop gives, bit for bit (np.exp differs from
+  math.exp in the last bit on a few per cent of arguments).
+
 Everything is vectorized over the quadrature nodes in s; mpmath is used
-only in the test oracles.
+only in the test oracles.  Two limits are refused with ValueError rather
+than cut short or left to overflow: a shifted-contour evaluation that
+would need more than _MAX_PANELS panels (u beyond about 100-150 for x
+below 125), and the power series beyond u = _SERIES_U_MAX.
 """
 
 from __future__ import annotations
@@ -33,17 +42,29 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.special import kve
+from scipy.special import k0e, kve
 
 from .quadrature import gl_panels, gl_rows
 
 _M = 30.0  # contour-shift margin: e^{-M} bounds the neglected horizontal piece
+_MAX_PANELS = 4000  # order-12 panels per shifted-contour WK evaluation
+# 2 cosh(pi u) overflows from u = 225.93 on, and 1/Gamma(1 + 2iu) soon after
+_SERIES_U_MAX = 225.9
+
+
+def _check_series_range(u: np.ndarray) -> None:
+    if u.size and u.max() > _SERIES_U_MAX:
+        raise ValueError(
+            f"Bessel power series at u={u.max():.6g} leaves the float range"
+            f" (limit u <= {_SERIES_U_MAX:g}); use a smaller Z"
+        )
 
 
 def _series_RJ(u: np.ndarray, x: float) -> np.ndarray:
     """Im J_{2iu}(x)/cosh(pi u) by the power series; stable for x <= 14."""
     from scipy.special import gamma as cgamma
 
+    _check_series_range(u)
     nu = 2j * u
     # term_0 = (x/2)^{2iu} / Gamma(1 + 2iu); ratio_{k+1/k} = -(x/2)^2/((k+1)(nu+k+1))
     t = np.exp(nu * math.log(x / 2)) / cgamma(1 + nu)
@@ -105,6 +126,7 @@ def _series_WK(u: np.ndarray, x: float) -> np.ndarray:
     the I-series is stable for small x (loss ~ e^{2x})."""
     from scipy.special import gamma as cgamma
 
+    _check_series_range(u)
     nu = 2j * u
     t = np.exp(nu * math.log(x / 2)) / cgamma(1 + nu)
     total = t.copy()
@@ -127,18 +149,29 @@ def _wk_direct(u: float, x: float) -> float:
     return float(np.sum(w * vals) * 0.5 * (1 - math.exp(-2 * math.pi * u)))
 
 
-def _wk_shifted(u: float, x: float) -> float:
-    """sinh(pi u) K_{2iu}(x) via the contour Im s = pi/2 - eps (large u)."""
+def _wk_shifted_panels(u: float, x: float) -> tuple[float, float, float, int]:
+    """Tilt eps, envelope rate a, cut smax and panel count of the shifted
+    contour at (u, x); ValueError past _MAX_PANELS.  The count grows with u
+    at fixed x."""
     eps = min(math.pi / 4, 2.0 / max(u, 1.0))
-    sig = math.pi / 2 - eps
-    # K = e^{-2 u sig} * Re int_0^inf e^{-x cosh(s + i sig)} e^{2ius} ds
-    # (the two half-lines are complex conjugates); envelope e^{-x sin eps cosh s}
+    # envelope e^{-a cosh s}
     a = x * math.sin(eps)
     smax = math.acosh((45.0 + 2 * abs(math.log(max(u, 2)))) / a + 1.0)
     freq = x * math.cos(eps) * math.cosh(smax) + 2 * u
     n_panels = max(4, int((freq * smax + 8.0) / 5.0))
-    if n_panels > 4000:  # pragma: no cover - desk-scale guard
-        n_panels = 4000
+    if n_panels > _MAX_PANELS:
+        raise ValueError(
+            f"K-kernel at u={u:.6g}, x={x:.6g} needs {n_panels} quadrature panels"
+            f" (limit {_MAX_PANELS}); use a smaller Z"
+        )
+    return eps, a, smax, n_panels
+
+
+def _wk_shifted(u: float, x: float) -> float:
+    """sinh(pi u) K_{2iu}(x) via the contour Im s = pi/2 - eps (large u)."""
+    eps, a, smax, n_panels = _wk_shifted_panels(u, x)
+    # K = e^{-2 u sig} * Re int_0^inf e^{-x cosh(s + i sig)} e^{2ius} ds,
+    # sig = pi/2 - eps (the two half-lines are complex conjugates)
     s, w = gl_panels(0.0, smax, n_panels, order=12)
     re_arg = -a * np.cosh(s)
     im_arg = -x * math.cos(eps) * np.sinh(s) + 2 * u * s
@@ -152,6 +185,8 @@ def wk_kernel(u: np.ndarray, x: float) -> np.ndarray:
     u = np.asarray(u, dtype=float)
     if x <= 5.5:
         return _series_WK(u, x)
+    if u.size and x < math.pi * u.max() - 6.0:
+        _wk_shifted_panels(float(u.max()), x)  # refuse before any evaluation
     out = np.empty_like(u)
     for i, ui in enumerate(u):
         ui = float(ui)
@@ -169,23 +204,45 @@ def rj_bound(u: np.ndarray, x: float) -> np.ndarray:
     return (2 / math.pi) * np.tanh(math.pi * np.maximum(u, 1e-12)) * (s1 + 2.0)
 
 
+def _math_map(f, a: np.ndarray) -> np.ndarray:
+    return np.fromiter(map(f, a.tolist()), float, a.size)
+
+
+def _exp_or_inf(v: float) -> float:
+    try:
+        return math.exp(v)
+    except OverflowError:
+        return math.inf
+
+
+def _exp(a: np.ndarray) -> np.ndarray:
+    """math.exp per element; an argument past the float range gives +inf."""
+    try:
+        return _math_map(math.exp, a)
+    except OverflowError:
+        return _math_map(_exp_or_inf, a)
+
+
 def wk_bound(u: np.ndarray, x: float) -> np.ndarray:
     """Majorant of |WK(u, x)|: (1/2) e^{2 u eps} K_0(x sin eps), optimized
-    over the contour tilt eps; K_0(y) <= e^{-y} log(1 + 2/y) + ..."""
-    from scipy.special import k0e
+    over the contour tilts eps in {pi/2, pi/4, 1/u, 2/u} (u at least 1/2,
+    eps at most pi/2); K_0(y) <= e^{-y} log(1 + 2/y) + ...
 
+    np.fmin in candidate order keeps the first minimum and skips NaN, as
+    min(best, val) does; a candidate whose exponential overflows is +inf.
+    """
     u = np.asarray(u, dtype=float)
-    out = np.empty_like(u)
-    for i, ui in enumerate(u):
-        best = math.inf
-        for eps in (math.pi / 2, math.pi / 4, 1.0 / max(ui, 0.5), 2.0 / max(ui, 0.5)):
-            if eps > math.pi / 2:
-                eps = math.pi / 2
+    flat = u.ravel()
+    m = np.maximum(flat, 0.5)
+    best = np.full(flat.size, math.inf)
+    for eps in (math.pi / 2, math.pi / 4, 1.0 / m, 2.0 / m):
+        if isinstance(eps, float):
             y = x * math.sin(eps)
-            val = 0.5 * math.exp(2 * ui * eps - y) * float(k0e(y))
-            best = min(best, val)
-        out[i] = best
-    return out
+        else:
+            eps = np.minimum(eps, math.pi / 2)
+            y = x * _math_map(math.sin, eps)
+        best = np.fmin(best, 0.5 * _exp(2 * flat * eps - y) * k0e(y))
+    return best.reshape(u.shape)
 
 
 def k_scaled(mu: complex, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

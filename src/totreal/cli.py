@@ -6,6 +6,8 @@ errors exit 2 with a machine-readable {"error": ...}; an unknown
 subcommand exits 64.  Output is byte-identical across runs for fixed
 inputs and seed; wall-clock timing is only reported under --timing
 (elapsed_ms is null otherwise, keeping the default output deterministic).
+Each subcommand imports the layers it uses, so the commands on exact
+arithmetic start without numpy, scipy or mpmath.
 """
 
 from __future__ import annotations
@@ -16,17 +18,6 @@ import sys
 import time
 from fractions import Fraction
 
-from .characters import characters_mod, enumerate_eisenstein_pairs, unramified_character
-from .eisenstein import (
-    EisCoefficientContext,
-    coset_index,
-    constant_term_H_at_half,
-    constant_term_local_factor,
-    local_dimension,
-    local_vector_norm_sq,
-    LocalVectorSpec,
-    oldform_eis_coefficient,
-)
 from .fields import (
     BoundExceeded,
     FieldError,
@@ -36,26 +27,6 @@ from .fields import (
     ideal_to_json,
     make_field,
 )
-from .kloosterman import KloostermanQuery, weil_margin, weil_sweep
-from .shifted import (
-    ProductWeight,
-    ShiftedQuery,
-    SmoothBump,
-    afe_sum,
-    amplified_moment,
-    dirichlet_D,
-    shifted_sum,
-)
-from .spectral import (
-    EigenvalueSystem,
-    KTestGaussian,
-    bessel_tilde,
-    bessel_transforms,
-    divisor_system,
-    kuznetsov_geometric_side,
-    oldform_gram_schmidt,
-)
-from .whittaker import gram_matrix, normalized_whittaker_1d
 
 
 def _parse_element(K, text: str) -> RingElement:
@@ -242,6 +213,8 @@ def _dispatch(args, started: float) -> int:
     K = make_field(args.field, allow_class_number=True)
 
     if cmd == "chars" and subcmd == "list":
+        from .characters import characters_mod
+
         q = _parse_ideal(K, args.modulus)
         chars = characters_mod(q, bound=args.bound)
         out = [{"exponents": list(c.exponents), "order": c.order(),
@@ -254,6 +227,8 @@ def _dispatch(args, started: float) -> int:
         }, started)
 
     if cmd == "chars" and subcmd == "eisen-count":
+        from .characters import enumerate_eisenstein_pairs
+
         c = _parse_ideal(K, args.level)
         rep = enumerate_eisenstein_pairs(c, args.X, args.resolution, bound=args.bound)
         return _emit(args, {
@@ -265,6 +240,8 @@ def _dispatch(args, started: float) -> int:
         }, started)
 
     if cmd == "whittaker" and subcmd == "eval":
+        from .whittaker import normalized_whittaker_1d
+
         nu = complex(args.nu)
         val = normalized_whittaker_1d(args.q, nu, args.y)
         return _emit(args, {
@@ -275,6 +252,8 @@ def _dispatch(args, started: float) -> int:
         }, started)
 
     if cmd == "whittaker" and subcmd == "gram":
+        from .whittaker import gram_matrix
+
         if args.qmax < 0 or not args.numax >= 0:
             raise ValueError("--qmax and --numax must be nonnegative")
         kw = {"tol": args.tol} if args.tol else {}
@@ -304,6 +283,8 @@ def _dispatch(args, started: float) -> int:
         }, started)
 
     if cmd == "kloosterman" and subcmd == "eval":
+        from .kloosterman import KloostermanQuery, weil_margin
+
         r1, r2 = _parse_element(K, args.r1), _parse_element(K, args.r2)
         c = _parse_element(K, args.c)
         rec = weil_margin(KloostermanQuery(r1, r2, c), bound=args.bound)
@@ -317,6 +298,8 @@ def _dispatch(args, started: float) -> int:
         }, started)
 
     if cmd == "kloosterman" and subcmd == "sweep":
+        from .kloosterman import weil_sweep
+
         rows = ["c_norm,S_re,S_im,margin"]
         records = list(weil_sweep(K, args.cmax, bound=args.bound))
         for rec in records:
@@ -335,6 +318,8 @@ def _dispatch(args, started: float) -> int:
         }, started)
 
     if cmd == "eisen" and subcmd == "dim":
+        from .eisenstein import local_dimension
+
         return _emit(args, {
             "command": "eisen dim",
             "inputs": {"n": args.n, "m": args.m},
@@ -343,6 +328,8 @@ def _dispatch(args, started: float) -> int:
         }, started)
 
     if cmd == "eisen" and subcmd == "norms":
+        from .eisenstein import LocalVectorSpec, local_vector_norm_sq
+
         spec = LocalVectorSpec(args.Np, args.j, args.m)
         v = local_vector_norm_sq(spec)
         return _emit(args, {
@@ -353,6 +340,9 @@ def _dispatch(args, started: float) -> int:
         }, started)
 
     if cmd == "eisen" and subcmd == "coeff":
+        from .characters import unramified_character
+        from .eisenstein import EisCoefficientContext, oldform_eis_coefficient
+
         chi = unramified_character(K, [float(x) for x in args.chi_t.split(",")] * (K.d if "," not in args.chi_t else 1))
         t = _parse_ideal(K, args.t)
         m = _parse_ideal(K, args.m)
@@ -367,6 +357,8 @@ def _dispatch(args, started: float) -> int:
         }, started)
 
     if cmd == "eisen" and subcmd == "constterm":
+        from .eisenstein import constant_term_H_at_half, coset_index
+
         c = _parse_ideal(K, args.level)
         v = constant_term_H_at_half(c)
         return _emit(args, {
@@ -377,6 +369,8 @@ def _dispatch(args, started: float) -> int:
         }, started)
 
     if cmd == "eisen" and subcmd == "localfactor":
+        from .eisenstein import constant_term_local_factor
+
         v = constant_term_local_factor(args.Np, args.s, args.case, args.v)
         return _emit(args, {
             "command": "eisen localfactor",
@@ -386,6 +380,8 @@ def _dispatch(args, started: float) -> int:
         }, started)
 
     if cmd == "spectral" and subcmd == "oldforms":
+        from .spectral import EigenvalueSystem, oldform_gram_schmidt
+
         c = _parse_ideal(K, args.level)
         sys_ = EigenvalueSystem(K, seed=args.seed)
         basis = oldform_gram_schmidt(sys_, c)
@@ -403,6 +399,8 @@ def _dispatch(args, started: float) -> int:
         }, started)
 
     if cmd == "spectral" and subcmd == "bessel":
+        from .spectral import KTestGaussian, bessel_tilde, bessel_transforms
+
         k = KTestGaussian(args.Z)
         target = args.tol / 2 if args.tol else 5e-9
         rec = bessel_transforms(k, args.t, tail_target=target)
@@ -416,6 +414,8 @@ def _dispatch(args, started: float) -> int:
         }, started)
 
     if cmd == "spectral" and subcmd == "kuz-geom":
+        from .spectral import KTestGaussian, kuznetsov_geometric_side
+
         r1, r2 = _parse_element(K, args.r1), _parse_element(K, args.r2)
         level = _parse_ideal(K, args.level)
         ks = [KTestGaussian(args.Z) for _ in range(K.d)]
@@ -432,6 +432,18 @@ def _dispatch(args, started: float) -> int:
         }, started)
 
     if cmd == "shifted":
+        from .characters import unramified_character
+        from .shifted import (
+            ProductWeight,
+            ShiftedQuery,
+            SmoothBump,
+            afe_sum,
+            amplified_moment,
+            dirichlet_D,
+            shifted_sum,
+        )
+        from .spectral import EigenvalueSystem, divisor_system
+
         sys1 = divisor_system(K)
         if subcmd == "sum":
             a, b = (float(x) for x in args.support.split(","))

@@ -20,7 +20,7 @@ from typing import Optional
 import mpmath as mp
 
 from .characters import HeckeCharacter
-from .fields import FieldDesc, Ideal, arith_functions, factor_ideal
+from .fields import FieldDesc, Ideal, arith_functions, factor_ideal, primes_up_to
 
 
 def local_dimension(n: int, m: int) -> int:
@@ -347,7 +347,7 @@ def constant_term_H_numeric(c: Ideal, delta: float, prime_bound: int = 3000) -> 
     zeta_den = 1.0  # prod (1 - Np^-(1+2s))^-1
     lam_num = 1.0  # zeta part of Lambda(1+2delta) = zeta_K(1+2delta)
     lam_den = 1.0  # zeta part of Lambda(2+2delta)
-    for p in _primes_up_to(prime_bound):
+    for p in primes_up_to(prime_bound):
         for P in K.primes_above(p):
             N = P.norm()
             if N > prime_bound:
@@ -369,15 +369,6 @@ def constant_term_H_numeric(c: Ideal, delta: float, prime_bound: int = 3000) -> 
         * lam_den
     )
     return val / lam_ratio
-
-
-def _primes_up_to(n: int) -> list[int]:
-    sieve = bytearray([1]) * (n + 1)
-    sieve[0:2] = b"\x00\x00"
-    for i in range(2, int(n**0.5) + 1):
-        if sieve[i]:
-            sieve[i * i :: i] = bytearray(len(sieve[i * i :: i]))
-    return [i for i in range(2, n + 1) if sieve[i]]
 
 
 # ---------------------------------------------------------------------------
@@ -445,7 +436,7 @@ def hecke_l_value(
         val = dedekind_zeta(K, s0 - 1j * chi.t[0])
         return {"value": complex(val), "route": "dedekind", "tail_estimate": 1e-12}
     logs = []
-    for p in _primes_up_to(prime_bound):
+    for p in primes_up_to(prime_bound):
         for P in K.primes_above(p):
             N = P.norm()
             if N > prime_bound:

@@ -21,6 +21,7 @@ import cmath
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import compress
 from math import isqrt
 from typing import Optional, Sequence, Union
 
@@ -956,6 +957,18 @@ def psi(x: RingElement) -> complex:
 # helpers: rational primes, square roots mod p, Pell equation, class numbers
 
 
+def primes_up_to(n: int) -> list[int]:
+    """The rational primes p <= n, ascending (sieve of Eratosthenes)."""
+    if n < 2:
+        return []
+    sieve = bytearray([1]) * (n + 1)
+    sieve[0:2] = b"\x00\x00"
+    for i in range(2, isqrt(n) + 1):
+        if sieve[i]:
+            sieve[i * i :: i] = bytes(len(range(i * i, n + 1, i)))
+    return list(compress(range(n + 1), sieve))
+
+
 def _factor_int(n: int) -> dict[int, int]:
     out: dict[int, int] = {}
     d = 2
@@ -1209,11 +1222,8 @@ def _elt_pow(x: RingElement, k: int) -> RingElement:
 
 def ideals_of_norm_up_to(K: FieldDesc, bound: int) -> list[Ideal]:
     """All nonzero integral ideals of norm <= bound, sorted by (norm, HNF)."""
-    primes = [p for p in range(2, bound + 1) if _is_prime(p)]
     pps: list[list[tuple[Ideal, int]]] = []  # per prime ideal: powers with norms
-    for p in primes:
-        if p > bound:
-            continue
+    for p in primes_up_to(bound):
         for P in K.primes_above(p):
             if P.norm() > bound:
                 continue
@@ -1243,17 +1253,6 @@ def ideals_of_norm_up_to(K: FieldDesc, bound: int) -> list[Ideal]:
         out = new
     out.sort(key=lambda e: (e[0], e[1].key()))
     return [I for _, I in out]
-
-
-def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 1
-    return True
 
 
 def field_to_json(K: FieldDesc) -> dict:

@@ -12,6 +12,7 @@ formulas that depend only on the Hecke relations.
 from __future__ import annotations
 
 import cmath
+import functools
 import hashlib
 import math
 from dataclasses import dataclass
@@ -262,13 +263,25 @@ class KTestGaussian:
         return 1.0 if abs(nu) <= self.Z else 0.0
 
 
+@functools.lru_cache(maxsize=256)
+def _tail_window(k: KTestGaussian, T: float) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes u on [T, T + 8Z] and the weights ws * k(iu) * u of the tail
+    integral, read-only.  They depend on (Z, T) alone and T steps on a fixed
+    grid from max(2, Z), so every t of one Z shares a few windows."""
+    us, ws = gl_panels(T, T + 8 * k.Z, 16, order=8)
+    wu = ws * k.on_axis(us) * us
+    us.flags.writeable = False
+    wu.flags.writeable = False
+    return us, wu
+
+
 def _truncation_height(k: KTestGaussian, bound_fn, target: float) -> tuple[float, float]:
     """Smallest T (on a half-integer grid) with the tail integral of
     k(iu) * u * bound(u) below target; returns (T, tail bound)."""
     T = max(2.0, k.Z)
     while T < 60 * max(1.0, k.Z):
-        us, ws = gl_panels(T, T + 8 * k.Z, 16, order=8)
-        tail = float(np.sum(ws * k.on_axis(us) * us * bound_fn(us)))
+        us, wu = _tail_window(k, T)
+        tail = float(np.sum(wu * bound_fn(us)))
         tail *= 2.1  # margin: integrand decays super-exponentially beyond
         if tail < target:
             return T, tail

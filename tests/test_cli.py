@@ -96,6 +96,33 @@ def test_bessel_cli():
     assert json.loads(out)["certificates"]["tail_bound"] < 1e-10
 
 
+def test_bessel_cli_oversized_Z():
+    # past the K-kernel's quadrature limit the command refuses with exit 2;
+    # it must neither hang nor overflow
+    for Z in ("30", "500"):
+        proc = subprocess.run(
+            CMD + ["spectral", "bessel", "--Z", Z, "--t", "-1.5"],
+            capture_output=True, text=True, timeout=30,
+        )
+        assert proc.returncode in (0, 2), proc.stderr
+        assert "Traceback" not in proc.stderr
+        doc = json.loads(proc.stdout)
+        assert ("error" in doc) == (proc.returncode == 2)
+
+
+def test_light_subcommands_skip_numeric_stack():
+    # commands on exact arithmetic import neither numpy, scipy nor mpmath
+    code = (
+        "import sys, totreal.cli as c;"
+        "c.main(['field', 'info', '--D', '5']);"
+        "c.main(['--field', '5', 'chars', 'eisen-count', '--level', '1', '--X', '14']);"
+        "print(sorted(m for m in ('numpy', 'scipy', 'mpmath') if m in sys.modules))"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip().splitlines()[-1] == "[]"
+
+
 def test_eisen_subcommands():
     code, out = run("eisen", "dim", "--n", "3", "--m", "1")
     assert code == 0 and json.loads(out)["result"]["dimension"] == 2

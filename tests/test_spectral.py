@@ -6,6 +6,7 @@ import random
 import mpmath as mp
 import numpy as np
 import pytest
+from scipy.special import k0e
 
 from totreal.bessel_kernels import rj_bound, rj_kernel, wk_bound, wk_kernel
 from totreal.fields import Ideal, ideals_of_norm_up_to, make_field
@@ -13,6 +14,8 @@ from totreal.spectral import (
     EigenvalueSystem,
     KTestGaussian,
     OldformBasis,
+    _tail_window,
+    _truncation_height,
     bessel_tilde,
     bessel_transforms,
     divisor_system,
@@ -187,6 +190,79 @@ def test_kernel_bounds_hold():
         us = np.linspace(0.05, 45, 60)
         assert np.all(np.abs(rj_kernel(us, x)) <= rj_bound(us, x) + 1e-12)
         assert np.all(np.abs(wk_kernel(us, x)) <= wk_bound(us, x) + 1e-12)
+
+
+def _wk_bound_loop(u, x):
+    """The scalar loop wk_bound replaced, with an overflowing candidate
+    read as +inf."""
+    out = np.empty_like(u)
+    for i, ui in enumerate(u):
+        best = math.inf
+        for eps in (math.pi / 2, math.pi / 4, 1.0 / max(ui, 0.5), 2.0 / max(ui, 0.5)):
+            if eps > math.pi / 2:
+                eps = math.pi / 2
+            y = x * math.sin(eps)
+            try:
+                val = 0.5 * math.exp(2 * ui * eps - y) * float(k0e(y))
+            except OverflowError:
+                val = math.inf
+            best = min(best, val)
+        out[i] = best
+    return out
+
+
+def test_wk_bound_bit_identical_to_scalar_loop():
+    rng = np.random.default_rng(7)
+    u = np.concatenate([[0.0, 0.25, 0.5], rng.uniform(0, 220, 200), rng.uniform(0, 3, 40)])
+    for x in np.concatenate([np.geomspace(1e-3, 1e4, 41), rng.uniform(1e-3, 150, 10)]):
+        got = wk_bound(u, x)
+        assert np.array_equal(got.view(np.int64), _wk_bound_loop(u, x).view(np.int64)), x
+
+
+def test_wk_bound_past_exp_range():
+    # the eps = pi/2 candidate e^{pi u - x} overflows from u ~ 226 on; the
+    # smaller tilts still give a finite majorant
+    u = np.array([200.0, 226.5, 300.0, 1e4])
+    for x in (1e-3, 15.39, 100.0):
+        got = wk_bound(u, x)
+        assert np.all(np.isfinite(got))
+        assert np.array_equal(got.view(np.int64), _wk_bound_loop(u, x).view(np.int64))
+
+
+def test_kernels_refuse_out_of_range_u():
+    # at x ~ 15 the shifted contour needs more than 4000 panels near u ~ 113
+    with pytest.raises(ValueError, match="quadrature panels"):
+        wk_kernel(np.array([1.0, 150.0]), 15.39)
+    with pytest.raises(ValueError, match="quadrature panels"):
+        bessel_transforms(KTestGaussian(500.0), -1.5)
+    # the power series (small x) overflows from u ~ 226 on
+    for kernel in (rj_kernel, wk_kernel):
+        with pytest.raises(ValueError, match="float range"):
+            kernel(np.array([1.0, 230.0]), 3.97)
+    for t in (0.1, -0.1):
+        with pytest.raises(ValueError, match="float range"):
+            bessel_transforms(KTestGaussian(50.0), t)
+
+
+def test_series_kernels_at_range_limit():
+    x = 3.97
+    for u in (150.0, 225.9):
+        assert rj_kernel(np.array([u]), x)[0] == pytest.approx(_rj_oracle(u, x), abs=5e-12)
+        assert wk_kernel(np.array([u]), x)[0] == pytest.approx(_wk_oracle(u, x), abs=5e-12)
+
+
+def test_tail_window_cache_bounded():
+    _tail_window.cache_clear()
+    maxsize = _tail_window.cache_info().maxsize
+    assert maxsize == 256
+    for i in range(300):
+        _truncation_height(KTestGaussian(1.0 + i / 64), np.ones_like, 5e-9)
+    info = _tail_window.cache_info()
+    assert info.misses > maxsize
+    assert info.currsize == maxsize
+    us, wu = _tail_window(KTestGaussian(1.0), 2.0)
+    assert not us.flags.writeable and not wu.flags.writeable
+    _tail_window.cache_clear()
 
 
 def _kcheck_oracle(Z, t):
