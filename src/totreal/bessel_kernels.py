@@ -52,29 +52,31 @@ _MAX_PANELS = 4000  # order-12 panels per shifted-contour WK evaluation
 _SERIES_U_MAX = 225.9
 
 
-def _check_series_range(u: np.ndarray) -> None:
+def _series(u: np.ndarray, x: float, sign: int) -> np.ndarray:
+    """sum_k sign^k (x/2)^{2k+2iu} / (k! Gamma(k+1+2iu)): J_{2iu}(x) for
+    sign = -1, I_{2iu}(x) for sign = +1."""
+    from scipy.special import gamma as cgamma
+
     if u.size and u.max() > _SERIES_U_MAX:
         raise ValueError(
             f"Bessel power series at u={u.max():.6g} leaves the float range"
             f" (limit u <= {_SERIES_U_MAX:g}); use a smaller Z"
         )
-
-
-def _series_RJ(u: np.ndarray, x: float) -> np.ndarray:
-    """Im J_{2iu}(x)/cosh(pi u) by the power series; stable for x <= 14."""
-    from scipy.special import gamma as cgamma
-
-    _check_series_range(u)
     nu = 2j * u
-    # term_0 = (x/2)^{2iu} / Gamma(1 + 2iu); ratio_{k+1/k} = -(x/2)^2/((k+1)(nu+k+1))
+    # term_0 = (x/2)^{2iu} / Gamma(1 + 2iu); ratio_{k+1/k} = sign*(x/2)^2/((k+1)(nu+k+1))
     t = np.exp(nu * math.log(x / 2)) / cgamma(1 + nu)
     total = t.copy()
     q = (x / 2) ** 2
     kmax = int(x + 25 + 10 * math.sqrt(x))
     for k in range(kmax):
-        t = -t * q / ((k + 1) * (nu + k + 1))
+        t = (-t if sign < 0 else t) * q / ((k + 1) * (nu + k + 1))
         total += t
-    return np.imag(total) / np.cosh(math.pi * u)
+    return total
+
+
+def _series_RJ(u: np.ndarray, x: float) -> np.ndarray:
+    """Im J_{2iu}(x)/cosh(pi u) by the power series; stable for x <= 14."""
+    return np.imag(_series(u, x, -1)) / np.cosh(math.pi * u)
 
 
 def _contour_C(u: float, x: float) -> float:
@@ -122,21 +124,10 @@ def rj_kernel(u: np.ndarray, x: float) -> np.ndarray:
 
 
 def _series_WK(u: np.ndarray, x: float) -> np.ndarray:
-    """sinh(pi u) K_{2iu}(x) from K = -pi Im I_{2iu}(x) / sinh(2 pi u);
-    the I-series is stable for small x (loss ~ e^{2x})."""
-    from scipy.special import gamma as cgamma
-
-    _check_series_range(u)
-    nu = 2j * u
-    t = np.exp(nu * math.log(x / 2)) / cgamma(1 + nu)
-    total = t.copy()
-    q = (x / 2) ** 2
-    kmax = int(x + 25 + 10 * math.sqrt(x))
-    for k in range(kmax):
-        t = t * q / ((k + 1) * (nu + k + 1))
-        total += t
-    # sinh(pi u) K = -pi Im I / (2 cosh(pi u))
-    return -math.pi * np.imag(total) / (2 * np.cosh(math.pi * u))
+    """sinh(pi u) K_{2iu}(x) = -pi Im I_{2iu}(x) / (2 cosh(pi u)), from
+    K = -pi Im I_{2iu}(x) / sinh(2 pi u); the I-series is stable for small x
+    (loss ~ e^{2x})."""
+    return -math.pi * np.imag(_series(u, x, 1)) / (2 * np.cosh(math.pi * u))
 
 
 def _wk_direct(u: float, x: float) -> float:

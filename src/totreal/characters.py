@@ -21,6 +21,7 @@ from .fields import (
     Ideal,
     RingElement,
     ResidueSystem,
+    divisors,
     factor_ideal,
     principal_generator,
     residue_system,
@@ -271,7 +272,7 @@ class FiniteCharacter:
         q = self.modulus
         rs = self.structure.rs
         best = q
-        for q2 in _divisor_ideals(q):
+        for q2 in divisors(q):
             if q2 == q:
                 continue
             trivial = True
@@ -286,20 +287,6 @@ class FiniteCharacter:
 
     def __hash__(self) -> int:
         return hash((id(self.structure), self.exponents))
-
-
-def _divisor_ideals(q: Ideal) -> list[Ideal]:
-    fac = factor_ideal(q)
-    out = [q.field.unit_ideal()]
-    for P, e in fac:
-        cur = list(out)
-        Ik = P.ideal
-        for _ in range(e):
-            cur += [J * Ik for J in out]
-            Ik = Ik * P.ideal
-        out = cur
-    out.sort(key=lambda I: (I.norm(), I.key()))
-    return out
 
 
 def characters_mod(q: Ideal, bound: int = 10**5) -> list[FiniteCharacter]:

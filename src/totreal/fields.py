@@ -12,6 +12,10 @@ embedding helpers, and every box/positivity test is decided by the exact
 sign of P + R*sqrt(D) on integers, so that no boundary element is ever
 dropped.
 
+The units of o/c are decided in one place, unit_mask: a bytearray over the
+classes i + j*omega with one strided slice cleared per prime P | c.  Both
+ResidueSystem (the characters) and the Kloosterman tables read it.
+
 The sentinel D = 1 denotes the rational field.
 """
 
@@ -750,20 +754,9 @@ def make_field(D: int, allow_class_number: bool = False) -> FieldDesc:
 
     The fundamental unit comes from the continued-fraction expansion of
     sqrt(D); the class number from the cycle structure of reduced
-    indefinite binary quadratic forms of discriminant D_K, checked for
-    D <= 100 against the embedded startup table.
+    indefinite binary quadratic forms of discriminant D_K.
     """
-    K = FieldDesc(D, allow_class_number=allow_class_number)
-    if D in _FIELD_TABLE:
-        disc, eps_a, eps_b, h = _FIELD_TABLE[D]
-        ok = (
-            K.disc == disc
-            and K.h == h
-            and K.eps == RingElement.make(K, eps_a, eps_b)
-        )
-        if not ok:
-            raise FieldError(f"computed invariants for D={D} disagree with table")
-    return K
+    return FieldDesc(D, allow_class_number=allow_class_number)
 
 
 def ideal_arith(a: Ideal, b: Ideal, op: str) -> Union[Ideal, bool]:
@@ -819,6 +812,21 @@ def arith_functions(I: Ideal) -> tuple[int, int, int]:
         phi *= q**e - q ** (e - 1)
         tau *= e + 1
     return mu, phi, tau
+
+
+def divisors(I: Ideal) -> list[Ideal]:
+    """All integral divisors of a nonzero integral ideal, ordered by
+    (norm, HNF key)."""
+    out = [I.field.unit_ideal()]
+    for P, e in factor_ideal(I):
+        cur = list(out)
+        Pk = P.ideal
+        for _ in range(e):
+            cur += [J * Pk for J in out]
+            Pk = Pk * P.ideal
+        out = cur
+    out.sort(key=lambda J: (J.norm(), J.key()))
+    return out
 
 
 def enumerate_in_box(
@@ -888,8 +896,34 @@ def enumerate_in_box(
     ]
 
 
+def unit_mask(c: Ideal) -> bytearray:
+    """The units of o/c as a mask over the classes i + j*omega (0 <= i < c.a,
+    0 <= j < c.c), in rows by j of length c.a: byte j*c.a + i is 1 exactly
+    when i + j*omega is prime to c.
+
+    A class is a unit when it lies in no prime P | c.  For P = (p), inert or
+    over Q, that excludes p | i and p | j; for P = (p, omega - r) it excludes
+    p | i + j*r.  Since p | c.a, each row loses exactly c.a/p classes per P.
+    The mask of (1) is the single class 0.
+    """
+    a, rows = c.a, c.c
+    mask = bytearray(b"\x01") * (a * rows)
+    for P, _ in factor_ideal(c):
+        p = P.p
+        zeros = bytes(a // p)
+        if P.second is None:
+            for j in range(0, rows, p):
+                mask[j * a : (j + 1) * a : p] = zeros
+        else:
+            r = -P.second.x  # second = omega - r
+            for j in range(rows):
+                mask[j * a + (-j * r) % p : (j + 1) * a : p] = zeros
+    return mask
+
+
 class ResidueSystem:
-    """Representatives of o/c with the unit subgroup and inversion table."""
+    """The classes i + j*omega of o/c, its units (by j, then i, as in
+    unit_mask) and inversion among them."""
 
     def __init__(self, c: Ideal, bound: int = 10**6):
         if not c.is_integral() or c.norm() == 0:
@@ -899,20 +933,21 @@ class ResidueSystem:
         self.modulus = c
         K = c.field
         self.field = K
-        n = int(c.norm())
-        self.size = n
-        if K.d == 1:
-            self.reps = [RingElement(K, i) for i in range(c.a)]
-        else:
-            self.reps = [RingElement(K, i, j) for j in range(c.c) for i in range(c.a)]
+        self.size = int(c.norm())
+        a = c.a
+        self._mask = unit_mask(c)
         self.units = [
-            x for x in self.reps if not x.is_zero() and (Ideal.principal(x) + c).norm() == 1
-        ] if n > 1 else []
-        if n == 1:
-            self.units = [K.zero()]  # single class; its unit is the class of 0 = 1
+            RingElement(K, i, j)
+            for j in range(c.c)
+            for i in compress(range(a), self._mask[j * a : (j + 1) * a])
+        ]
         self.phi = len(self.units)
-        self._index = {x.coords(): i for i, x in enumerate(self.units)}
         self._inverse: dict[tuple, RingElement] = {}
+
+    def is_unit(self, x: RingElement) -> bool:
+        """Whether the integral element x is prime to the modulus."""
+        r = self.reduce(x)
+        return self._mask[r.y * self.modulus.a + r.x] == 1
 
     def reduce(self, x: RingElement) -> RingElement:
         return self.modulus.reduce(x)
@@ -1279,19 +1314,3 @@ def ideal_to_json(I: Ideal) -> dict:
         ] if I.is_integral() and I.norm() <= 10**7 else None,
     }
 
-
-# Embedded invariants (D, D_K, eps in the (1, omega) basis, h) for squarefree
-# D <= 100, generated by the continued-fraction and form-cycle routines and
-# cross-checked at startup by make_field.
-_FIELD_TABLE: dict[int, tuple[int, Fraction, Fraction, int]] = {}
-
-
-def _build_table() -> None:
-    for D in range(2, 101):
-        if not _is_squarefree(D):
-            continue
-        K = FieldDesc(D, allow_class_number=True)
-        _FIELD_TABLE[D] = (K.disc, K.eps.a, K.eps.b, K.h)
-
-
-_build_table()

@@ -14,11 +14,13 @@ multiplicative structure; every downstream use is through |S|.
 Phases are computed as exact integer numerators over one denominator (the
 trace pairing is linear in the residue coordinates), so the only floating
 point is the final complex exponential; sums are vectorized over the
-residue classes.
+residue classes.  Which classes are units comes from fields.unit_mask, the
+rule the characters use too; each table is kept in a bounded LRU cache.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Optional
@@ -32,8 +34,8 @@ from .fields import (
     Ideal,
     RingElement,
     arith_functions,
-    factor_ideal,
     ideals_of_norm_up_to,
+    unit_mask,
     unit_reduced_generator,
 )
 
@@ -76,28 +78,9 @@ class _ModulusTable:
         self.a = cI.a
         self.b = cI.b
         self.c2 = cI.c
-        if K.d == 1:
-            i = np.arange(cI.a, dtype=np.int64)
-            mask = np.gcd(i, cI.a) == 1
-            self.xi = i[mask]
-            self.xj = np.zeros_like(self.xi)
-        else:
-            ii, jj = np.meshgrid(
-                np.arange(cI.a, dtype=np.int64),
-                np.arange(cI.c, dtype=np.int64),
-                indexing="ij",
-            )
-            ii, jj = ii.ravel(), jj.ravel()
-            ok = np.ones(len(ii), dtype=bool)
-            for P, _ in factor_ideal(cI):
-                p = P.p
-                if P.second is None:  # inert
-                    ok &= ~((ii % p == 0) & (jj % p == 0))
-                else:
-                    r = (-P.second.x) % p  # second = omega - r
-                    ok &= (ii + jj * r) % p != 0
-            self.xi = ii[ok]
-            self.xj = jj[ok]
+        # the unit mask is in rows by j; its transpose lists units i-major
+        mask = np.frombuffer(unit_mask(cI), np.uint8).reshape(cI.c, cI.a)
+        self.xi, self.xj = np.nonzero(mask.T)
         self.phi = len(self.xi)
         self.inv_i, self.inv_j = self._inverses()
 
@@ -150,14 +133,11 @@ class _ModulusTable:
         return RingElement(self.field, int(self.inv_i[k]), int(self.inv_j[k]))
 
 
-_TABLES: dict[tuple, _ModulusTable] = {}
-
-
+@functools.lru_cache(maxsize=1024)
 def _table(cI: Ideal, bound: int = 10**6) -> _ModulusTable:
-    key = (cI.field.D,) + cI.key()
-    if key not in _TABLES:
-        _TABLES[key] = _ModulusTable(cI, bound)
-    return _TABLES[key]
+    """The table of (c), built once per (c, bound); the norm bound is
+    checked whenever a table is built."""
+    return _ModulusTable(cI, bound)
 
 
 def _trace_pair(w: RingElement) -> tuple[tuple[int, int], tuple[int, int]]:

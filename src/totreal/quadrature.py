@@ -1,6 +1,10 @@
-"""Shared quadrature grids: trapezoid on log axes and panelled Gauss-Legendre."""
+"""Shared quadrature grids: trapezoid on log axes and panelled Gauss-Legendre,
+and the central-difference derivative."""
 
 from __future__ import annotations
+
+import math
+from typing import Callable
 
 import numpy as np
 
@@ -75,3 +79,16 @@ def gl_panels_graded(
         xs.append(mid + half * x0)
         ws.append(half * w0)
     return np.concatenate(xs), np.concatenate(ws)
+
+
+def central_difference(f: Callable, order: int, h: float) -> Callable:
+    """Central finite-difference derivative of the given order with step h
+    (scalar input); f itself for order 0."""
+    if order == 0:
+        return f
+    coeffs = [(-1) ** i * math.comb(order, i) for i in range(order + 1)]
+
+    def df(y: float):
+        return sum(c * f(y + (order / 2 - i) * h) for i, c in enumerate(coeffs)) / h**order
+
+    return df

@@ -18,13 +18,14 @@ from .fields import (
     FieldDesc,
     Ideal,
     RingElement,
+    arith_functions,
     enumerate_in_box,
     factor_ideal,
     ideals_of_norm_up_to,
-    residue_system,
     unit_reduced_generator,
 )
 from .characters import HeckeCharacter, characters_mod
+from .quadrature import central_difference
 from .spectral import EigenvalueSystem
 
 
@@ -48,17 +49,7 @@ class SmoothBump:
         return math.exp(1 - 1 / (1 - z * z))
 
     def derivative(self, order: int) -> Callable[[float], float]:
-        if order == 0:
-            return self
-        h = self.fd_step
-        coeffs = [(-1) ** i * math.comb(order, i) for i in range(order + 1)]
-
-        def df(y: float) -> float:
-            return sum(
-                c * self(y + (order / 2 - i) * h) for i, c in enumerate(coeffs)
-            ) / h**order
-
-        return df
+        return central_difference(self, order, self.fd_step)
 
 
 class ProductWeight:
@@ -214,8 +205,8 @@ def dirichlet_D(
     def term_bound(r1: RingElement, r2: RingElement) -> float:
         I1 = Ideal.principal(r1) * y.inverse()
         I2 = Ideal.principal(r2) * y.inverse()
-        t1 = _tau(I1) * float(I1.norm()) ** sys1.theta
-        t2 = _tau(I2) * float(I2.norm()) ** sys2.theta
+        t1 = arith_functions(I1)[2] * float(I1.norm()) ** sys1.theta
+        t2 = arith_functions(I2)[2] * float(I2.norm()) ** sys2.theta
         x = (l1 * r1).embeddings()
         z = (l2 * r2).embeddings()
         nprod = abs(float((l1 * r1 * l2 * r2).norm()))
@@ -256,19 +247,6 @@ def dirichlet_D(
         "trace_height": trace_height,
         "beta_warning": warn,
     }
-
-
-_TAU_CACHE: dict[tuple, int] = {}
-
-
-def _tau(I: Ideal) -> int:
-    key = (I.field.D,) + I.key()
-    if key not in _TAU_CACHE:
-        t = 1
-        for _, e in factor_ideal(I):
-            t *= e + 1
-        _TAU_CACHE[key] = t
-    return _TAU_CACHE[key]
 
 
 # ---------------------------------------------------------------------------
@@ -386,7 +364,7 @@ def amplified_moment(
         lam = sys.lambda_value(I)
         rs.append((r, lam / math.sqrt(float(I.norm())) * w))
     chars = characters_mod(q)
-    rsys = residue_system(q)
+    rsys = chars[0].structure.rs
     # side A
     chi_fin = chi.finite
     amp_coeffs = []
@@ -409,20 +387,16 @@ def amplified_moment(
         if cf == 0:
             continue
         for r, w in rs:
-            if q.norm() > 1:
-                rr = rsys.reduce(r)
-                if rr.coords() not in rsys._index:
-                    continue  # r not coprime to q contributes zero
-                # bucket by x = r * ell mod q  <=>  r = x ell^{-1} (q)
-                xclass = rsys.reduce(rr * ell).coords()
-            else:
-                xclass = (0, 0)
+            if not rsys.is_unit(r):
+                continue  # r not coprime to q contributes zero
+            # bucket by x = r * ell mod q  <=>  r = x ell^{-1} (q)
+            xclass = rsys.reduce(r * ell).coords()
             cx[xclass] = cx.get(xclass, 0.0 + 0j) + cf * w
     B = phi_q * sum(abs(v) ** 2 for v in cx.values())
     # diagonal l1 r1 = l2 r2 extraction: each product ell*r is formed once,
     # and for every (ell1, ell2, r1) only the r2 with ell2*r2 = ell1*r1 are
     # visited, in the order of rs
-    coprime = [q.norm() == 1 or rsys.reduce(r).coords() in rsys._index for r, _ in rs]
+    coprime = [rsys.is_unit(r) for r, _ in rs]
     prods = [[ell * r for r, _ in rs] for ell in ells]
     matches = []
     for row in prods:

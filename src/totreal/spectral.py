@@ -27,6 +27,7 @@ from .fields import (
     FieldDesc,
     Ideal,
     RingElement,
+    divisors,
     enumerate_in_box,
     factor_ideal,
     ideals_of_norm_up_to,
@@ -188,14 +189,14 @@ def oldform_gram_schmidt(
     if not sys.conductor.divides(c):
         raise ValueError("conductor must divide the level")
     quot = c * sys.conductor.inverse()
-    divisors = _divisors_sorted(quot)
-    if len(divisors) > max_divisors:
+    divs = divisors(quot)
+    if len(divs) > max_divisors:
         raise ValueError("too many divisors")
-    n = len(divisors)
+    n = len(divs)
     G = np.zeros((n, n), dtype=complex)
     for i in range(n):
         for j in range(n):
-            G[i, j] = shifted_inner_ratio(sys, divisors[i], divisors[j])
+            G[i, j] = shifted_inner_ratio(sys, divs[i], divs[j])
     try:
         L = np.linalg.cholesky(G)
     except np.linalg.LinAlgError as exc:
@@ -203,25 +204,11 @@ def oldform_gram_schmidt(
     A = np.linalg.inv(L.conj().T)  # columns give R^(t) in the R_s basis
     resid = float(np.max(np.abs(A.conj().T @ G @ A - np.eye(n))))
     alpha = {}
-    for j, t in enumerate(divisors):
-        for i, s in enumerate(divisors):
+    for j, t in enumerate(divs):
+        for i, s in enumerate(divs):
             if abs(A[i, j]) > 0:
                 alpha[(t.key(), s.key())] = complex(A[i, j])
-    return OldformBasis(sys, c, divisors, alpha, resid)
-
-
-def _divisors_sorted(I: Ideal) -> list[Ideal]:
-    out = [I.field.unit_ideal()]
-    if I.norm() > 1:
-        for P, e in factor_ideal(I):
-            cur = list(out)
-            Pk = P.ideal
-            for _ in range(e):
-                cur += [J * Pk for J in out]
-                Pk = Pk * P.ideal
-            out = cur
-    out.sort(key=lambda J: (J.norm(), J.key()))
-    return out
+    return OldformBasis(sys, c, divs, alpha, resid)
 
 
 def lambda_t(
@@ -235,7 +222,7 @@ def lambda_t(
         return 0.0
     g = t + m
     out = 0.0 + 0j
-    for s in _divisors_sorted(g):
+    for s in divisors(g):
         a = basis.coefficient(t, s)
         if a:
             out += a * math.sqrt(float(s.norm())) * sys.lambda_value(m * s.inverse())

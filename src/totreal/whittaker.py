@@ -31,7 +31,7 @@ import numpy as np
 from scipy.special import loggamma
 
 from .bessel_kernels import k_scaled
-from .quadrature import gl_rows, log_axis_grid
+from .quadrature import central_difference, gl_rows, log_axis_grid
 
 _TWO_PI = 2 * math.pi
 # The integer-kappa routes sum an O(1) oscillating integrand to a value that
@@ -318,21 +318,6 @@ def gram_matrix(qs: Sequence[int], nu: complex, **kw) -> np.ndarray:
 # the A-norm quadrature utility
 
 
-def _fd_derivative(f: Callable, kappa: int, h: float) -> Callable:
-    """Central finite-difference derivative of order kappa (scalar input)."""
-    if kappa == 0:
-        return f
-    coeffs = [(-1) ** i * math.comb(kappa, i) for i in range(kappa + 1)]
-
-    def df(y: float) -> complex:
-        s = 0.0
-        for i, c in enumerate(coeffs):
-            s += c * f(y + (kappa / 2 - i) * h)
-        return s / h**kappa
-
-    return df
-
-
 def a_norm(
     W: Callable,
     mu: int,
@@ -364,10 +349,10 @@ def a_norm(
             if g is not None:
                 return g
         if d == 1:
-            return _fd_derivative(lambda y: W(y), kappa[0], fd_step)
+            return central_difference(lambda y: W(y), kappa[0], fd_step)
         fy = lambda y1, y2: W(y1, y2)
-        g1 = lambda y2: _fd_derivative(lambda y1: fy(y1, y2), kappa[0], fd_step)
-        return lambda y1, y2: _fd_derivative(lambda t2: g1(t2)(y1), kappa[1], fd_step)(y2)
+        g1 = lambda y2: central_difference(lambda y1: fy(y1, y2), kappa[0], fd_step)
+        return lambda y1, y2: central_difference(lambda t2: g1(t2)(y1), kappa[1], fd_step)(y2)
 
     total = 0.0
     weight_pow = {}

@@ -14,6 +14,7 @@ from totreal.fields import (
     FieldError,
     Ideal,
     arith_functions,
+    divisors,
     enumerate_in_box,
     factor_ideal,
     ideal_arith,
@@ -81,6 +82,43 @@ def test_class_numbers_against_tables():
         assert K.eps.embeddings()[0] > 1
         assert abs(K.eps.norm()) == 1
         assert K.eps.norm() == K.eps_norm
+
+
+def _kronecker(d: int, n: int) -> int:
+    """The Kronecker symbol (d/n) for n > 0: the factor (d/2) per 2 in n,
+    then the Jacobi symbol by quadratic reciprocity."""
+    out = 1
+    while n % 2 == 0:
+        n //= 2
+        if d % 2 == 0:
+            return 0
+        if d % 8 in (3, 5):
+            out = -out
+    a = d % n
+    while a:
+        while a % 2 == 0:
+            a //= 2
+            if n % 8 in (3, 5):
+                out = -out
+        a, n = n, a
+        if a % 4 == 3 and n % 4 == 3:
+            out = -out
+        a %= n
+    return out if n == 1 else 0
+
+
+def test_class_number_formula():
+    # h log(eps) = -1/2 sum_{0<a<D_K} chi_{D_K}(a) log sin(pi a / D_K), the
+    # analytic class number formula, independent of the unit and form routines
+    Ds = [D for D in range(2, 101) if all(D % (p * p) for p in range(2, 11))]
+    assert len(Ds) == 60
+    for D in Ds:
+        K = make_field(D, allow_class_number=True)
+        dk = K.disc
+        rhs = -0.5 * sum(
+            _kronecker(dk, a) * math.log(math.sin(math.pi * a / dk)) for a in range(1, dk)
+        )
+        assert abs(K.h * K.regulator - rhs) <= 1e-10 * rhs, D
 
 
 def test_unit_invariants():
@@ -224,10 +262,17 @@ def test_ideal_count_growth():
 
 
 def test_tau_bound():
-    for I in ideals_of_norm_up_to(K5, 60):
-        if I.norm() > 1:
+    for K in (K5, Q, K2):
+        ideals = ideals_of_norm_up_to(K, 60)
+        for I in ideals:
             _, _, tau = arith_functions(I)
-            assert tau <= I.norm()
+            if I.norm() > 1:
+                assert tau <= I.norm()
+            # the divisors against a divisibility scan of all ideals
+            brute = [J for J in ideals if J.norm() <= I.norm() and J.divides(I)]
+            brute.sort(key=lambda J: (J.norm(), J.key()))
+            assert divisors(I) == brute
+            assert len(brute) == tau
 
 
 def test_principal_generator():

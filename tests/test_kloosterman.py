@@ -5,10 +5,19 @@ import math
 import random
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
-from totreal.fields import FieldError, Ideal, arith_functions, make_field
+from totreal.fields import (
+    BoundExceeded,
+    FieldError,
+    Ideal,
+    arith_functions,
+    make_field,
+    residue_system,
+)
 from totreal.kloosterman import (
     KloostermanQuery,
+    _table,
     kloosterman_sum,
     kloosterman_sum_crt,
     modulus_generators,
@@ -122,3 +131,102 @@ def test_sweep_margins_small():
     assert worst <= 1 + 1e-9
     worst5 = max(rec["margin"] for rec in weil_sweep(K5, 100))
     assert worst5 <= 1 + 1e-9
+
+
+def test_table_cache_bounded_and_checks_bound():
+    c = Q.element(101)
+    q = KloostermanQuery(Q.element(1), Q.element(1), c)
+    kloosterman_sum(q)
+    # a cached table of the same modulus does not lift the norm bound
+    with pytest.raises(BoundExceeded):
+        kloosterman_sum(q, bound=100)
+    with pytest.raises(BoundExceeded):
+        kloosterman_sum_crt(q, c, Q.element(1), bound=100)
+    maxsize = _table.cache_info().maxsize
+    for n in range(2, maxsize + 40):
+        _table(Q.ideal(n))
+    assert _table.cache_info().currsize <= maxsize
+
+
+# ---------------------------------------------------------------------------
+# property tests of the unit rule of o/c (fields.unit_mask), shared by the
+# characters' residue systems and the Kloosterman tables, and of the CRT
+# factorisation; each against a brute force
+
+PROP_FIELDS = {1: Q, 2: make_field(2), 5: K5, 13: make_field(13)}
+# over Q(sqrt 2): 2 ramified, 3 and 5 inert, 7 split; over Q(sqrt 5): 2 and 3
+# inert, 5 ramified, 11 split; over Q(sqrt 13): 2 and 5 inert, 3 and 17
+# split, 13 ramified
+SMALL_PRIMES = [2, 3, 5, 7, 11, 13, 17]
+
+
+@st.composite
+def moduli(draw):
+    """An integral ideal of norm <= 600: a product of prime powers, each
+    prime split, inert or ramified depending on the field."""
+    K = PROP_FIELDS[draw(st.sampled_from(sorted(PROP_FIELDS)))]
+    c = K.unit_ideal()
+    for _ in range(draw(st.integers(0, 3))):
+        above = K.primes_above(draw(st.sampled_from(SMALL_PRIMES)))
+        P = above[draw(st.integers(0, len(above) - 1))]
+        for _ in range(draw(st.integers(1, 3))):
+            c = c * P.ideal
+    assume(c.norm() <= 600)
+    return c
+
+
+def _brute_units(c):
+    """The units of o/c by one ideal gcd per class, j-major (the residue
+    system's order) and i-major (the Kloosterman table's order)."""
+    K = c.field
+    a, rows = c.a, c.c
+
+    def unit(i, j):
+        x = K.element(i, j)
+        return not x.is_zero() and (Ideal.principal(x) + c).norm() == 1
+
+    if c.norm() == 1:
+        return [(0, 0)], [(0, 0)]
+    by_j = [(i, j) for j in range(rows) for i in range(a) if unit(i, j)]
+    by_i = [(i, j) for i in range(a) for j in range(rows) if unit(i, j)]
+    return by_j, by_i
+
+
+@settings(max_examples=150, deadline=None)
+@given(moduli())
+def test_unit_rule_against_gcd(c):
+    by_j, by_i = _brute_units(c)
+    rs = residue_system(c)
+    assert [(u.x, u.y) for u in rs.units] == by_j
+    assert rs.phi == len(by_j) == arith_functions(c)[1]
+    units = set(by_j)
+    K = c.field
+    for j in range(c.c):
+        for i in range(c.a):
+            # is_unit reduces first: test a translate by an element of c
+            if K.d == 2:
+                x = K.element(i + c.a, j) + K.element(3 * c.b, 3 * c.c)
+            else:
+                x = K.element(i + 5 * c.a)
+            assert rs.is_unit(x) == ((i, j) in units)
+    tab = _table(c)
+    assert list(zip(tab.xi.tolist(), tab.xj.tolist())) == by_i
+
+
+def _small_element(K, v):
+    return K.element(v[0], v[1] if K.d == 2 else 0)
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.sampled_from(sorted(PROP_FIELDS)),
+       st.tuples(*[st.integers(-9, 9)] * 8))
+def test_crt_against_direct(D, v):
+    K = PROP_FIELDS[D]
+    c1, c2 = _small_element(K, v[0:2]), _small_element(K, v[2:4])
+    r1, r2 = _small_element(K, v[4:6]), _small_element(K, v[6:8])
+    assume(not c1.is_zero() and not c2.is_zero())
+    I1, I2 = Ideal.principal(c1), Ideal.principal(c2)
+    assume(2 <= I1.norm() <= 150 and 2 <= I2.norm() <= 150)
+    assume((I1 + I2).norm() == 1)
+    q = KloostermanQuery(r1, r2, c1 * c2)
+    assert abs(kloosterman_sum(q) - kloosterman_sum_crt(q, c1, c2)) < 1e-9
