@@ -373,25 +373,15 @@ class HeckeCharacter:
         return worst
 
     def eval_on_ideal(self, a: Ideal) -> complex:
-        """chi(a); zero when a is not coprime to the modulus."""
+        """chi(a) for an integral ideal a; zero when a is not coprime to the
+        modulus."""
         q = self.modulus
         if a.is_integral() and q.norm() > 1 and not (a + q).norm() == 1:
             return 0.0
-        g = principal_generator(a) if a.norm() != 1 else self.field.one()
+        g = principal_generator(a)
         val = self.infinity_value(g)
         if self.finite is not None:
-            # generator may be non-integral for fractional a; scale by a
-            # rational integer coprime condition is preserved for integral a
-            if g.is_integral():
-                fv = self.finite(g)
-            else:
-                den = g.a.denominator * g.b.denominator
-                num = g * den
-                fv_num = self.finite(num)
-                fv_den = self.finite(self.field.element(den))
-                if fv_den == 0 or fv_num == 0:
-                    return 0.0
-                fv = fv_num / fv_den
+            fv = self.finite(g)
             if fv == 0:
                 return 0.0
             val *= fv

@@ -35,8 +35,8 @@ from .fields import (
     RingElement,
     arith_functions,
     ideals_of_norm_up_to,
+    principal_generator,
     unit_mask,
-    unit_reduced_generator,
 )
 
 
@@ -227,7 +227,7 @@ def modulus_generators(K: FieldDesc, norm_max: int) -> list[RingElement]:
     for I in ideals_of_norm_up_to(K, norm_max):
         if I.norm() == 1:
             continue
-        gens.append(unit_reduced_generator(I))
+        gens.append(principal_generator(I))
     return gens
 
 

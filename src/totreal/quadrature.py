@@ -3,18 +3,16 @@ and the central-difference derivative."""
 
 from __future__ import annotations
 
+import functools
 import math
 from typing import Callable
 
 import numpy as np
 
-_LEGGAUSS_CACHE: dict[int, tuple[np.ndarray, np.ndarray]] = {}
 
-
+@functools.lru_cache(maxsize=32)
 def _leggauss(order: int) -> tuple[np.ndarray, np.ndarray]:
-    if order not in _LEGGAUSS_CACHE:
-        _LEGGAUSS_CACHE[order] = np.polynomial.legendre.leggauss(order)
-    return _LEGGAUSS_CACHE[order]
+    return np.polynomial.legendre.leggauss(order)
 
 
 def log_axis_grid(u_lo: float, u_hi: float, h: float) -> tuple[np.ndarray, np.ndarray]:

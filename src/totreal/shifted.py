@@ -22,7 +22,7 @@ from .fields import (
     enumerate_in_box,
     factor_ideal,
     ideals_of_norm_up_to,
-    unit_reduced_generator,
+    principal_generator,
 )
 from .characters import HeckeCharacter, characters_mod
 from .quadrature import central_difference
@@ -190,55 +190,50 @@ def dirichlet_D(
     if not q.is_totally_positive():
         raise ValueError("q must be totally positive for the positive cone sum")
 
-    def term_value(r1: RingElement, r2: RingElement) -> complex:
-        I1 = Ideal.principal(r1) * y.inverse()
-        I2 = Ideal.principal(r2) * y.inverse()
-        lam = sys1.lambda_value(I1) * sys2.lambda_value(I2).conjugate()
-        x = (l1 * r1).embeddings()
-        z = (l2 * r2).embeddings()
-        nprod = abs(float((l1 * r1 * l2 * r2).norm()))
-        out = lam * nprod ** ((beta - 1) / 2)
-        for j in range(d):
-            out /= (x[j] + z[j]) ** (s[j] + beta - 1)
-        return out
-
-    def term_bound(r1: RingElement, r2: RingElement) -> float:
-        I1 = Ideal.principal(r1) * y.inverse()
-        I2 = Ideal.principal(r2) * y.inverse()
-        t1 = arith_functions(I1)[2] * float(I1.norm()) ** sys1.theta
-        t2 = arith_functions(I2)[2] * float(I2.norm()) ** sys2.theta
-        x = (l1 * r1).embeddings()
-        z = (l2 * r2).embeddings()
-        nprod = abs(float((l1 * r1 * l2 * r2).norm()))
-        out = t1 * t2 * nprod ** ((beta - 1) / 2)
-        for j in range(d):
-            out /= (x[j] + z[j]) ** (s[j].real + beta - 1)
-        return out
-
-    def solutions(hmax: float, hmin: float = 0.0):
+    def solutions(hmax: float):
         box = []
         for j in range(d):
             box.append((Fraction(0), Fraction(hmax / l1.embeddings()[j]).limit_denominator(10**9)))
         for r1 in enumerate_in_box(y, box, totally_positive=True):
             tr = float((l1 * r1).trace())
-            if tr > hmax or tr <= hmin - 1e-12:
+            if tr > hmax or tr <= -1e-12:
                 continue
             r2 = (l1 * r1 - q) / l2
             if r2.is_zero() or not y.contains(r2):
                 continue
             if not r2.is_totally_positive():
                 continue
-            yield r1, r2
+            yield r1, r2, tr
 
+    # one pass over trace <= 4H: the value sums trace <= H; the tail bounds
+    # the dyadic shells (H, 2H] and (2H, 4H] by |lambda| <= tau N^theta and
+    # extrapolates geometrically with the observed shell decay
+    H = trace_height
+    y_inv = y.inverse()
     total = 0.0 + 0j
-    for r1, r2 in solutions(trace_height):
-        total += term_value(r1, r2)
-    # tail: bound the next dyadic shell by |lambda| <= tau N^theta and
-    # extrapolate geometrically with the observed shell decay
-    shell1 = sum(term_bound(r1, r2) for r1, r2 in solutions(2 * trace_height, trace_height))
-    shell2 = sum(
-        term_bound(r1, r2) for r1, r2 in solutions(4 * trace_height, 2 * trace_height)
-    )
+    shell1 = shell2 = 0.0
+    for r1, r2, tr in solutions(4 * H):
+        I1 = Ideal.principal(r1) * y_inv
+        I2 = Ideal.principal(r2) * y_inv
+        x = (l1 * r1).embeddings()
+        z = (l2 * r2).embeddings()
+        nprod = abs(float((l1 * r1 * l2 * r2).norm()))
+        if tr <= H:
+            out = sys1.lambda_value(I1) * sys2.lambda_value(I2).conjugate()
+            out *= nprod ** ((beta - 1) / 2)
+            for j in range(d):
+                out /= (x[j] + z[j]) ** (s[j] + beta - 1)
+            total += out
+        if tr > H - 1e-12:
+            t1 = arith_functions(I1)[2] * float(I1.norm()) ** sys1.theta
+            t2 = arith_functions(I2)[2] * float(I2.norm()) ** sys2.theta
+            out = t1 * t2 * nprod ** ((beta - 1) / 2)
+            for j in range(d):
+                out /= (x[j] + z[j]) ** (s[j].real + beta - 1)
+            if tr <= 2 * H:
+                shell1 += out
+            if tr > 2 * H - 1e-12:
+                shell2 += out
     ratio = 0.75 if shell1 == 0 else min(0.75, shell2 / shell1)
     tail = shell1 / (1 - ratio) if shell1 else shell2 / (1 - ratio)
     return {
@@ -309,9 +304,7 @@ def _amplifier_primes(K: FieldDesc, q: Ideal, L: float) -> list[RingElement]:
             continue
         if q.norm() > 1 and (I + q).norm() != 1:
             continue
-        g = unit_reduced_generator(I)
-        if not g.is_totally_positive():
-            g = -g if (-g).is_totally_positive() else g
+        g = principal_generator(I)
         if not g.is_totally_positive():
             continue  # no totally positive generator exists
         # reduce into the fundamental domain

@@ -22,6 +22,7 @@ how the Gram grids are built.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
@@ -237,36 +238,28 @@ def normalized_whittaker(spec: WhittakerSpec, y: Sequence[float]) -> complex:
 # L^2 pairings on R^x
 
 
-# First in, first out; one default grid is 757 complex values (12 kB), and
-# criterion 1 and the benchmark's warm passes use at most 20 keys.
-_GRID_CACHE_MAX = 64
-_GRID_CACHE: dict[tuple, np.ndarray] = {}
-
-
 def _cached_values(q: int, nu: complex, sign: int, u_lo: float, u_hi: float, h: float):
     """W~_{q/2,nu}(sign * y) on the log grid.
 
     The vector depends on (q, sign) only through m = sign*q/2, so grids are
     cached per m and shared between (q, +) and (-q, -)."""
-    m = sign * q / 2
-    nu = complex(nu)
-    key = (m, nu, u_lo, u_hi, h)
-    if key not in _GRID_CACHE:
-        ys, _ = log_axis_grid(u_lo, u_hi, h)
-        p = _gamma_pair(m, nu)
-        if p is None:
-            out = np.zeros(len(ys), dtype=complex)
-        else:
-            xs = 4 * math.pi * ys
-            if _is_int(m) and _terminating(m, nu) is None:
-                w, _ = whittaker_w_int(round(m), nu, xs)
-            else:
-                w = np.array([whittaker_w(m, nu, x)[0] for x in xs])
-            out = cmath.exp(1j * math.pi * m / 2) * w / math.sqrt(p)
-        if len(_GRID_CACHE) >= _GRID_CACHE_MAX:
-            del _GRID_CACHE[next(iter(_GRID_CACHE))]
-        _GRID_CACHE[key] = out
-    return _GRID_CACHE[key]
+    return _grid_values(sign * q / 2, complex(nu), u_lo, u_hi, h)
+
+
+# One default grid is 757 complex values (12 kB), and criterion 1 and the
+# benchmark's warm passes use at most 20 keys.
+@functools.lru_cache(maxsize=64)
+def _grid_values(m: float, nu: complex, u_lo: float, u_hi: float, h: float) -> np.ndarray:
+    ys, _ = log_axis_grid(u_lo, u_hi, h)
+    p = _gamma_pair(m, nu)
+    if p is None:
+        return np.zeros(len(ys), dtype=complex)
+    xs = 4 * math.pi * ys
+    if _is_int(m) and _terminating(m, nu) is None:
+        w, _ = whittaker_w_int(round(m), nu, xs)
+    else:
+        w = np.array([whittaker_w(m, nu, x)[0] for x in xs])
+    return cmath.exp(1j * math.pi * m / 2) * w / math.sqrt(p)
 
 
 def whittaker_inner(

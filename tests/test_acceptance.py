@@ -113,10 +113,10 @@ def test_criterion_3_crt_factorization():
             for _ in range(e0 - 1):
                 c1I = c1I * P0.ideal
             c2I = I * c1I.inverse()
-            from totreal.fields import unit_reduced_generator
+            from totreal.fields import principal_generator
 
-            c1 = unit_reduced_generator(c1I)
-            c2 = unit_reduced_generator(c2I)
+            c1 = principal_generator(c1I)
+            c2 = principal_generator(c2I)
             c = c1 * c2
             r1 = K.element(rng.randint(1, 4), rng.randint(0, 2) if K.d == 2 else 0)
             r2 = K.element(rng.randint(1, 4), rng.randint(0, 2) if K.d == 2 else 0)

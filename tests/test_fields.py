@@ -7,12 +7,13 @@ from decimal import Decimal, localcontext
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from totreal.fields import (
     BoundExceeded,
     FieldError,
     Ideal,
+    _factor_int,
     arith_functions,
     divisors,
     enumerate_in_box,
@@ -20,6 +21,7 @@ from totreal.fields import (
     ideal_arith,
     ideals_of_norm_up_to,
     make_field,
+    primes_up_to,
     principal_generator,
     psi,
     residue_system,
@@ -174,6 +176,26 @@ def test_factor_examples():
         assert prod == I
     with pytest.raises(BoundExceeded):
         factor_ideal(Q.ideal(10**8))
+    # the rational factorisation against trial division by every d >= 2
+    near_1e7 = [10**7 - 3, 10**7 - 1, 10**7, 10**7 + 1, 9999991, 2**23, 3**14, 3163**2]
+    for n in list(range(1, 10**4 + 1)) + near_1e7:
+        assert list(_factor_int(n).items()) == _trial_division(n)
+
+
+def _trial_division(n):
+    out = []
+    d = 2
+    while d * d <= n:
+        e = 0
+        while n % d == 0:
+            n //= d
+            e += 1
+        if e:
+            out.append((d, e))
+        d += 1
+    if n > 1:
+        out.append((n, 1))
+    return out
 
 
 def test_arith_functions():
@@ -230,15 +252,11 @@ def test_enumerate_unit_action_bijective():
 def test_residue_system():
     rs = residue_system(Q.ideal(5))
     assert rs.phi == 4
-    inv = {int(x.a): int(rs.inverse(x).a) for x in rs.units}
-    assert inv == {1: 1, 2: 3, 3: 2, 4: 4}
+    assert [int(x.a) for x in rs.units] == [1, 2, 3, 4]
     rs1 = residue_system(Q.unit_ideal())
     assert rs1.size == 1 and rs1.phi == 1
     rsk = residue_system(K5.ideal(2))
     assert rsk.size == 4 and rsk.phi == 3
-    # inversion closed on units
-    for x in rsk.units:
-        assert rsk.inverse(x) in rsk.units
     assert residue_system(K5.ideal(3)).phi == arith_functions(K5.ideal(3))[1]
 
 
@@ -282,6 +300,52 @@ def test_principal_generator():
             assert Ideal.principal(g) == I
     g11 = principal_generator(factor_ideal(K5.ideal(11))[0][0].ideal)
     assert abs(g11.norm()) == 11
+    for K in (Q, K5):
+        with pytest.raises(ValueError):
+            principal_generator(K.ideal(Fraction(1, 3)))
+
+
+def _box_search_generator(I):
+    """The canonical generator by an exhaustive search: every element of I
+    of norm +-N(I) with |sigma_j| <= sqrt(N(I) * eps_+) + 1 (eps_+ the
+    totally positive unit generator), the totally positive ones if any,
+    then least |trace|, then least (a, b)."""
+    K = I.field
+    n = I.norm()
+    eps_plus = K.totally_positive_unit_gens()[0].embeddings()[0]
+    B = math.ceil(math.sqrt(n * eps_plus) + 1)
+    gens = [x for x in enumerate_in_box(I, [(-B, B), (-B, B)]) if abs(x.norm()) == n]
+    pos = [x for x in gens if x.is_totally_positive()]
+    return min(pos or gens, key=lambda x: (abs(x.trace()), x.a, x.b))
+
+
+# N(eps) = -1 over Q(sqrt 2), Q(sqrt 5), Q(sqrt 13), Q(sqrt 29); +1 over
+# Q(sqrt 3), Q(sqrt 7)
+GEN_FIELDS = {D: make_field(D) for D in (2, 3, 5, 7, 13, 29)}
+GEN_PRIMES = {
+    D: [P for p in primes_up_to(5000) for P in K.primes_above(p) if P.norm() <= 10**5]
+    for D, K in GEN_FIELDS.items()
+}
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(sorted(GEN_FIELDS)),
+       st.lists(st.tuples(st.integers(0, 10**4), st.integers(1, 4)), max_size=6))
+# P^16 for P = (3 + sqrt 7) over Q(sqrt 7): the product of prime generators
+# is 2^8 eps^8, whose smaller embedding 2^8 eps^-8 cancels to 0 in floats
+@example(7, [(0, 4)] * 4)
+def test_principal_generator_against_box_search(D, picks):
+    K = GEN_FIELDS[D]
+    primes = GEN_PRIMES[D]
+    I = K.unit_ideal()
+    for i, e in picks:
+        P = primes[i % len(primes)]
+        if I.norm() * P.norm() ** e <= 10**5:
+            for _ in range(e):
+                I = I * P.ideal
+    g = principal_generator(I)
+    assert Ideal.principal(g) == I
+    assert g == _box_search_generator(I)
 
 
 # ---------------------------------------------------------------------------

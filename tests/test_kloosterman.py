@@ -148,6 +148,17 @@ def test_table_cache_bounded_and_checks_bound():
     assert _table.cache_info().currsize <= maxsize
 
 
+def test_table_inverses():
+    assert {int(x.a): int(_table(Q.ideal(5)).inverse_element(x).a)
+            for x in residue_system(Q.ideal(5)).units} == {1: 1, 2: 3, 3: 2, 4: 4}
+    # over Q(sqrt 5) mod (2) the inverse of a unit is a unit
+    c = K5.ideal(2)
+    units = residue_system(c).units
+    for x in units:
+        inv = _table(c).inverse_element(x)
+        assert inv in units and c.reduce(x * inv) == K5.one()
+
+
 # ---------------------------------------------------------------------------
 # property tests of the unit rule of o/c (fields.unit_mask), shared by the
 # characters' residue systems and the Kloosterman tables, and of the CRT

@@ -155,9 +155,10 @@ def test_gram_small():
 
 
 def test_grid_cache_bounded():
-    for i in range(whittaker._GRID_CACHE_MAX + 5):
+    maxsize = whittaker._grid_values.cache_info().maxsize
+    for i in range(maxsize + 5):
         whittaker._cached_values(0, 0.5j, 1, -1.0, 1.0, 0.5 + 0.001 * i)
-    assert len(whittaker._GRID_CACHE) == whittaker._GRID_CACHE_MAX
+    assert whittaker._grid_values.cache_info().currsize == maxsize
 
 
 def test_a_norm_examples():
