@@ -135,20 +135,24 @@ def coset_index(c: Ideal) -> int:
     return int(out)
 
 
+def _eis_prime_power(w: complex, n: int) -> complex:
+    """lambda_{chi,chi^{-1}}(P^n) from w = chi(P): sum over i <= n of
+    w^(2i - n), and zero when chi(P) = 0 (P divides the modulus of chi)."""
+    if w == 0:
+        return 0.0
+    return sum(w ** (2 * i - n) for i in range(n + 1))
+
+
 def eis_hecke_eigenvalue(chi: HeckeCharacter, m: Ideal) -> complex:
     """lambda_{chi,chi^{-1}}(m) = sum_{ab=m} chi(a b^{-1}), zero on ideals
-    meeting the conductor."""
+    meeting the modulus of chi."""
     if not m.is_integral():
         return 0.0
-    if m.norm() == 1:
-        return 1.0 + 0j
-    cond = chi.conductor()
     out = 1.0 + 0j
     for P, n in factor_ideal(m):
-        if cond.norm() > 1 and P.ideal.divides(cond):
+        loc = _eis_prime_power(chi.eval_on_ideal(P.ideal), n)
+        if loc == 0:
             return 0.0
-        w = chi.eval_on_ideal(P.ideal)
-        loc = sum(w ** (2 * i - n) for i in range(n + 1))
         out *= loc
     return out
 
@@ -165,7 +169,7 @@ class EisCoefficientContext:
         if not self.t.is_integral():
             raise ValueError("t must be integral")
         K = self.chi.field
-        self.conductor = chi_cond = self.chi.conductor()
+        chi_cond = self.chi.conductor()
         self.t_chi = K.unit_ideal()
         self.F = 1.0
         self.local: dict[tuple, dict] = {}
@@ -202,11 +206,7 @@ class EisCoefficientContext:
                     return 0.0
                 out *= self._local_lambda(info, n)
             else:
-                cond = self.conductor
-                if cond.norm() > 1 and P.ideal.divides(cond):
-                    return 0.0
-                w = self.chi.eval_on_ideal(P.ideal)
-                out *= sum(w ** (2 * i - n) for i in range(n + 1))
+                out *= _eis_prime_power(self.chi.eval_on_ideal(P.ideal), n)
         return out
 
     def _local_lambda(self, info: dict, n: int) -> complex:

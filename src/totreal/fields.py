@@ -12,6 +12,13 @@ embedding helpers, and every box/positivity test is decided by the exact
 sign of P + R*sqrt(D) on integers, so that no boundary element is ever
 dropped.
 
+The ring o_K = Z[omega] is described once, by the minimal polynomial
+x^2 - t*x + n of omega (FieldDesc.t_omega, n_omega): it gives the product
+omega^2 = t*omega - n, the primes over p from its roots mod p, the
+different from f'(omega) = 2*omega - t, and the fundamental unit from the
+continued fraction of omega itself.  Fields are supported for D <= MAX_D and
+a fundamental unit within the float range.
+
 The units of o/c are decided in one place, unit_mask: a bytearray over the
 classes i + j*omega with one strided slice cleared per prime P | c.  Both
 ResidueSystem (the characters) and the Kloosterman tables read it.
@@ -38,6 +45,9 @@ from math import isqrt
 from typing import Optional, Sequence, Union
 
 Rat = Union[int, Fraction]
+
+# the largest D accepted: the class number search grows like D
+MAX_D = 10**7
 
 
 class FieldError(ValueError):
@@ -551,6 +561,11 @@ class PrimeIdeal:
     def norm(self) -> int:
         return self.p**self.f
 
+    def __hash__(self) -> int:
+        # the ideal determines the other fields; lru_cache keys such as
+        # EigenvalueSystem.alpha hash a PrimeIdeal on every call
+        return hash(self.ideal)
+
     def __repr__(self) -> str:
         if self.second is None:
             return f"P({self.p})"
@@ -561,17 +576,19 @@ class FieldDesc:
     """A totally real field of degree <= 2 with unit and class data."""
 
     def __init__(self, D: int, allow_class_number: bool = False):
+        if D > MAX_D:
+            raise FieldError(f"D = {D} is above the supported range D <= {MAX_D}")
         if D < 1 or not _is_squarefree(D):
             raise FieldError(f"D = {D} is not a squarefree positive integer")
         self.D = D
         self.d = 1 if D == 1 else 2
-        self.omega_is_half = self.d == 2 and D % 4 == 1
-        # omega^2 = t_omega*omega - n_omega, omega_1 - omega_2 = s_omega*sqrt(D):
-        # omega = (1 + sqrt(D))/2 for D = 1 mod 4, else omega = sqrt(D)
+        # omega is a root of x^2 - t_omega*x + n_omega, and omega_1 - omega_2 =
+        # s_omega*sqrt(D): omega = (1 + sqrt(D))/2 for D = 1 mod 4, else
+        # omega = sqrt(D).  Nothing else looks at D mod 4.
         if self.d == 1:
             self.disc = 1
             self.t_omega, self.n_omega, self.s_omega = 0, 0, 0
-        elif self.omega_is_half:
+        elif D % 4 == 1:
             self.disc = D
             self.t_omega, self.n_omega, self.s_omega = 1, -(D - 1) // 4, 1
         else:
@@ -579,7 +596,6 @@ class FieldDesc:
             self.t_omega, self.n_omega, self.s_omega = 0, -D, 2
         self.sqrt_D = math.sqrt(D)
         self._unit_ideal = Ideal(self, 1, 0, 1, 1)
-        self._prime_cache: dict[int, list[PrimeIdeal]] = {}
 
         if self.d == 1:
             self.eps = RingElement.make(self, 1)
@@ -588,13 +604,17 @@ class FieldDesc:
             self.h = 1
             self.h_narrow = 1
         else:
-            p, q, n = _fundamental_unit(D)
-            # unit (p + q*sqrt(D)) expressed in the (1, omega) basis
-            self.eps = self._from_sqrt_coords(p, q)
-            self.eps_norm = n
-            self.regulator = math.log(self.eps.embeddings()[0])
+            self.eps = self._fundamental_unit()
+            self.eps_norm = self.eps.norm()
+            assert abs(self.eps_norm) == 1
+            try:
+                self.regulator = math.log(self.eps.embeddings()[0])
+            except OverflowError:
+                raise FieldError(
+                    f"the fundamental unit of Q(sqrt({D})) is beyond the float range"
+                ) from None
             self.h_narrow = _narrow_class_number(self.disc)
-            if n == -1:
+            if self.eps_norm == -1:
                 self.h = self.h_narrow
             else:
                 # no unit of norm -1: narrow class number is twice the wide one
@@ -604,7 +624,8 @@ class FieldDesc:
             raise FieldError(
                 f"Q(sqrt({D})) has class number {self.h}; pass allow_class_number=True"
             )
-        self.delta = self._compute_delta()
+        # the different is generated by f'(omega) = 2*omega - t (1 over Q)
+        self.delta = self.one() if self.d == 1 else RingElement(self, -self.t_omega, 2)
         self.different = Ideal.principal(self.delta)
 
     # --- basic constructors -------------------------------------------------
@@ -620,25 +641,13 @@ class FieldDesc:
         return RingElement(self, 0, 1)
 
     def sqrtD(self) -> RingElement:
-        """The element sqrt(D)."""
+        """The element sqrt(D) (1 over Q)."""
         if self.d == 1:
             return self.one()
-        if self.omega_is_half:
-            return RingElement(self, -1, 2)  # 2*omega - 1
-        return self.omega()
+        return self.delta / self.s_omega
 
     def element(self, a: Rat, b: Rat = 0) -> RingElement:
         return RingElement.make(self, a, b)
-
-    def _from_sqrt_coords(self, p: Fraction, q: Fraction) -> RingElement:
-        """Element p + q*sqrt(D) in the integral basis."""
-        p, q = Fraction(p), Fraction(q)
-        if self.d == 1:
-            return RingElement.make(self, p)
-        if self.omega_is_half:
-            # p + q sqrt(D) = (p - q) + 2q * omega
-            return RingElement.make(self, p - q, 2 * q)
-        return RingElement.make(self, p, q)
 
     def ideal(self, *gens: Union[RingElement, Rat]) -> Ideal:
         elems = [
@@ -650,6 +659,28 @@ class FieldDesc:
         return self._unit_ideal
 
     # --- units ----------------------------------------------------------------
+    def _fundamental_unit(self) -> RingElement:
+        """The fundamental unit eps > 1 of o_K (Cohen, GTM 138, 5.7).
+
+        omega = (P + sqrt(D))/Q with (P, Q) = (1, 2) or (0, 1) expands as a
+        continued fraction with complete quotients (P_k + sqrt(D))/Q_k.  The
+        first k >= 1 with Q_k = Q ends the first period, and its preceding
+        convergent p/q gives eps = p - q*conj(omega) = (p - q*t) + q*omega.
+        """
+        D, t = self.D, self.t_omega
+        P, Q0 = t, t + 1
+        Q = Q0
+        a = _floor_sqrt(P, 1, D, Q)
+        p_prev, p, q_prev, q = 1, a, 0, 1
+        while True:
+            P = a * Q - P
+            Q = (D - P * P) // Q
+            if Q == Q0:
+                return RingElement(self, p - q * t, q)
+            a = _floor_sqrt(P, 1, D, Q)
+            p_prev, p = p, a * p + p_prev
+            q_prev, q = q, a * q + q_prev
+
     def totally_positive_unit_gens(self) -> list[RingElement]:
         """Generators of U^+ modulo {1}."""
         if self.d == 1:
@@ -666,81 +697,24 @@ class FieldDesc:
         e = self.eps
         return [self.one(), -self.one(), e, -e]
 
-    # --- different --------------------------------------------------------------
-    def _compute_delta(self) -> RingElement:
-        """Canonical generator f'(omega) of the different (1 over Q); f'(omega)
-        generates the different for a monogenic order."""
-        if self.d == 1:
-            return self.one()
-        if self.omega_is_half:
-            return RingElement(self, -1, 2)  # 2*omega - 1 = sqrt(D)
-        return RingElement(self, 0, 2)  # 2*sqrt(D)
-
     # --- primes and factorization -------------------------------------------
+    @functools.lru_cache(maxsize=100_000)
     def primes_above(self, p: int) -> list[PrimeIdeal]:
-        if p in self._prime_cache:
-            return self._prime_cache[p]
+        """The primes over p, from a root r of x^2 - t*x + n mod p: none means
+        p is inert, p | disc that p = (p, omega - r)^2, and otherwise p splits
+        into (p, omega - r)(p, omega - (t - r)), listed by root."""
         if self.d == 1:
-            P = PrimeIdeal(self.ideal(p), p, 1, 1, None)
-            self._prime_cache[p] = [P]
-            return [P]
-        res: list[PrimeIdeal]
-        if self.omega_is_half:
-            # min poly x^2 - x - (D-1)/4
-            if p == 2:
-                if self.D % 8 == 1:
-                    r = _poly_root_mod(1, -(self.D - 1) // 4, 2)
-                    res = self._split_primes(2, r)
-                else:  # D = 5 mod 8: inert
-                    res = [PrimeIdeal(self.ideal(2), 2, 2, 1, None)]
-            else:
-                if self.D % p == 0:
-                    r = _poly_root_mod(1, -(self.D - 1) // 4, p)
-                    res = [self._ramified_prime(p, r)]
-                else:
-                    r = _poly_root_mod(1, -(self.D - 1) // 4, p)
-                    res = self._split_primes(p, r) if r is not None else [
-                        PrimeIdeal(self.ideal(p), p, 2, 1, None)
-                    ]
-        else:
-            # min poly x^2 - D
-            if p == 2:
-                # always ramified: (2, omega) if D even, (2, 1+omega) if D odd
-                r = 0 if self.D % 2 == 0 else 1
-                res = [self._ramified_prime(2, r)]
-            elif self.D % p == 0:
-                res = [self._ramified_prime(p, 0)]
-            else:
-                r = _sqrt_mod(self.D % p, p)
-                res = self._split_primes(p, r) if r is not None else [
-                    PrimeIdeal(self.ideal(p), p, 2, 1, None)
-                ]
-        self._prime_cache[p] = res
-        return res
-
-    def _split_primes(self, p: int, r: int) -> list[PrimeIdeal]:
+            return [PrimeIdeal(self.ideal(p), p, 1, 1, None)]
+        t = self.t_omega
+        r = _poly_root_mod(t, self.n_omega, p)
+        if r is None:
+            return [PrimeIdeal(self.ideal(p), p, 2, 1, None)]
+        e = 2 if self.disc % p == 0 else 1
         out = []
-        for root in sorted({r % p, self._other_root(r, p)}):
-            gen2 = RingElement.make(self, -root, 1)  # omega - root
-            I = self.ideal(p, gen2)
-            out.append(PrimeIdeal(I, p, 1, 1, gen2))
-        if len(out) == 1:  # double root would mean ramified; guarded by callers
-            raise RuntimeError("split prime with a single root")
+        for root in sorted({r, (t - r) % p}):
+            gen2 = RingElement(self, -root, 1)  # omega - root
+            out.append(PrimeIdeal(self.ideal(p, gen2), p, 1, e, gen2))
         return out
-
-    def _other_root(self, r: int, p: int) -> int:
-        # second root of the minimal polynomial mod p
-        if self.omega_is_half:
-            return (1 - r) % p
-        return (-r) % p
-
-    def _ramified_prime(self, p: int, r: int) -> PrimeIdeal:
-        gen2 = RingElement.make(self, -r, 1)
-        I = self.ideal(p, gen2)
-        if I.norm() != p:
-            # adjust: for D even, (2, omega) works; D odd 2-ramified wants 1+omega
-            raise RuntimeError("bad ramified prime data")
-        return PrimeIdeal(I, p, 1, 2, gen2)
 
     def prime_valuation(self, P: PrimeIdeal, I: Ideal) -> int:
         v = 0
@@ -760,7 +734,7 @@ def make_field(D: int, allow_class_number: bool = False) -> FieldDesc:
     """Construct Q (D = 1) or the real quadratic field Q(sqrt(D)).
 
     The fundamental unit comes from the continued-fraction expansion of
-    sqrt(D); the class number from the cycle structure of reduced
+    omega; the class number from the cycle structure of reduced
     indefinite binary quadratic forms of discriminant D_K.
     """
     return FieldDesc(D, allow_class_number=allow_class_number)
@@ -971,7 +945,7 @@ def psi(x: RingElement) -> complex:
 
 
 # ---------------------------------------------------------------------------
-# helpers: rational primes, square roots mod p, Pell equation, class numbers
+# helpers: rational primes, square roots mod p, class numbers
 
 
 def primes_up_to(n: int) -> list[int]:
@@ -1040,49 +1014,6 @@ def _poly_root_mod(tr: int, nm: int, p: int) -> Optional[int]:
         return None
     inv2 = pow(2, p - 2, p)
     return (tr + s) * inv2 % p
-
-
-def _cf_sqrt_pell(D: int) -> tuple[int, int, int]:
-    """Fundamental solution of x^2 - D y^2 = +-1 via the continued fraction
-    of sqrt(D).  Returns (x, y, norm)."""
-    a0 = isqrt(D)
-    if a0 * a0 == D:
-        raise ValueError("D must not be a perfect square")
-    m, d, a = 0, 1, a0
-    p_prev, p = 1, a0
-    q_prev, q = 0, 1
-    while True:
-        m = d * a - m
-        d = (D - m * m) // d
-        a = (a0 + m) // d
-        if d == 1:
-            # period ends at the term before a = 2*a0 appears with d = 1
-            break
-        p_prev, p = p, a * p + p_prev
-        q_prev, q = q, a * q + q_prev
-    n = p * p - D * q * q
-    assert abs(n) == 1
-    return p, q, n
-
-
-def _fundamental_unit(D: int) -> tuple[Fraction, Fraction, int]:
-    """Fundamental unit of O_K as (p, q, norm) with unit = p + q*sqrt(D)."""
-    x, y, n = _cf_sqrt_pell(D)
-    if D % 4 != 1:
-        return Fraction(x), Fraction(y), n
-    # look for a smaller unit (a + b sqrt D)/2 with a, b odd: a^2 - D b^2 = +-4
-    limit = int(round((8 * y / D) ** (1 / 3))) + 10
-    for b in range(1, min(y, limit) + 1):
-        for s in (-4, 4):
-            t = D * b * b + s
-            if t < 0:
-                continue
-            a = isqrt(t)
-            if a * a == t and (a - b) % 2 == 0:
-                if a % 2 == 1:
-                    return Fraction(a, 2), Fraction(b, 2), s // 4
-                # even a, b would reduce to an integer solution; skip
-    return Fraction(x), Fraction(y), n
 
 
 def _narrow_class_number(disc: int) -> int:

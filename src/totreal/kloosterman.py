@@ -5,11 +5,11 @@ Normal form used throughout, for level element c and r1, r2 integral:
     S(r1, r2; c) = sum over x in (o/(c))^x, x*xbar = 1 mod (c), of
                    psi((r1*x + r2*xbar) / (c*delta)),
 
-where delta is the fixed canonical generator f'(omega) of the different
-(1 over Q, sqrt(D) for D = 1 mod 4, 2*sqrt(D) otherwise).  Rescaling
-delta or the class-group generator gamma by a unit permutes the family
-{S(r1, r2; c)} without changing absolute values, realness, or the
-multiplicative structure; every downstream use is through |S|.
+where delta is the fixed canonical generator f'(omega) = 2*omega - t of the
+different (1 over Q).  Rescaling delta or the class-group generator gamma by
+a unit permutes the family {S(r1, r2; c)} without changing absolute values,
+realness, or the multiplicative structure; every downstream use is through
+|S|.
 
 Phases are computed as exact integer numerators over one denominator (the
 trace pairing is linear in the residue coordinates), so the only floating
@@ -23,7 +23,6 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -47,20 +46,10 @@ class KloostermanQuery:
     r1: RingElement
     r2: RingElement
     c: RingElement
-    y1: Optional[Ideal] = None
-    y2: Optional[Ideal] = None
 
     def __post_init__(self):
-        K = self.c.field
-        if K.h != 1:
+        if self.c.field.h != 1:
             raise FieldError("Kloosterman normal form requires class number 1")
-        one = K.unit_ideal()
-        if self.y1 is None:
-            self.y1 = one
-        if self.y2 is None:
-            self.y2 = one
-        if self.y1 != one or self.y2 != one:
-            raise NotImplementedError("only y1 = y2 = (1) is supported")
         if self.c.is_zero():
             raise ValueError("modulus must be nonzero")
 
@@ -85,17 +74,11 @@ class _ModulusTable:
         self.inv_i, self.inv_j = self._inverses()
 
     def _mul(self, ai, aj, bi, bj):
-        """Coordinatewise product reduced into the HNF cell."""
-        K = self.field
-        if K.d == 1:
-            return (ai * bi) % self.a, aj
-        if K.omega_is_half:
-            cquarter = (K.D - 1) // 4
-            ci = ai * bi + aj * bj * cquarter
-            cj = ai * bj + aj * bi + aj * bj
-        else:
-            ci = ai * bi + aj * bj * K.D
-            cj = ai * bj + aj * bi
+        """Coordinatewise product reduced into the HNF cell; omega^2 = t*omega - n."""
+        t, n = self.field.t_omega, self.field.n_omega
+        ajbj = aj * bj
+        ci = ai * bi - n * ajbj
+        cj = ai * bj + aj * bi + t * ajbj
         # reduce: j mod c2 with borrow b, then i mod a
         k = cj // self.c2
         cj = cj - k * self.c2

@@ -57,8 +57,6 @@ class EigenvalueSystem:
         self.theta = theta
         self.exceptional = set(exceptional)
         self.conductor = K.unit_ideal()
-        self._alpha_cache: dict[tuple, complex] = {}
-        self._lam_cache: dict[tuple, complex] = {}
         if source == "eisenstein":
             if chi is None:
                 raise ValueError("eisenstein systems need a character")
@@ -67,11 +65,9 @@ class EigenvalueSystem:
         if source not in ("synthetic", "eisenstein", "divisor"):
             raise ValueError(f"unknown source {source!r}")
 
+    @functools.lru_cache(maxsize=200_000)
     def alpha(self, P) -> complex:
         """Satake parameter at the prime P."""
-        key = (P.p, P.ideal.key())
-        if key in self._alpha_cache:
-            return self._alpha_cache[key]
         if self.source == "divisor":
             a = 1.0 + 0j
         elif self.source == "eisenstein":
@@ -85,7 +81,6 @@ class EigenvalueSystem:
                 a = complex(P.norm() ** self.theta)
             else:
                 a = cmath.exp(1j * math.pi * frac)
-        self._alpha_cache[key] = a
         return a
 
     def lambda_prime_power(self, P, k: int) -> complex:
@@ -101,18 +96,14 @@ class EigenvalueSystem:
             return complex((-1) ** k * (k + 1))
         return (a ** (k + 1) - a ** (-(k + 1))) / (a - 1 / a)
 
+    @functools.lru_cache(maxsize=200_000)
     def lambda_value(self, m: Ideal) -> complex:
         """lambda(m); zero on nonintegral ideals."""
         if not m.is_integral():
             return 0.0
-        key = m.key()
-        if key in self._lam_cache:
-            return self._lam_cache[key]
         out = 1.0 + 0j
         for P, e in factor_ideal(m):
             out *= self.lambda_prime_power(P, e)
-        if len(self._lam_cache) < 200000:
-            self._lam_cache[key] = out
         return out
 
 
@@ -343,8 +334,6 @@ def kuznetsov_geometric_side(
     c2: float = 1.0,
     box: float = 40.0,
     kernel_bound_const: float = 8.0,
-    y1: Optional[Ideal] = None,
-    y2: Optional[Ideal] = None,
 ) -> dict:
     """Geometric side: c1 * diagonal * prod ktilde_j + c2 * unit/Kloosterman
     double sum, with the modulus sum truncated to the embedding box
@@ -356,9 +345,6 @@ def kuznetsov_geometric_side(
     K = r1.field
     if len(k) != K.d:
         raise ValueError("one test function per place")
-    one = K.unit_ideal()
-    if (y1 not in (None, one)) or (y2 not in (None, one)):
-        raise NotImplementedError("only y1 = y2 = (1) is supported")
     # gamma: totally positive generator of d^2 (delta^2 works: N(delta^2)>0)
     gamma = K.delta * K.delta
     if not gamma.is_totally_positive():

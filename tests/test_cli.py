@@ -69,6 +69,23 @@ def test_domain_error_exit_2():
         assert "error" in json.loads(out)
 
 
+def test_field_range():
+    # a long unit period finishes quickly; D above 10^7 and a fundamental unit
+    # beyond the float range are refused with exit 2, not a hang or a traceback
+    proc = subprocess.run(
+        CMD + ["field", "info", "--D", "1381"], capture_output=True, text=True, timeout=10
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["result"]["eps_norm"] == -1
+    for D in ("100291", "10000000001"):
+        proc = subprocess.run(
+            CMD + ["field", "info", "--D", D], capture_output=True, text=True, timeout=10
+        )
+        assert proc.returncode == 2, proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert "error" in json.loads(proc.stdout)
+
+
 def test_deterministic_output():
     args = ("--field", "5", "spectral", "oldforms", "--level", "4")
     _, out1 = run(*args)

@@ -114,13 +114,34 @@ def test_class_number_formula():
     # analytic class number formula, independent of the unit and form routines
     Ds = [D for D in range(2, 101) if all(D % (p * p) for p in range(2, 11))]
     assert len(Ds) == 60
-    for D in Ds:
+    # long unit periods: a non-fundamental unit such as eps^3 would show as a
+    # factor 3 in the regulator
+    for D in Ds + [1021, 1069, 1141, 1201, 1321, 1381]:
         K = make_field(D, allow_class_number=True)
         dk = K.disc
         rhs = -0.5 * sum(
             _kronecker(dk, a) * math.log(math.sin(math.pi * a / dk)) for a in range(1, dk)
         )
         assert abs(K.h * K.regulator - rhs) <= 1e-10 * rhs, D
+
+
+def test_prime_decomposition():
+    # independent of the root rule: the P^e over p multiply to (p), the
+    # degrees add up, sum e*f = [K:Q], and N(P) = p^f
+    for D in range(1, 201):
+        if any(D % (q * q) == 0 for q in range(2, 15)):
+            continue
+        K = make_field(D, allow_class_number=True)
+        for p in primes_up_to(500):
+            Ps = K.primes_above(p)
+            prod = K.unit_ideal()
+            for P in Ps:
+                assert P.ideal.norm() == p**P.f
+                for _ in range(P.e):
+                    prod = prod * P.ideal
+            assert prod == K.ideal(p), (D, p)
+            assert sum(P.e * P.f for P in Ps) == K.d, (D, p)
+            assert len({P.ideal for P in Ps}) == len(Ps)
 
 
 def test_unit_invariants():

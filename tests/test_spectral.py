@@ -73,6 +73,21 @@ def test_eisenstein_system_matches_eigenvalues():
         assert sys5.lambda_value(I) == pytest.approx(
             eis_hecke_eigenvalue(chi5, I), abs=1e-12
         )
+    # every character mod 15, imprimitive ones included: chi(P) = 0 at a prime
+    # of the modulus outside the conductor, and the three routes agree there
+    from totreal.eisenstein import EisCoefficientContext
+
+    for fin in characters_mod(Q.ideal(15)):
+        sign = 0 if fin.value_exponent(-Q.one()) == 0 else 1
+        chi = HeckeCharacter(Q, fin, [0.0], [sign])
+        sys_ = eisenstein_system(chi)
+        ctx = EisCoefficientContext(chi, Q.unit_ideal())
+        for I in ideals_of_norm_up_to(Q, 60):
+            lam = eis_hecke_eigenvalue(chi, I)
+            if I.norm() % 3 == 0 or I.norm() % 5 == 0:
+                assert lam == 0
+            assert sys_.lambda_value(I) == pytest.approx(lam, abs=1e-12)
+            assert ctx.lambda_chi_t(I) == pytest.approx(lam, abs=1e-12)
 
 
 def test_exceptional_parameters():
