@@ -126,7 +126,8 @@ def main(argv=None) -> int:
     pv.add_argument("--y", type=float, required=True)
     pg = ps.add_parser("gram")
     pg.add_argument("--numax", type=float, default=1.0)
-    pg.add_argument("--qmax", type=int, default=4)
+    pg.add_argument("--qmax", type=int, default=4,
+                    help="largest |q|, at most 60 (the quadrature stops converging beyond)")
 
     p = sub.add_parser("kloosterman"); ps = p.add_subparsers(dest="sub")
     pk = ps.add_parser("eval")
@@ -261,7 +262,8 @@ def _dispatch(args, started: float) -> int:
         rows = ["nu,q1,q2,value"]
         worst = 0.0
         # nu = 0.5i k is made as it is used: past the evaluator's range of
-        # Im nu, gram_matrix raises before an oversized --numax builds a list
+        # Im nu, gram_matrix raises before an oversized --numax builds a list,
+        # and past Q_MAX it refuses --qmax before any grid is built
         k = 0
         while k * 0.5 <= args.numax:
             nu = 0.5j * k

@@ -13,9 +13,13 @@ realness, or the multiplicative structure; every downstream use is through
 
 Phases are computed as exact integer numerators over one denominator (the
 trace pairing is linear in the residue coordinates), so the only floating
-point is the final complex exponential; sums are vectorized over the
-residue classes.  Which classes are units comes from fields.unit_mask, the
-rule the characters use too; each table is kept in a bounded LRU cache.
+point is the final complex exponential.  All sums of one modulus go through
+one phase kernel: a (pairs x residues) array of numerators, one exponential
+and one row-wise sum, each row bit-identical to a one-pair call.  The
+sweep makes one pass per modulus: its ideal, residue table, (c*delta)^{-1},
+tau and the gcds with each r are made once and shared by all its pairs.
+Which classes are units comes from fields.unit_mask, the rule the
+characters use too; each table is kept in a bounded LRU cache.
 """
 
 from __future__ import annotations
@@ -134,23 +138,45 @@ def _trace_pair(w: RingElement) -> tuple[tuple[int, int], tuple[int, int]]:
     return (2 * x + t * y, w.den), (-2 * K.n_omega * y + t * (x + t * y), w.den)
 
 
-def kloosterman_sum(query: KloostermanQuery, bound: int = 10**6) -> complex:
-    """S(r1, r2; c) per the module normal form; S = 1 for (c) = (1)."""
-    K = query.c.field
-    cI = Ideal.principal(query.c)
-    if cI.norm() == 1:
-        return 1.0 + 0j
-    tab = _table(cI, bound)
-    w = (query.c * K.delta).inverse()
-    traces = _trace_pair(query.r1 * w) + _trace_pair(query.r2 * w)
-    # the least common denominator of the four traces in lowest terms
-    den = math.lcm(*(d // math.gcd(n, d) for n, d in traces))
-    n1a, n1b, n2a, n2b = (n * den // d for n, d in traces)
+def _phase_sums(tab: _ModulusTable, pairs) -> list[complex]:
+    """S for each pair (a, b) = (r1*w, r2*w), w = (c*delta)^{-1}: the sum
+    over the table's units x of exp(2 pi i Tr(a*x + b*xbar)).
+
+    Each pair gives one row of a (len(pairs) x phi) array of exact phase
+    numerators over its own denominator; one exponential and one row-wise
+    sum serve all rows, and each row is the same sum as for a single pair.
+    """
+    rows = []
+    for a, b in pairs:
+        traces = _trace_pair(a) + _trace_pair(b)
+        # the least common denominator of the four traces in lowest terms
+        den = math.lcm(*(d // math.gcd(n, d) for n, d in traces))
+        rows.append((den,) + tuple(n * den // d for n, d in traces))
+    # explicit int64: an oversize numerator raises instead of making objects
+    den, n1a, n1b, n2a, n2b = np.array(rows, dtype=np.int64).T[:, :, None]
     num = (
         (tab.xi * n1a + tab.xj * n1b) % den
         + (tab.inv_i * n2a + tab.inv_j * n2b) % den
     )
-    return complex(np.exp(2j * np.pi * (num % den) / den).sum())
+    return np.exp(2j * np.pi * (num % den) / den).sum(axis=1).tolist()
+
+
+def kloosterman_sums(queries: list[KloostermanQuery], bound: int = 10**6) -> list[complex]:
+    """S(r1, r2; c) for queries that share one modulus c, from one table and
+    one phase array; S = 1 for (c) = (1)."""
+    c = queries[0].c
+    if any(q.c != c for q in queries):
+        raise ValueError("queries must share one modulus")
+    cI = Ideal.principal(c)
+    if cI.norm() == 1:
+        return [1.0 + 0j] * len(queries)
+    w = (c * c.field.delta).inverse()
+    return _phase_sums(_table(cI, bound), [(q.r1 * w, q.r2 * w) for q in queries])
+
+
+def kloosterman_sum(query: KloostermanQuery, bound: int = 10**6) -> complex:
+    """S(r1, r2; c) per the module normal form; S = 1 for (c) = (1)."""
+    return kloosterman_sums([query], bound)[0]
 
 
 def kloosterman_sum_crt(
@@ -179,29 +205,42 @@ def kloosterman_sum_crt(
     return out
 
 
-def weil_margin(query: KloostermanQuery, bound: int = 10**6) -> dict:
-    """|S| / (tau((c)) * sqrt(N gcd((r1),(r2),(c))) * sqrt(N (c))) with parts."""
-    K = query.c.field
-    cI = Ideal.principal(query.c)
-    S = kloosterman_sum(query, bound)
+def _weil_records(cI: Ideal, c: RingElement, rs, pairs, bound: int):
+    """Weil-margin records of S(rs[i], rs[j]; c) for each (i, j) in pairs:
+
+        margin = |S| / (tau((c)) * sqrt(N gcd((r1),(r2),(c))) * sqrt(N (c))).
+
+    The table, w = (c*delta)^{-1}, each r*w, tau and each (c) + (r) are made
+    once; a record costs one ideal gcd and the division.
+    """
     nc = int(cI.norm())
     if nc == 1:
-        return {"S": S, "abs_S": 1.0, "tau": 1, "gcd_norm": 1, "c_norm": 1, "margin": 1.0}
+        for _ in pairs:
+            yield {"S": 1.0 + 0j, "abs_S": 1.0, "tau": 1, "gcd_norm": 1, "c_norm": 1, "margin": 1.0}
+        return
+    tab = _table(cI, bound)
+    w = (c * c.field.delta).inverse()
+    rw = [r * w for r in rs]
     _, _, tau = arith_functions(cI)
-    g = cI
-    for r in (query.r1, query.r2):
-        if not r.is_zero():
-            g = g + Ideal.principal(r)
-    gn = int(g.norm())
-    margin = abs(S) / (tau * math.sqrt(gn) * math.sqrt(nc))
-    return {
-        "S": S,
-        "abs_S": abs(S),
-        "tau": tau,
-        "gcd_norm": gn,
-        "c_norm": nc,
-        "margin": margin,
-    }
+    # r = 0 adds nothing to the gcd
+    gs = [cI if r.is_zero() else cI + Ideal.principal(r) for r in rs]
+    sums = _phase_sums(tab, [(rw[i], rw[j]) for i, j in pairs])
+    for (i, j), S in zip(pairs, sums):
+        gn = int((gs[i] + gs[j]).norm())
+        yield {
+            "S": S,
+            "abs_S": abs(S),
+            "tau": tau,
+            "gcd_norm": gn,
+            "c_norm": nc,
+            "margin": abs(S) / (tau * math.sqrt(gn) * math.sqrt(nc)),
+        }
+
+
+def weil_margin(query: KloostermanQuery, bound: int = 10**6) -> dict:
+    """|S| / (tau((c)) * sqrt(N gcd((r1),(r2),(c))) * sqrt(N (c))) with parts."""
+    cI = Ideal.principal(query.c)
+    return next(_weil_records(cI, query.c, [query.r1, query.r2], [(0, 1)], bound))
 
 
 def modulus_generators(K: FieldDesc, norm_max: int) -> list[RingElement]:
@@ -217,14 +256,17 @@ def modulus_generators(K: FieldDesc, norm_max: int) -> list[RingElement]:
 def weil_sweep(K: FieldDesc, cmax: int, r_values=(1, 2, 3), bound: int = 10**6):
     """Margins for all moduli of norm <= cmax and r1, r2 in r_values.
 
-    Yields dicts (one per (c, r1, r2)); the heavy tables are shared
-    across the nine r-pairs for each modulus.
+    Yields dicts (one per (c, r1, r2), r1-major), one modulus at a time:
+    the modulus's exact work is shared by its pairs and their sums come
+    from one phase array.
     """
     rs = [RingElement(K, r) for r in r_values]
-    for c in modulus_generators(K, cmax):
-        for r1 in rs:
-            for r2 in rs:
-                rec = weil_margin(KloostermanQuery(r1, r2, c), bound)
-                rec["c"] = c
-                rec["r1"], rec["r2"] = r1, r2
-                yield rec
+    pairs = [(i, j) for i in range(len(rs)) for j in range(len(rs))]
+    for cI in ideals_of_norm_up_to(K, cmax):
+        if cI.norm() == 1:
+            continue
+        c = principal_generator(cI)
+        for (i, j), rec in zip(pairs, _weil_records(cI, c, rs, pairs, bound)):
+            rec["c"] = c
+            rec["r1"], rec["r2"] = rs[i], rs[j]
+            yield rec

@@ -19,9 +19,7 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy.special import jv as _besselj
 
-from .bessel_kernels import rj_bound, rj_kernel, wk_bound, wk_kernel
 from .characters import HeckeCharacter
 from .fields import (
     FieldDesc,
@@ -32,7 +30,7 @@ from .fields import (
     factor_ideal,
     ideals_of_norm_up_to,
 )
-from .kloosterman import KloostermanQuery, kloosterman_sum
+from .kloosterman import KloostermanQuery, kloosterman_sums
 from .quadrature import gl_panels, gl_panels_graded
 
 RAMANUJAN_THETA = 1.0 / 9.0
@@ -276,6 +274,10 @@ def bessel_transforms(
     the even discrete-series sum; t < 0: the I-Bessel contour integral,
     both folded into manifestly real kernels.
     """
+    from scipy.special import jv as _besselj
+
+    from .bessel_kernels import rj_bound, rj_kernel, wk_bound, wk_kernel
+
     if t == 0:
         raise ValueError("t must be nonzero")
     x = 4 * math.pi * math.sqrt(abs(t))
@@ -362,9 +364,9 @@ def kuznetsov_geometric_side(
     for c in cs:
         if c.is_zero():
             continue
-        nc = abs(float(Ideal.principal(c).norm()))
-        for u in units:
-            S = kloosterman_sum(KloostermanQuery(r1, u * r2, c))
+        nc = abs(float(c.norm()))
+        sums = kloosterman_sums([KloostermanQuery(r1, u * r2, c) for u in units])
+        for u, S in zip(units, sums):
             w = (u * r1 * r2) / (gamma * c * c)
             prod = 1.0
             for j, emb in enumerate(w.embeddings()):

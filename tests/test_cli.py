@@ -69,6 +69,20 @@ def test_domain_error_exit_2():
         assert "error" in json.loads(out)
 
 
+def test_gram_order_limit():
+    # the default log grid converges up to |q| = 60; beyond it the command
+    # refuses at once instead of building grids that fail the certificate
+    for qmax in ("61", "62"):
+        proc = subprocess.run(CMD + ["whittaker", "gram", "--qmax", qmax],
+                              capture_output=True, text=True, timeout=2)
+        assert proc.returncode == 2
+        assert proc.stderr == ""
+        assert "60" in json.loads(proc.stdout)["error"]
+    proc = subprocess.run(CMD + ["whittaker", "gram", "--help"], capture_output=True, text=True,
+                          timeout=60)
+    assert "at most 60" in " ".join(proc.stdout.split())
+
+
 def test_field_range():
     # a long unit period finishes quickly; D above 10^7 and a fundamental unit
     # beyond the float range are refused with exit 2, not a hang or a traceback
@@ -138,6 +152,12 @@ def test_light_subcommands_skip_numeric_stack():
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip().splitlines()[-1] == "[]"
+    # the exact-arithmetic layers under EigenvalueSystem leave out scipy.special,
+    # which only the Bessel transforms need
+    code = "import sys, totreal.shifted; print('scipy.special' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
 
 
 def test_eisen_subcommands():

@@ -20,6 +20,7 @@ from totreal.kloosterman import (
     _table,
     kloosterman_sum,
     kloosterman_sum_crt,
+    kloosterman_sums,
     modulus_generators,
     weil_margin,
     weil_sweep,
@@ -127,10 +128,19 @@ def test_h1_required():
 
 
 def test_sweep_margins_small():
-    worst = max(rec["margin"] for rec in weil_sweep(Q, 150))
-    assert worst <= 1 + 1e-9
-    worst5 = max(rec["margin"] for rec in weil_sweep(K5, 100))
-    assert worst5 <= 1 + 1e-9
+    # each record's S and margin equal, bit for bit, the one-query calls:
+    # a row of the stacked phase array is the sum of a one-row array
+    for K, cmax in ((Q, 150), (K5, 100)):
+        for rec in weil_sweep(K, cmax):
+            assert rec["margin"] <= 1 + 1e-9
+            q = KloostermanQuery(rec["r1"], rec["r2"], rec["c"])
+            assert rec["S"] == kloosterman_sum(q)
+            assert rec["margin"] == weil_margin(q)["margin"]
+    c = K5.element(3, 2)
+    qs = [KloostermanQuery(K5.one(), u * K5.element(2), c) for u in K5.units_mod_squares()]
+    assert kloosterman_sums(qs) == [kloosterman_sum(q) for q in qs]
+    with pytest.raises(ValueError):
+        kloosterman_sums([qs[0], KloostermanQuery(K5.one(), K5.one(), K5.element(2))])
 
 
 def test_table_cache_bounded_and_checks_bound():
@@ -241,3 +251,48 @@ def test_crt_against_direct(D, v):
     assume((I1 + I2).norm() == 1)
     q = KloostermanQuery(r1, r2, c1 * c2)
     assert abs(kloosterman_sum(q) - kloosterman_sum_crt(q, c1, c2)) < 1e-9
+
+
+def _brute_sweep(K, cmax, r_values):
+    """(c, r1, r2) -> (S, gcd_norm) for every modulus of norm <= cmax, by
+    plain enumeration of o/(c): inverses by search (pow over Q), phases by
+    cmath on exact traces, and N((c) + (r1, r2)) as N(c) over the size of
+    the image of gcd(r1, r2) * o in o/(c)."""
+    out = {}
+    for c in modulus_generators(K, cmax):
+        cI = Ideal.principal(c)
+        residues = [K.element(i, j) if K.d == 2 else K.element(i)
+                    for j in range(cI.c) for i in range(cI.a)]
+        if K.d == 1:
+            units = [x for x in residues if math.gcd(x.x, cI.a) == 1]
+            inv = {x: K.element(pow(x.x, -1, cI.a)) for x in units}
+        else:
+            units = [K.element(i, j) for i, j in _brute_units(cI)[0]]
+            inv = {x: next(y for y in units if cI.reduce(x * y) == K.one()) for x in units}
+        w = (c * K.delta).inverse()
+        for r1 in r_values:
+            for r2 in r_values:
+                S = sum(cmath.exp(2j * cmath.pi * float(((r1 * x + r2 * inv[x]) * w).trace() % 1))
+                        for x in units)
+                g = math.gcd(r1, r2)
+                image = {(y.x, y.y) for y in (cI.reduce(g * x) for x in residues)}
+                out[c, r1, r2] = (S, len(residues) // len(image))
+    return out
+
+
+@pytest.mark.parametrize("D, cmax", [(1, 80), (5, 60)])
+def test_sweep_against_brute_force(D, cmax):
+    K = PROP_FIELDS[D]
+    r_values = (0, 1, 2, 3, 6)
+    brute = _brute_sweep(K, cmax, r_values)
+    recs = list(weil_sweep(K, cmax, r_values=r_values))
+    assert len(recs) == len(brute)
+    for k, rec in enumerate(recs):
+        # one modulus at a time, r1-major
+        r1, r2 = r_values[k // 5 % 5], r_values[k % 5]
+        assert (rec["r1"], rec["r2"]) == (K.element(r1), K.element(r2))
+        S, gn = brute[rec["c"], r1, r2]
+        assert abs(rec["S"] - S) < 1e-9
+        assert rec["gcd_norm"] == gn
+        if D == 1:
+            assert gn == math.gcd(rec["c"].x, r1, r2)

@@ -154,6 +154,20 @@ def test_gram_small():
     assert np.max(np.abs(G - np.eye(3))) < 1e-5
 
 
+def test_order_limit():
+    # |q| = Q_MAX still converges at nu = 0, 0.5i and 1i; past it the
+    # pairing and the Gram matrix refuse before any grid is built
+    for nu in (0, 0.5j, 1j):
+        assert whittaker_inner(whittaker.Q_MAX, whittaker.Q_MAX, nu) == pytest.approx(1, abs=1e-6)
+    misses = whittaker._grid_values.cache_info().misses
+    for q in (whittaker.Q_MAX + 1, whittaker.Q_MAX + 2, -80):
+        with pytest.raises(WhittakerDomainError, match=str(whittaker.Q_MAX)):
+            gram_matrix([0, 2, q], 0.5j)
+        with pytest.raises(WhittakerDomainError):
+            whittaker_inner(0, q, 0.5j)
+    assert whittaker._grid_values.cache_info().misses == misses
+
+
 def test_grid_cache_bounded():
     maxsize = whittaker._grid_values.cache_info().maxsize
     for i in range(maxsize + 5):
