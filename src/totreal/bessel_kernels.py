@@ -34,7 +34,10 @@ Everything is vectorized over the quadrature nodes in s; mpmath is used
 only in the test oracles.  Two limits are refused with ValueError rather
 than cut short or left to overflow: a shifted-contour evaluation that
 would need more than _MAX_PANELS panels (u beyond about 100-150 for x
-below 125), and the power series beyond u = _SERIES_U_MAX.
+below 125), a J-kernel node array whose rotated contours need more than
+_MAX_J_PANELS panels in all (Z beyond about 50 at t = 1.5), and the power
+series beyond u = _SERIES_U_MAX.  Both panel counts are read before any
+node is evaluated.
 """
 
 from __future__ import annotations
@@ -48,6 +51,8 @@ from .quadrature import gl_panels, gl_rows
 
 _M = 30.0  # contour-shift margin: e^{-M} bounds the neglected horizontal piece
 _MAX_PANELS = 4000  # order-12 panels per shifted-contour WK evaluation
+# order-12 panels over one rj_kernel node array: Z = 50 at t = 1.5 needs 3.5e6
+_MAX_J_PANELS = 4_000_000
 # 2 cosh(pi u) overflows from u = 225.93 on, and 1/Gamma(1 + 2iu) soon after
 _SERIES_U_MAX = 225.9
 
@@ -79,20 +84,29 @@ def _series_RJ(u: np.ndarray, x: float) -> np.ndarray:
     return np.imag(_series(u, x, -1)) / np.cosh(math.pi * u)
 
 
-def _contour_C(u: float, x: float) -> float:
-    """C(u,x) = int_0^inf cos(x cosh s) cos(2us) ds via the rotated contour."""
+def _contour_plan(u: float, x: float) -> tuple:
+    """(A, s1, x cosh s1, smax) and the panel counts of the real, vertical
+    and horizontal pieces of _contour_C at (u, x)."""
     A = math.pi * u + _M
     s1 = math.asinh(A / x)
+    ch1 = x * math.cosh(s1)
+    smax = math.asinh(math.sinh(s1) + 45.0 / x)
     # real segment [0, s1]: oscillation density x sinh s + 2u
-    total_phase = x * math.sinh(s1) + 2 * u * s1 + 8.0
-    n_panels = max(2, int(total_phase / 4.0))
-    s, w = gl_panels(0.0, s1, n_panels, order=12)
+    n1 = max(2, int((x * math.sinh(s1) + 2 * u * s1 + 8.0) / 4.0))
+    n2 = max(2, int((ch1 + 2 * u + 8.0) / 4.0))
+    n3 = max(2, int((2 * u * (smax - s1) + 8.0) / 4.0))
+    return A, s1, ch1, smax, (n1, n2, n3)
+
+
+def _contour_C(u: float, x: float, plan: tuple) -> float:
+    """C(u,x) = int_0^inf cos(x cosh s) cos(2us) ds via the rotated contour
+    laid out by _contour_plan(u, x)."""
+    A, s1, ch1, smax, (n1, n2, n3) = plan
+    s, w = gl_panels(0.0, s1, n1, order=12)
     seg1 = float(np.sum(w * np.cos(x * np.cosh(s)) * np.cos(2 * u * s)))
     # vertical segment: Re V = -int_0^{pi/2} e^{-A sin(sg)} *
     #   [sin(phc) cos(2us1) cosh(2u sg) - cos(phc) sin(2us1) sinh(2u sg)] d sg
-    ch1 = x * math.cosh(s1)
-    n_panels = max(2, int((ch1 + 2 * u + 8.0) / 4.0))
-    sg, wv = gl_panels(0.0, math.pi / 2, n_panels, order=12)
+    sg, wv = gl_panels(0.0, math.pi / 2, n2, order=12)
     e_plus = np.exp(2 * u * sg - A * np.sin(sg))
     e_minus = np.exp(-2 * u * sg - A * np.sin(sg))
     phc = ch1 * np.cos(sg)
@@ -102,9 +116,7 @@ def _contour_C(u: float, x: float) -> float:
     segv = -float(np.sum(wv * band))
     # horizontal tail: Re H = int_{s1}^{smax} e^{pi u - x sinh s} *
     #   (1 + e^{-2 pi u})/2 * cos(2us) ds, bounded by e^{-M}
-    smax = math.asinh(math.sinh(s1) + 45.0 / x)
-    n_panels = max(2, int((2 * u * (smax - s1) + 8.0) / 4.0))
-    s, wh = gl_panels(s1, smax, n_panels, order=12)
+    s, wh = gl_panels(s1, smax, n3, order=12)
     ex = math.pi * u - x * np.sinh(s)
     segh = float(
         np.sum(wh * np.exp(ex) * np.cos(2 * u * s)) * 0.5 * (1 + math.exp(-2 * math.pi * u))
@@ -117,9 +129,16 @@ def rj_kernel(u: np.ndarray, x: float) -> np.ndarray:
     u = np.asarray(u, dtype=float)
     if x <= 14.0:
         return _series_RJ(u, x)
+    plans = [_contour_plan(ui, x) for ui in u.tolist()]
+    n_panels = sum(sum(plan[-1]) for plan in plans)
+    if n_panels > _MAX_J_PANELS:
+        raise ValueError(
+            f"J-kernel at x={x:.6g} needs {n_panels} quadrature panels over"
+            f" {u.size} nodes (limit {_MAX_J_PANELS}); use a smaller Z"
+        )
     out = np.empty_like(u)
-    for i, ui in enumerate(u):
-        out[i] = -(2 / math.pi) * math.tanh(math.pi * ui) * _contour_C(float(ui), x)
+    for i, (ui, plan) in enumerate(zip(u.tolist(), plans)):
+        out[i] = -(2 / math.pi) * math.tanh(math.pi * ui) * _contour_C(ui, x, plan)
     return out
 
 

@@ -17,8 +17,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-import mpmath as mp
-
 from .characters import HeckeCharacter
 from .fields import FieldDesc, Ideal, arith_functions, factor_ideal, primes_up_to
 
@@ -404,6 +402,8 @@ def _kronecker(a: int, n: int) -> int:
 def dedekind_zeta(K: FieldDesc, s: complex) -> complex:
     """zeta_K(s) (s != 1) via zeta(s) * L(s, chi_{D_K}); Hurwitz-based for
     the Dirichlet factor, accurate on Re s = 1."""
+    import mpmath as mp
+
     z = complex(mp.zeta(s))
     if K.d == 1:
         return z

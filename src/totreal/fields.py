@@ -14,17 +14,21 @@ dropped.
 
 The ring o_K = Z[omega] is described once, by the minimal polynomial
 x^2 - t*x + n of omega (FieldDesc.t_omega, n_omega): it gives the product
-omega^2 = t*omega - n, the primes over p from its roots mod p, the
-different from f'(omega) = 2*omega - t, and the fundamental unit from the
-continued fraction of omega itself.  Fields are supported for D <= MAX_D and
-a fundamental unit within the float range.
+omega^2 = t*omega - n, the primes over p from its roots mod p and the
+different from f'(omega) = 2*omega - t.  Fields are supported for D <= MAX_D
+and a fundamental unit within the float range.
+
+One continued-fraction step on beta = (b + sqrt(disc))/(2a), _cf_step, is
+the only reduction of a lattice: walked from omega it gives the fundamental
+unit, its cycles on the reduced pairs (a, b) count the class number, and
+walked from an ideal's HNF it gives a generator of the ideal.
 
 The units of o/c are decided in one place, unit_mask: a bytearray over the
 classes i + j*omega with one strided slice cleared per prime P | c.  Both
 ResidueSystem (the characters) and the Kloosterman tables read it.
 
 The generator of a principal ideal is chosen in one place too,
-principal_generator: a product of prime generators, balanced by a power of
+principal_generator: the generator from the walk, balanced by a power of
 the fundamental unit, from which one rule (totally positive if possible,
 then least |trace|, then least (a, b)) picks among six unit multiples.  Its
 docstring proves that the six always hold the canonical element.  Module
@@ -602,9 +606,10 @@ class FieldDesc:
             self.eps_norm = 1
             self.regulator = 0.0
             self.h = 1
-            self.h_narrow = 1
         else:
-            self.eps = self._fundamental_unit()
+            # the walk from omega returns to o_K after one period (Cohen, GTM
+            # 138, 5.7), and eps > 1 because each factor beta - q is in (0, 1)
+            self.eps = _walk(self, 1, self.t_omega).inverse()
             self.eps_norm = self.eps.norm()
             assert abs(self.eps_norm) == 1
             try:
@@ -613,13 +618,7 @@ class FieldDesc:
                 raise FieldError(
                     f"the fundamental unit of Q(sqrt({D})) is beyond the float range"
                 ) from None
-            self.h_narrow = _narrow_class_number(self.disc)
-            if self.eps_norm == -1:
-                self.h = self.h_narrow
-            else:
-                # no unit of norm -1: narrow class number is twice the wide one
-                assert self.h_narrow % 2 == 0
-                self.h = self.h_narrow // 2
+            self.h = _class_number(self.disc)
         if self.h != 1 and not allow_class_number:
             raise FieldError(
                 f"Q(sqrt({D})) has class number {self.h}; pass allow_class_number=True"
@@ -659,28 +658,6 @@ class FieldDesc:
         return self._unit_ideal
 
     # --- units ----------------------------------------------------------------
-    def _fundamental_unit(self) -> RingElement:
-        """The fundamental unit eps > 1 of o_K (Cohen, GTM 138, 5.7).
-
-        omega = (P + sqrt(D))/Q with (P, Q) = (1, 2) or (0, 1) expands as a
-        continued fraction with complete quotients (P_k + sqrt(D))/Q_k.  The
-        first k >= 1 with Q_k = Q ends the first period, and its preceding
-        convergent p/q gives eps = p - q*conj(omega) = (p - q*t) + q*omega.
-        """
-        D, t = self.D, self.t_omega
-        P, Q0 = t, t + 1
-        Q = Q0
-        a = _floor_sqrt(P, 1, D, Q)
-        p_prev, p, q_prev, q = 1, a, 0, 1
-        while True:
-            P = a * Q - P
-            Q = (D - P * P) // Q
-            if Q == Q0:
-                return RingElement(self, p - q * t, q)
-            a = _floor_sqrt(P, 1, D, Q)
-            p_prev, p = p, a * p + p_prev
-            q_prev, q = q, a * q + q_prev
-
     def totally_positive_unit_gens(self) -> list[RingElement]:
         """Generators of U^+ modulo {1}."""
         if self.d == 1:
@@ -733,9 +710,8 @@ class FieldDesc:
 def make_field(D: int, allow_class_number: bool = False) -> FieldDesc:
     """Construct Q (D = 1) or the real quadratic field Q(sqrt(D)).
 
-    The fundamental unit comes from the continued-fraction expansion of
-    omega; the class number from the cycle structure of reduced
-    indefinite binary quadratic forms of discriminant D_K.
+    The fundamental unit and the class number both come from the
+    continued-fraction walk (_walk, _class_number).
     """
     return FieldDesc(D, allow_class_number=allow_class_number)
 
@@ -945,7 +921,7 @@ def psi(x: RingElement) -> complex:
 
 
 # ---------------------------------------------------------------------------
-# helpers: rational primes, square roots mod p, class numbers
+# helpers: rational primes, square roots mod p, the continued-fraction walk
 
 
 def primes_up_to(n: int) -> list[int]:
@@ -1016,76 +992,68 @@ def _poly_root_mod(tr: int, nm: int, p: int) -> Optional[int]:
     return (tr + s) * inv2 % p
 
 
-def _narrow_class_number(disc: int) -> int:
-    """Number of cycles of reduced indefinite binary quadratic forms of
-    positive discriminant disc (the narrow class number)."""
-    forms = set()
-    s = isqrt(disc)
-    for b in range(1, s + 1):
-        if (disc - b * b) % 4 != 0:
-            continue
-        ac = (b * b - disc) // 4  # negative
-        for a in _divisors_signed(-ac):
-            c = ac // a
-            # reduced: 0 < b < sqrt(disc), sqrt(disc) - b < 2|a| < sqrt(disc) + b
-            if _is_reduced_form(a, b, c, disc):
-                forms.add((a, b, c))
-    cycles = 0
-    remaining = set(forms)
-    while remaining:
-        f = next(iter(remaining))
-        cycles += 1
-        g = f
-        while True:
-            g = _rho_step(g, disc)
-            remaining.discard(g)
-            if g == f:
-                break
-    return cycles
+def _cf_step(a: int, b: int, disc: int) -> tuple[int, int, int]:
+    """One continued-fraction step beta -> 1/(beta - m), m = floor(beta), on
+    beta = (b + sqrt(disc))/(2a) with 4a | disc - b^2: the pair (a', b') of
+    the new beta, again with 4a' | disc - b'^2, and m.
 
-
-def _divisors_signed(n: int) -> list[int]:
-    n = abs(n)
-    ds = []
-    for i in range(1, isqrt(n) + 1):
-        if n % i == 0:
-            ds += [i, n // i, -i, -(n // i)]
-    return sorted(set(ds))
-
-
-def _is_reduced_form(a: int, b: int, c: int, disc: int) -> bool:
-    if b <= 0 or b * b >= disc:
-        return False
-    # sqrt(disc) - b < 2|a| < sqrt(disc) + b, exact integer test
-    t = 2 * abs(a)
-    # t > sqrt(disc) - b  <=>  t + b > sqrt(disc)
-    if t + b <= 0 or (t + b) ** 2 <= disc:
-        return False
-    # t < sqrt(disc) + b  <=>  t - b < sqrt(disc)
-    if t - b >= 0 and (t - b) ** 2 >= disc:
-        return False
-    return True
-
-
-def _rho_step(f: tuple[int, int, int], disc: int) -> tuple[int, int, int]:
-    """Reduction step on indefinite forms: (a,b,c) -> (c, b', c')."""
-    a, b, c = f
-    s = isqrt(disc)
-    # choose b' = -b mod 2c in the reduced window
-    cc = abs(c)
-    if cc > s:
-        lo = -cc
-        # |b'| minimal with b' = -b mod 2c
-        b2 = (-b) % (2 * cc)
-        if b2 > cc:
-            b2 -= 2 * cc
+    Z + Z*beta = (beta - m) * (Z + Z*beta'): the one reduction operator of
+    Cohen, GTM 138, 5.6-5.7 (Buchmann-Vollmer, Binary Quadratic Forms,
+    ch. 6).
+    """
+    if a > 0:
+        m = _floor_sqrt(b, 1, disc, 2 * a)
     else:
-        # largest b' < sqrt(disc) with b' = -b mod 2c
-        b2 = (-b) % (2 * cc)
-        k = (s - b2) // (2 * cc)
-        b2 += 2 * cc * k
-    c2 = (b2 * b2 - disc) // (4 * c)
-    return (c, b2, c2)
+        m = _floor_sqrt(-b, -1, disc, -2 * a)
+    b -= 2 * a * m
+    return (disc - b * b) // (4 * a), -b, m
+
+
+def _walk(K: FieldDesc, a: int, b: int) -> RingElement:
+    """theta with Z + Z*beta = theta * o_K for beta = (b + sqrt(disc))/(2a),
+    a > 0, when that lattice is homothetic to o_K.
+
+    theta is the product of the factors beta_j - m_j of _cf_step, up to the
+    first step that reaches a = 1 (there b = t mod 2, so the lattice is
+    Z + Z*omega).  After k steps that product is (-1)^k (p - q*beta) for
+    the last convergent p/q of beta, so the walk carries p and q, whose
+    size is that of theta, rather than the product itself.  The reduced
+    lattices homothetic to o_K form one cycle that holds a = 1, and every
+    walk enters its cycle after finitely many steps.
+    """
+    disc = K.disc
+    a0, e0 = a, (b - K.t_omega) // 2  # beta = (e0 + omega)/a0
+    p0, p, q0, q, sign = 0, 1, 1, 0, 1
+    while True:
+        a, b, m = _cf_step(a, b, disc)
+        p0, p = p, m * p + p0
+        q0, q = q, m * q + q0
+        sign = -sign
+        if a == 1:
+            return RingElement(K, sign * (p * a0 - q * e0), -sign * q, a0)
+
+
+def _class_number(disc: int) -> int:
+    """The class number: the number of cycles of the reduced pairs (a, b)
+    under _cf_step.  beta = (b + sqrt(disc))/(2a) is reduced when beta > 1
+    and -1 < conj(beta) < 0, that is 0 < b < sqrt(disc) and
+    sqrt(disc) - b < 2a < sqrt(disc) + b, or s - b < 2a <= s + b with
+    s = isqrt(disc) as disc is no square.  Two lattices Z + Z*beta are
+    homothetic exactly when their reduced betas share a cycle."""
+    s = isqrt(disc)
+    reduced = set()
+    for b in range(2 - disc % 2, s + 1, 2):
+        m = (disc - b * b) // 4
+        for d in range(1, isqrt(m) + 1):
+            if m % d == 0:
+                reduced.update((a, b) for a in (d, m // d) if s - b < 2 * a <= s + b)
+    h = 0
+    while reduced:
+        h += 1
+        start = pair = reduced.pop()
+        while (pair := _cf_step(*pair, disc)[:2]) != start:
+            reduced.remove(pair)
+    return h
 
 
 @functools.lru_cache(maxsize=200_000)
@@ -1093,10 +1061,11 @@ def principal_generator(I: Ideal) -> RingElement:
     """The canonical generator of an integral ideal in an h = 1 field.
 
     The rule: totally positive if I has a totally positive generator, then
-    least |trace|, then least (a, b).  Any generator g (the product of the
-    canonical prime generators, or for a prime ideal one found by
-    _prime_generator) is balanced by eps^-k, k = round(t(g) / 2R), and the
-    rule picks among the window {+-g, +-g*eps, +-g/eps}.
+    least |trace|, then least (a, b).  Any generator g is balanced by
+    eps^-k, k = round(t(g) / 2R), and the rule picks among the window
+    {+-g, +-g*eps, +-g/eps}.  g comes from the continued-fraction walk:
+    I = c*(Z*A + Z*(B + omega)) = I.a * (Z + Z*beta) with
+    beta = (2B + t + sqrt(disc))/(2A), so g = I.a * theta.
 
     Why the window holds the canonical element (Cohen, GTM 138, 5.7).  The
     generators are +-g*eps^k.  With t(x) = log|x_1/x_2| and R = log eps,
@@ -1122,21 +1091,18 @@ def principal_generator(I: Ideal) -> RingElement:
         return RingElement(K, I.a)
     if K.h != 1:
         raise FieldError("principal generators require h = 1")
-    fac = factor_ideal(I)
-    if len(fac) == 1 and fac[0][1] == 1:
-        g = _prime_generator(I)
-    else:
-        g = K.one()
-        for P, e in fac:
-            pg = principal_generator(P.ideal)
-            for _ in range(e):
-                g = g * pg
+    A = I.a // I.c
+    g = K.one() if A == 1 else _walk(K, A, 2 * I.b // I.c + K.t_omega)
+    g = g * I.a
     # g_j = (p +- q sqrt D)/m, so t(g) = +-(2 log G - log|N g|) with
     # G = max|g_j| = (|p| + |q| sqrt D)/m, free of the cancellation that
-    # loses the smaller embedding; g_1 is the larger when p*q >= 0
+    # loses the smaller embedding; g_1 is the larger when p*q >= 0.  G*m is
+    # an integer scaled by 2^64, so that its integer square root is exact to
+    # float precision and math.log takes it past the float range
     p, q, m = g._sqrt_form()
-    t = 2 * math.log((abs(p) + abs(q) * K.sqrt_D) / m) - math.log(abs(g.norm()))
-    k = round(math.copysign(t, p * q) / (2 * K.regulator))
+    Gm = abs(p << 64) + isqrt(q * q * K.D << 128)
+    t = 2 * (math.log(Gm) - math.log(m << 64)) - math.log(abs(g.norm()))
+    k = round((t if p * q >= 0 else -t) / (2 * K.regulator))
     eps, inv = K.eps, K.eps.inverse()
     u = inv if k > 0 else eps
     for _ in range(abs(k)):
@@ -1145,14 +1111,6 @@ def principal_generator(I: Ideal) -> RingElement:
     window = [g, -g, ge, -ge, gi, -gi]
     pool = [x for x in window if x.is_totally_positive()] or window
     return min(pool, key=lambda x: (abs(x.trace()), x.x, x.y))
-
-
-def _prime_generator(P: Ideal) -> RingElement:
-    """Some generator of the prime ideal P, by a box search: a generator
-    balanced by a power of eps has |x_j| <= sqrt(N(P) * eps)."""
-    n = P.norm()
-    B = math.isqrt(n * math.ceil(P.field.eps.embeddings()[0])) + 1
-    return next(x for x in enumerate_in_box(P, [(-B, B), (-B, B)]) if abs(x.norm()) == n)
 
 
 # the name under which the benchmark harness calls principal_generator

@@ -151,8 +151,10 @@ def _phase_sums(tab: _ModulusTable, pairs) -> list[complex]:
         traces = _trace_pair(a) + _trace_pair(b)
         # the least common denominator of the four traces in lowest terms
         den = math.lcm(*(d // math.gcd(n, d) for n, d in traces))
-        rows.append((den,) + tuple(n * den // d for n, d in traces))
-    # explicit int64: an oversize numerator raises instead of making objects
+        # only the numerators mod den matter: reduced here in Python ints, a
+        # large r1 or r2 neither wraps nor overflows the int64 products
+        rows.append((den,) + tuple(n * den // d % den for n, d in traces))
+    # explicit int64: an oversize denominator raises instead of making objects
     den, n1a, n1b, n2a, n2b = np.array(rows, dtype=np.int64).T[:, :, None]
     num = (
         (tab.xi * n1a + tab.xj * n1b) % den

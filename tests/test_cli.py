@@ -117,6 +117,17 @@ def test_sweep_csv():
         assert float(line.split(",")[3]) <= 1 + 1e-9
 
 
+def test_sweep_large_regulator():
+    # Q(sqrt 1381) has eps of about 7.5e10, where a box search for the
+    # generators of the moduli would list about 10^10 points
+    proc = subprocess.run(
+        CMD + ["--field", "1381", "kloosterman", "sweep", "--cmax", "30"],
+        capture_output=True, text=True, timeout=30,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["result"]["worst_margin"] <= 1 + 1e-9
+
+
 def test_bessel_cli():
     code, out = run("spectral", "bessel", "--Z", "2", "--t", "-1.5")
     assert code == 0
@@ -128,17 +139,21 @@ def test_bessel_cli():
 
 
 def test_bessel_cli_oversized_Z():
-    # past the K-kernel's quadrature limit the command refuses with exit 2;
-    # it must neither hang nor overflow
-    for Z in ("30", "500"):
+    # past the K-kernel's quadrature limit (t < 0) or the J-kernel's panel
+    # budget (t > 0) the command refuses with exit 2; it must neither hang
+    # nor overflow
+    for Z, t, refused in (("30", "-1.5", False), ("500", "-1.5", False),
+                          ("200", "1.5", True), ("500", "1.5", True)):
         proc = subprocess.run(
-            CMD + ["spectral", "bessel", "--Z", Z, "--t", "-1.5"],
+            CMD + ["spectral", "bessel", "--Z", Z, "--t", t],
             capture_output=True, text=True, timeout=30,
         )
         assert proc.returncode in (0, 2), proc.stderr
         assert "Traceback" not in proc.stderr
         doc = json.loads(proc.stdout)
         assert ("error" in doc) == (proc.returncode == 2)
+        if refused:
+            assert proc.returncode == 2 and "J-kernel" in doc["error"]
 
 
 def test_light_subcommands_skip_numeric_stack():
@@ -147,6 +162,7 @@ def test_light_subcommands_skip_numeric_stack():
         "import sys, totreal.cli as c;"
         "c.main(['field', 'info', '--D', '5']);"
         "c.main(['--field', '5', 'chars', 'eisen-count', '--level', '1', '--X', '14']);"
+        "c.main(['eisen', 'constterm', '--level', '5']);"
         "print(sorted(m for m in ('numpy', 'scipy', 'mpmath') if m in sys.modules))"
     )
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=60)

@@ -31,8 +31,8 @@ Q = make_field(1)
 K5 = make_field(5)
 K2 = make_field(2)
 
-# independently known invariants (standard tables) used to pin the
-# continued-fraction unit and form-cycle class number routines
+# independently known invariants (standard tables) used to pin the unit and
+# the class number, both from the continued-fraction walk
 KNOWN_H = {2: 1, 3: 1, 5: 1, 6: 1, 7: 1, 10: 2, 11: 1, 13: 1, 14: 1, 15: 2,
            17: 1, 19: 1, 21: 1, 22: 1, 23: 1, 26: 2, 29: 1, 30: 2, 31: 1,
            33: 1, 34: 2, 35: 2, 37: 1, 38: 1, 39: 2, 41: 1, 42: 2, 43: 1,
@@ -111,12 +111,19 @@ def _kronecker(d: int, n: int) -> int:
 
 def test_class_number_formula():
     # h log(eps) = -1/2 sum_{0<a<D_K} chi_{D_K}(a) log sin(pi a / D_K), the
-    # analytic class number formula, independent of the unit and form routines
+    # analytic class number formula, independent of the continued-fraction walk
     Ds = [D for D in range(2, 101) if all(D % (p * p) for p in range(2, 11))]
     assert len(Ds) == 60
     # long unit periods: a non-fundamental unit such as eps^3 would show as a
     # factor 3 in the regulator
-    for D in Ds + [1021, 1069, 1141, 1201, 1321, 1381]:
+    long_periods = [1021, 1069, 1141, 1201, 1321, 1381]
+    # h from 2 to 16 over both D_K = D and D_K = 4D, by the sign of N(eps)
+    many_cycles = {1: [10005, 10077, 10117, 10003], -1: [10001, 10069, 10249, 10202]}
+    for sign, group in many_cycles.items():
+        for D in group:
+            K = make_field(D, allow_class_number=True)
+            assert K.h >= 2 and K.eps_norm == sign, D
+    for D in Ds + long_periods + many_cycles[1] + many_cycles[-1]:
         K = make_field(D, allow_class_number=True)
         dk = K.disc
         rhs = -0.5 * sum(
@@ -341,8 +348,8 @@ def _box_search_generator(I):
 
 
 # N(eps) = -1 over Q(sqrt 2), Q(sqrt 5), Q(sqrt 13), Q(sqrt 29); +1 over
-# Q(sqrt 3), Q(sqrt 7)
-GEN_FIELDS = {D: make_field(D) for D in (2, 3, 5, 7, 13, 29)}
+# Q(sqrt 3), Q(sqrt 7) and Q(sqrt 46), where eps = 24335 + 3588 sqrt 46
+GEN_FIELDS = {D: make_field(D) for D in (2, 3, 5, 7, 13, 29, 46)}
 GEN_PRIMES = {
     D: [P for p in primes_up_to(5000) for P in K.primes_above(p) if P.norm() <= 10**5]
     for D, K in GEN_FIELDS.items()
@@ -367,6 +374,27 @@ def test_principal_generator_against_box_search(D, picks):
     g = principal_generator(I)
     assert Ideal.principal(g) == I
     assert g == _box_search_generator(I)
+
+
+def test_principal_generator_large_regulators():
+    # eps up to 7.5e10 (Q(sqrt 1381)), where a box search is out of reach,
+    # and 1e269 (Q(sqrt 48799)), where the embeddings of g leave the float
+    # range: the generator spans I, and no element of the wider set
+    # +-g*eps^k, |k| <= 3, beats it under the rule (the window holds |k| <= 1)
+    for D in (46, 94, 1381, 48799):
+        K = make_field(D)
+        eps, inv = K.eps, K.eps.inverse()
+        for I in ideals_of_norm_up_to(K, 500):
+            g = principal_generator(I)
+            assert Ideal.principal(g) == I
+            wide, up, down = [g, -g], g, g
+            for _ in range(3):
+                up, down = up * eps, down * inv
+                wide += [up, -up, down, -down]
+            pos = [x for x in wide if x.is_totally_positive()]
+            assert g.is_totally_positive() == bool(pos)
+            best = min(pos or wide, key=lambda x: (abs(x.trace()), x.a, x.b))
+            assert g == best, (D, I)
 
 
 # ---------------------------------------------------------------------------

@@ -61,6 +61,21 @@ def test_matches_classical_over_Q():
         assert S == pytest.approx(classical_S(a, b, c), abs=1e-9)
 
 
+def test_large_r_phases():
+    # S(r, 1; 7) depends on r mod 7 only: r near or past the int64 range must
+    # neither wrap the phase products (2^61, 2^62) nor overflow (10^20)
+    for r in (2**59, 2**61, 2**62, 10**20):
+        S = kloosterman_sum(KloostermanQuery(Q.element(r), Q.element(1), Q.element(7)))
+        assert S == pytest.approx(classical_S(r % 7, 1, 7), abs=1e-12), r
+    # over Q(sqrt 5): r + c*2^62 = r mod (c), so the sums are the same
+    c = K5.element(3, 1)
+    assert abs(c.norm()) > 1
+    for r in (1, 2):
+        S = kloosterman_sum(KloostermanQuery(K5.element(r), K5.one(), c))
+        big = K5.element(r) + c * 2**62
+        assert kloosterman_sum(KloostermanQuery(big, K5.one(), c)) == S
+
+
 def test_realness():
     rng = random.Random(9)
     for K in (Q, K5):
