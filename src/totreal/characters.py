@@ -24,7 +24,6 @@ from .fields import (
     divisors,
     factor_ideal,
     principal_generator,
-    residue_system,
 )
 
 
@@ -49,7 +48,6 @@ def _hnf_rowreduce(rows: list[list[int]]) -> list[list[int]]:
         if any(r):
             basis.append(r)
             basis.sort(key=lambda b: next(i for i, x in enumerate(b) if x))
-    # re-reduce upper entries
     return basis
 
 
@@ -291,7 +289,7 @@ class FiniteCharacter:
 
 def characters_mod(q: Ideal, bound: int = 10**5) -> list[FiniteCharacter]:
     """All phi(q) characters of (o/q)^x, trivial character first."""
-    rs = residue_system(q, bound=bound)
+    rs = ResidueSystem(q, bound=bound)
     st = UnitGroupStructure(rs)
     chars = []
     idx = [0] * len(st.orders)

@@ -453,6 +453,7 @@ class Ideal:
     def __mul__(self, other: Union["Ideal", RingElement]) -> "Ideal":
         if isinstance(other, RingElement):
             other = Ideal.principal(other)
+        self._check(other)
         K = self.field
         a1, b1, c1 = self.a, self.b, self.c
         a2, b2, c2 = other.a, other.b, other.c
@@ -471,6 +472,7 @@ class Ideal:
 
     def __add__(self, other: "Ideal") -> "Ideal":
         """Ideal gcd."""
+        self._check(other)
         K = self.field
         den = _lcm(self.den, other.den)
         m1, m2 = den // self.den, den // other.den
@@ -483,6 +485,10 @@ class Ideal:
             (other.b * m2, other.c * m2),
         ]
         return Ideal._from_vectors(K, vecs, den)
+
+    def _check(self, other: "Ideal") -> None:
+        if self.field is not other.field and self.field.D != other.field.D:
+            raise FieldError("ideals of different fields")
 
     def _conj_vectors(self, scale: int) -> list[tuple[int, int]]:
         """scale times the conjugates of the HNF basis (conj(omega) = t - omega)."""
@@ -716,21 +722,6 @@ def make_field(D: int, allow_class_number: bool = False) -> FieldDesc:
     return FieldDesc(D, allow_class_number=allow_class_number)
 
 
-def ideal_arith(a: Ideal, b: Ideal, op: str) -> Union[Ideal, bool]:
-    """Ideal arithmetic: op in {mul, gcd, lcm, divides}."""
-    if a.field.D != b.field.D:
-        raise FieldError("ideals of different fields")
-    if op == "mul":
-        return a * b
-    if op == "gcd":
-        return a + b
-    if op == "lcm":
-        return a.intersect(b)
-    if op == "divides":
-        return a.divides(b)
-    raise ValueError(f"unknown op {op!r}")
-
-
 def factor_ideal(I: Ideal, bound: int = 10**7) -> list[tuple[PrimeIdeal, int]]:
     """Factor an integral ideal into prime ideals with positive exponents."""
     if not I.is_integral():
@@ -907,10 +898,6 @@ class ResidueSystem:
 
     def mul(self, x: RingElement, y: RingElement) -> RingElement:
         return self.reduce(x * y)
-
-
-def residue_system(c: Ideal, bound: int = 10**6) -> ResidueSystem:
-    return ResidueSystem(c, bound=bound)
 
 
 def psi(x: RingElement) -> complex:

@@ -245,16 +245,6 @@ def weil_margin(query: KloostermanQuery, bound: int = 10**6) -> dict:
     return next(_weil_records(cI, query.c, [query.r1, query.r2], [(0, 1)], bound))
 
 
-def modulus_generators(K: FieldDesc, norm_max: int) -> list[RingElement]:
-    """Canonical generators of all nonzero ideals of norm <= norm_max."""
-    gens = []
-    for I in ideals_of_norm_up_to(K, norm_max):
-        if I.norm() == 1:
-            continue
-        gens.append(principal_generator(I))
-    return gens
-
-
 def weil_sweep(K: FieldDesc, cmax: int, r_values=(1, 2, 3), bound: int = 10**6):
     """Margins for all moduli of norm <= cmax and r1, r2 in r_values.
 

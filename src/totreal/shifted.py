@@ -28,6 +28,11 @@ from .characters import HeckeCharacter, characters_mod
 from .quadrature import central_difference
 from .spectral import EigenvalueSystem
 
+# dirichlet_D refuses a trace height whose box holds more lattice points
+# than this: over a quadratic field the points grow like the square of the
+# height, and the default height 300 over Q(sqrt 5) needs about 6.4e5
+_MAX_BOX_POINTS = 1_000_000
+
 
 class SmoothBump:
     """C^infty bump on (a, b): exp(1 - 1/(1 - z^2)), z the affine map to
@@ -189,6 +194,16 @@ def dirichlet_D(
     warn = beta <= d * 66
     if not q.is_totally_positive():
         raise ValueError("q must be totally positive for the positive cone sum")
+    H = trace_height
+    # lattice points of y in the box [0, 4H/l1_j]: its volume over the
+    # covolume N(y)*sqrt(disc) of y
+    points = math.prod(4 * H / e for e in l1.embeddings())
+    points /= float(y.norm()) * math.sqrt(K.disc)
+    if points > _MAX_BOX_POINTS:
+        raise ValueError(
+            f"trace height {H:g} needs about {points:.2g} lattice points, "
+            f"above the limit of {_MAX_BOX_POINTS}"
+        )
 
     def solutions(hmax: float):
         box = []
@@ -208,7 +223,6 @@ def dirichlet_D(
     # one pass over trace <= 4H: the value sums trace <= H; the tail bounds
     # the dyadic shells (H, 2H] and (2H, 4H] by |lambda| <= tau N^theta and
     # extrapolates geometrically with the observed shell decay
-    H = trace_height
     y_inv = y.inverse()
     total = 0.0 + 0j
     shell1 = shell2 = 0.0

@@ -25,6 +25,7 @@ from .fields import (
     FieldDesc,
     Ideal,
     RingElement,
+    arith_functions,
     divisors,
     enumerate_in_box,
     factor_ideal,
@@ -384,8 +385,6 @@ def kuznetsov_geometric_side(
     for kj in k:
         kc *= A * kj.Z**2
     tail = 0.0
-    from .fields import arith_functions
-
     for I in ideals_of_norm_up_to(K, int(4 * NB) + 8):
         n = float(I.norm())
         if n <= NB or not level.divides(I):

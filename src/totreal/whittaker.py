@@ -244,16 +244,9 @@ def normalized_whittaker(spec: WhittakerSpec, y: Sequence[float]) -> complex:
 # L^2 pairings on R^x
 
 
-def _cached_values(q: int, nu: complex, sign: int, u_lo: float, u_hi: float, h: float):
-    """W~_{q/2,nu}(sign * y) on the log grid.
-
-    The vector depends on (q, sign) only through m = sign*q/2, so grids are
-    cached per m and shared between (q, +) and (-q, -)."""
-    return _grid_values(sign * q / 2, complex(nu), u_lo, u_hi, h)
-
-
-# One default grid is 757 complex values (12 kB), and criterion 1 and the
-# benchmark's warm passes use at most 20 keys.
+# W~_{m,nu}(y) on the log grid; W~_{q/2,nu}(sign * y) is m = sign*q/2, so
+# (q, +) and (-q, -) share a grid.  One default grid is 757 complex values
+# (12 kB), and criterion 1 and the benchmark's warm passes use at most 20 keys.
 @functools.lru_cache(maxsize=64)
 def _grid_values(m: float, nu: complex, u_lo: float, u_hi: float, h: float) -> np.ndarray:
     ys, _ = log_axis_grid(u_lo, u_hi, h)
@@ -296,8 +289,8 @@ def whittaker_inner(
     total = 0.0 + 0j
     coarse = 0.0 + 0j
     for sign in (+1, -1):
-        f = _cached_values(q, nu, sign, u_lo, u_hi, h)
-        g = _cached_values(q2, nu, sign, u_lo, u_hi, h)
+        f = _grid_values(sign * q / 2, complex(nu), u_lo, u_hi, h)
+        g = _grid_values(sign * q2 / 2, complex(nu), u_lo, u_hi, h)
         prod = f * np.conj(g)
         total += np.sum(prod * w)
         coarse += 2 * h * (

@@ -30,7 +30,6 @@ from totreal.kloosterman import (
     KloostermanQuery,
     kloosterman_sum,
     kloosterman_sum_crt,
-    modulus_generators,
     weil_sweep,
 )
 from totreal.shifted import (

@@ -26,6 +26,8 @@ def test_field_info():
     assert doc["result"]["eps"] == ["0", "1"]
     assert doc["elapsed_ms"] is None
     assert set(doc) >= {"command", "inputs", "result", "certificates", "elapsed_ms"}
+    code, out = run("field", "info", "--D", "5", "--timing")
+    assert code == 0 and json.loads(out)["elapsed_ms"] is not None
 
 
 def test_kloosterman_eval():
@@ -54,6 +56,13 @@ def test_unknown_subcommand_exit_64():
     code, out = run("frobnicate")
     assert code == 64
     assert "error" in json.loads(out)
+    code, out = run("--field", "5", "frobnicate")
+    assert code == 64
+    assert json.loads(out) == {"schema": 1, "error": "unknown subcommand 'frobnicate'"}
+    # a command with no subcommand
+    code, out = run("field")
+    assert code == 64
+    assert json.loads(out) == {"schema": 1, "error": "unknown subcommand field None"}
 
 
 def test_domain_error_exit_2():
@@ -195,6 +204,56 @@ def test_global_flags_after_subcommand():
     code, out = run("kloosterman", "--field", "1", "--r1", "1", "--r2", "1", "--c", "5")
     assert code == 0
     assert json.loads(out)["result"]["abs_S"] == pytest.approx(0.381966, abs=1e-5)
+
+
+# one small run of every leaf subcommand, with one global option each
+LEAVES = [
+    (("--field", "5"), ("field", "info", "--D", "5")),
+    (("--field", "5"), ("chars", "list", "--modulus", "2")),
+    (("--field", "5"), ("chars", "eisen-count", "--level", "1", "--X", "14")),
+    (("--seed", "1"), ("whittaker", "eval", "--q", "2", "--nu", "0.5", "--y", "1.0")),
+    (("--format", "csv"), ("whittaker", "gram", "--qmax", "2", "--numax", "0.5")),
+    (("--field", "5"), ("kloosterman", "eval", "--r1", "1", "--r2", "2,1", "--c", "3")),
+    (("--format", "csv"), ("kloosterman", "sweep", "--cmax", "20")),
+    (("--bound", "1000"), ("eisen", "dim", "--n", "3", "--m", "1")),
+    (("--bound", "1000"), ("eisen", "norms", "--Np", "5", "--j", "2")),
+    (("--field", "5"), ("eisen", "coeff", "--chi-t", "0.3", "--t", "2", "--m", "11")),
+    (("--field", "5"), ("eisen", "constterm", "--level", "4")),
+    (("--bound", "1000"), ("eisen", "localfactor", "--Np", "5", "--s", "1.0", "--case", "level")),
+    (("--seed", "3"), ("spectral", "oldforms", "--level", "4")),
+    (("--tol", "1e-10"), ("spectral", "bessel", "--Z", "2", "--t", "-1.5")),
+    (("--field", "5"), ("spectral", "kuz-geom", "--r1", "1", "--r2", "1", "--level", "1",
+                        "--box", "3")),
+    (("--field", "5"), ("shifted", "sum", "--q", "1", "--Y", "10")),
+    (("--field", "5"), ("shifted", "dirichlet", "--q", "1", "--s", "2.5", "--height", "40")),
+    (("--field", "5"), ("shifted", "amplify", "--q", "11", "--L", "3", "--Y", "20")),
+    (("--field", "5"), ("shifted", "afe", "--Y", "10")),
+]
+
+
+@pytest.mark.parametrize("opt,leaf", LEAVES, ids=[" ".join(leaf[:2]) for _, leaf in LEAVES])
+def test_global_option_either_side(opt, leaf):
+    # a global option reads the same before the subcommand and after the
+    # leaf's own options
+    code, before = run(*opt, *leaf)
+    assert code == 0, before
+    code, after = run(*leaf, *opt)
+    assert code == 0, after
+    assert before == after
+    if opt != ("--format", "csv"):
+        assert json.loads(before)["command"] == " ".join(leaf[:2])
+
+
+def test_dirichlet_height_limit():
+    # over Q(sqrt 5) the box holds about 4.6e6 and 1.8e7 lattice points;
+    # both are refused before any is enumerated
+    for args in (("--q", "1", "--s", "2.5", "--height", "800"),
+                 ("--q", "3", "--s", "1.5", "--height", "1600")):
+        proc = subprocess.run(CMD + ["--field", "5", "shifted", "dirichlet", *args],
+                              capture_output=True, text=True, timeout=2)
+        assert proc.returncode == 2
+        assert proc.stderr == ""
+        assert "limit of 1000000" in json.loads(proc.stdout)["error"]
 
 
 def test_chars_list_cli():

@@ -13,18 +13,17 @@ from totreal.fields import (
     BoundExceeded,
     FieldError,
     Ideal,
+    ResidueSystem,
     _factor_int,
     arith_functions,
     divisors,
     enumerate_in_box,
     factor_ideal,
-    ideal_arith,
     ideals_of_norm_up_to,
     make_field,
     primes_up_to,
     principal_generator,
     psi,
-    residue_system,
 )
 
 Q = make_field(1)
@@ -161,14 +160,16 @@ def test_unit_invariants():
 
 
 def test_ideal_arith_examples():
-    assert ideal_arith(Q.ideal(4), Q.ideal(6), "gcd") == Q.ideal(2)
-    assert ideal_arith(Q.ideal(2), Q.ideal(3), "lcm") == Q.ideal(6)
+    assert Q.ideal(4) + Q.ideal(6) == Q.ideal(2)
+    assert Q.ideal(2).intersect(Q.ideal(3)) == Q.ideal(6)
     s5 = Ideal.principal(K5.sqrtD())
-    assert ideal_arith(s5, s5, "mul") == K5.ideal(5)
-    assert ideal_arith(Q.ideal(2), Q.ideal(6), "divides") is True
-    assert ideal_arith(Q.ideal(4), Q.ideal(6), "divides") is False
+    assert s5 * s5 == K5.ideal(5)
+    assert Q.ideal(2).divides(Q.ideal(6)) is True
+    assert Q.ideal(4).divides(Q.ideal(6)) is False
     with pytest.raises(FieldError):
-        ideal_arith(Q.ideal(2), K5.ideal(2), "gcd")
+        Q.ideal(2) + K5.ideal(2)
+    with pytest.raises(FieldError):
+        Q.ideal(2) * K5.ideal(2)
 
 
 def test_ideal_norm_multiplicative():
@@ -278,14 +279,14 @@ def test_enumerate_unit_action_bijective():
 
 
 def test_residue_system():
-    rs = residue_system(Q.ideal(5))
+    rs = ResidueSystem(Q.ideal(5))
     assert rs.phi == 4
     assert [int(x.a) for x in rs.units] == [1, 2, 3, 4]
-    rs1 = residue_system(Q.unit_ideal())
+    rs1 = ResidueSystem(Q.unit_ideal())
     assert rs1.size == 1 and rs1.phi == 1
-    rsk = residue_system(K5.ideal(2))
+    rsk = ResidueSystem(K5.ideal(2))
     assert rsk.size == 4 and rsk.phi == 3
-    assert residue_system(K5.ideal(3)).phi == arith_functions(K5.ideal(3))[1]
+    assert ResidueSystem(K5.ideal(3)).phi == arith_functions(K5.ideal(3))[1]
 
 
 def test_psi():

@@ -171,7 +171,7 @@ def test_order_limit():
 def test_grid_cache_bounded():
     maxsize = whittaker._grid_values.cache_info().maxsize
     for i in range(maxsize + 5):
-        whittaker._cached_values(0, 0.5j, 1, -1.0, 1.0, 0.5 + 0.001 * i)
+        whittaker._grid_values(0.0, 0.5j, -1.0, 1.0, 0.5 + 0.001 * i)
     assert whittaker._grid_values.cache_info().currsize == maxsize
 
 
