@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import time
 from fractions import Fraction
@@ -89,7 +90,7 @@ def _whittaker_gram(args, K):
 
     if args.qmax < 0 or not args.numax >= 0:
         raise ValueError("--qmax and --numax must be nonnegative")
-    kw = {"tol": args.tol} if args.tol else {}
+    kw = {"tol": args.tol} if args.tol is not None else {}
     qs = list(range(-args.qmax, args.qmax + 1, 2))
     rows = ["nu,q1,q2,value"]
     worst = 0.0
@@ -197,7 +198,7 @@ def _spectral_bessel(args, K):
     from .spectral import KTestGaussian, bessel_tilde, bessel_transforms
 
     k = KTestGaussian(args.Z)
-    target = args.tol / 2 if args.tol else 5e-9
+    target = args.tol / 2 if args.tol is not None else 5e-9
     rec = bessel_transforms(k, args.t, tail_target=target)
     til = bessel_tilde(k, tail_target=target)
     return ({"Z": args.Z, "t": args.t},
@@ -404,6 +405,8 @@ def main(argv=None) -> int:
         return 64
     if not hasattr(args, "run"):
         return _fail(f"unknown subcommand {args.cmd} {args.sub}", 64)
+    if args.tol is not None and not (math.isfinite(args.tol) and args.tol > 0):
+        return _fail(f"--tol must be finite and > 0, got {args.tol}", 2)
     started = time.time()
     try:
         out = args.run(args, make_field(args.field, allow_class_number=True))

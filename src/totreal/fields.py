@@ -923,14 +923,32 @@ def primes_up_to(n: int) -> list[int]:
     return list(compress(range(n + 1), sieve))
 
 
+@functools.lru_cache(maxsize=13)
+def _trial_primes(bits: int) -> list[int]:
+    """The primes below 2^bits, the trial divisors of _factor_int."""
+    return primes_up_to(1 << bits)
+
+
 def _factor_int(n: int) -> dict[int, int]:
+    """{p: v_p(n)} for n >= 1, primes ascending.  Trial division by the
+    cached sieve up to the power of two above sqrt(n), at least 2^8 (one
+    sieve for every n below 2^16) and at most 2^20; past 2^20 the odd
+    numbers serve as divisors."""
     out: dict[int, int] = {}
-    for p in primes_up_to(isqrt(n)):
+    bits = min(max(8, isqrt(n).bit_length()), 20)
+    for p in _trial_primes(bits):
         if p * p > n:
             break
         while n % p == 0:
             out[p] = out.get(p, 0) + 1
             n //= p
+    else:
+        p = (1 << bits) + 1
+        while p * p <= n:
+            while n % p == 0:
+                out[p] = out.get(p, 0) + 1
+                n //= p
+            p += 2
     if n > 1:
         out[n] = out.get(n, 0) + 1
     return out

@@ -29,15 +29,80 @@ def log_axis_grid(u_lo: float, u_hi: float, h: float) -> tuple[np.ndarray, np.nd
     return np.exp(u), w
 
 
-def gl_panels(a: float, b: float, n_panels: int, order: int = 24) -> tuple[np.ndarray, np.ndarray]:
-    """Gauss-Legendre nodes/weights on [a, b] split into equal panels."""
+def equal_panels(a, b, n_panels) -> tuple[np.ndarray, np.ndarray]:
+    """Midpoints and half-widths of n_panels >= 1 equal panels on [a, b].
+
+    a, b and n_panels broadcast together; the panels of the rows are laid
+    end to end.  The edges are np.linspace's, i * (b - a)/n + a with the
+    last one b, and every panel of a row has the row's first half-width.
+    """
+    a, b, n = np.broadcast_arrays(
+        np.asarray(a, dtype=float), np.asarray(b, dtype=float), np.asarray(n_panels, dtype=np.intp)
+    )
+    a, b, n = a.ravel(), b.ravel(), n.ravel()
+    step = (b - a) / n
+    first = np.cumsum(n) - n
+    row = np.repeat(np.arange(n.size), n)
+    i = np.arange(row.size) - first[row]
+    sa, aa = step[row], a[row]
+    lo = i * sa + aa
+    hi = (i + 1) * sa + aa
+    hi[first + n - 1] = b
+    half = 0.5 * (hi[first] - lo[first])
+    return 0.5 * (lo + hi), half[row]
+
+
+def gl_panels(a, b, n_panels, order: int = 24) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-Legendre nodes/weights on [a, b] split into n_panels equal
+    panels (equal_panels); with arrays, the rows end to end, bitwise the
+    concatenation of the per-row calls."""
+    return gl_from_panels(*equal_panels(a, b, n_panels), order)
+
+
+def gl_from_panels(mid: np.ndarray, half: np.ndarray, order: int) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-Legendre nodes/weights of the panels with midpoints mid and
+    half-widths half, panel after panel."""
     x0, w0 = _leggauss(order)
-    edges = np.linspace(a, b, n_panels + 1)
-    mid = 0.5 * (edges[:-1] + edges[1:])
-    half = 0.5 * (edges[1] - edges[0])
-    xs = (mid[:, None] + half * x0[None, :]).ravel()
-    ws = np.broadcast_to(half * w0, (n_panels, len(w0))).ravel()
+    # (order, panels) products run along the long axis; .T.ravel() lays
+    # them out panel after panel
+    xs = (x0[:, None] * half + mid).T.ravel()
+    ws = (w0[:, None] * half).T.ravel()
     return xs, ws
+
+
+# quadrature points per block of gl_sums, so that each float temporary of a
+# block takes 64 kB (a row with more points is a block of its own)
+BLOCK = 1 << 13
+
+
+def gl_sums(counts, panels, summand, order: int) -> list[float]:
+    """Gauss-Legendre sums over many rows of panels, one flat array at a time.
+
+    Row i has counts[i] panels; panels(sl) gives the midpoints and
+    half-widths of the panels of the rows sl, row after row (equal_panels
+    or graded_panels laid end to end).  summand(s, w, rows) gives the terms
+    at the points s with weights w, point j lying in row rows[j].  Rows go
+    through summand in blocks of at most BLOCK points, and each row's sum is
+    np.sum over its own contiguous slice: numpy's pairwise sum of a slice is
+    bit for bit the sum that an array of that row alone would give, which a
+    row-wise reduction of a padded grid would not be.
+    """
+    points = [order * int(c) for c in counts]
+    out: list[float] = []
+    start = 0
+    while start < len(points):
+        stop, acc = start + 1, points[start]
+        while stop < len(points) and acc + points[stop] <= BLOCK:
+            acc += points[stop]
+            stop += 1
+        s, w = gl_from_panels(*panels(slice(start, stop)), order)
+        vals = summand(s, w, np.repeat(np.arange(start, stop), points[start:stop]))
+        lo = 0
+        for p in points[start:stop]:
+            out.append(float(vals[lo : lo + p].sum()))
+            lo += p
+        start = stop
+    return out
 
 
 def gl_rows(lo: np.ndarray, hi: np.ndarray):
@@ -53,13 +118,13 @@ def gl_rows(lo: np.ndarray, hi: np.ndarray):
         yield sl, lo[sl, None] + span * s, span * ws
 
 
-def gl_panels_graded(
-    a: float, b: float, density, order: int = 16, min_panels: int = 1
-) -> tuple[np.ndarray, np.ndarray]:
-    """Panelled GL with panel widths adapted to a local frequency density.
+def graded_panels(a: float, b: float, density, min_panels: int = 1) -> tuple[list, list]:
+    """Midpoints and half-widths of panels on [a, b] adapted to a local
+    frequency density, as lists of floats.
 
     density(x) estimates radians per unit length near x; each panel spans
-    roughly one cycle so a fixed order resolves the oscillation.
+    roughly one cycle so a fixed order resolves the oscillation.  Fewer than
+    min_panels panels give way to min_panels equal ones (equal_panels).
     """
     edges = [a]
     x = a
@@ -69,14 +134,10 @@ def gl_panels_graded(
         x = min(x + step, b)
         edges.append(x)
     if len(edges) - 1 < min_panels:
-        return gl_panels(a, b, min_panels, order)
-    x0, w0 = _leggauss(order)
-    xs, ws = [], []
-    for lo, hi in zip(edges[:-1], edges[1:]):
-        mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
-        xs.append(mid + half * x0)
-        ws.append(half * w0)
-    return np.concatenate(xs), np.concatenate(ws)
+        mid, half = equal_panels(a, b, min_panels)
+        return mid.tolist(), half.tolist()
+    spans = list(zip(edges[:-1], edges[1:]))
+    return [0.5 * (lo + hi) for lo, hi in spans], [0.5 * (hi - lo) for lo, hi in spans]
 
 
 def central_difference(f: Callable, order: int, h: float) -> Callable:

@@ -32,7 +32,7 @@ from .fields import (
     ideals_of_norm_up_to,
 )
 from .kloosterman import KloostermanQuery, kloosterman_sums
-from .quadrature import gl_panels, gl_panels_graded
+from .quadrature import gl_from_panels, gl_panels, gl_sums, graded_panels
 
 RAMANUJAN_THETA = 1.0 / 9.0
 
@@ -230,6 +230,10 @@ class KTestGaussian:
 
     Z: float
 
+    def __post_init__(self):
+        if not (math.isfinite(self.Z) and self.Z > 0):
+            raise ValueError(f"Z must be finite and > 0, got {self.Z}")
+
     def on_axis(self, u):
         u = np.asarray(u, dtype=float)
         return np.exp(-(u**2 + 0.25) / self.Z**2)
@@ -252,62 +256,125 @@ def _tail_window(k: KTestGaussian, T: float) -> tuple[np.ndarray, np.ndarray]:
     return us, wu
 
 
+def _truncation_heights(k: KTestGaussian, bound, xs, target: float) -> tuple[list, list]:
+    """For each x of xs, the smallest T (on a half-integer grid) with the
+    tail integral of k(iu) * u * bound(u, x) below target; returns the lists
+    of T and of tail bounds.  Every x still open steps T together, on one
+    (x, window) array per step."""
+    xs = np.asarray(xs, dtype=float)
+    heights, tails = [0.0] * xs.size, [0.0] * xs.size
+    limit = 60 * max(1.0, k.Z)
+    rows = 32  # x per step: a (rows, 128) window array of 32 kB
+    for lo in range(0, xs.size, rows):
+        todo = np.arange(lo, min(lo + rows, xs.size))
+        T = max(2.0, k.Z)
+        while todo.size:
+            if not T < limit:
+                raise ValueError(
+                    f"no truncation height below 60*max(1, Z) = {limit:g} brings the"
+                    f" tail under {target:g} at Z={k.Z:g}"
+                )
+            us, wu = _tail_window(k, T)
+            vals = wu * bound(us, xs[todo, None])
+            tail = np.sum(np.broadcast_to(vals, (todo.size, us.size)), axis=1) * 2.1
+            # margin 2.1: the integrand decays super-exponentially beyond
+            done = tail < target
+            for i, v in zip(todo[done].tolist(), tail[done].tolist()):
+                heights[i], tails[i] = T, v
+            todo = todo[~done]
+            T += max(0.5, k.Z / 4)
+    return heights, tails
+
+
 def _truncation_height(k: KTestGaussian, bound_fn, target: float) -> tuple[float, float]:
-    """Smallest T (on a half-integer grid) with the tail integral of
-    k(iu) * u * bound(u) below target; returns (T, tail bound)."""
-    T = max(2.0, k.Z)
-    while T < 60 * max(1.0, k.Z):
-        us, wu = _tail_window(k, T)
-        tail = float(np.sum(wu * bound_fn(us)))
-        tail *= 2.1  # margin: integrand decays super-exponentially beyond
-        if tail < target:
-            return T, tail
-        T += max(0.5, k.Z / 4)
-    raise RuntimeError("no admissible truncation height found")
+    """_truncation_heights for one bound_fn(u); returns (T, tail bound)."""
+    heights, tails = _truncation_heights(k, lambda us, x: bound_fn(us), [0.0], target)
+    return heights[0], tails[0]
 
 
-def bessel_transforms(
-    k: KTestGaussian, t: float, tail_target: float = 5e-9
-) -> dict:
-    """The Kuznetsov transform kcheck(t) for t != 0, with certificates.
+def bessel_transforms_many(k: KTestGaussian, ts, tail_target: float = 5e-9) -> list[dict]:
+    """bessel_transforms at each t of ts, in one pass per sign of t.
 
-    t > 0: contour integral of k against J_{2nu} on the spectral axis plus
-    the even discrete-series sum; t < 0: the I-Bessel contour integral,
-    both folded into manifestly real kernels.
+    A transform depends on t through its sign and x = 4 pi sqrt|t| alone,
+    so each distinct x of a sign is computed once and repeated t get equal
+    copies.  One truncation search steps every x at once, and the graded
+    u-nodes of all transforms go through the kernels as flat arrays of
+    (u, x) pairs (quadrature.gl_sums), each transform's integral np.sum over
+    its own slice.  Every value is bit for bit the one a separate call gives.
+
+    Memory: the kernels see at most quadrature.BLOCK = 2^13 u-nodes at a
+    time (a transform with more on its own) and cut their own quadrature
+    points into blocks of the same size, and the truncation search takes 32
+    x at a time, so the temporaries stay within about 4 MB; past that a
+    batch grows only with its results, about 1 kB per t.
     """
     from scipy.special import jv as _besselj
 
-    from .bessel_kernels import rj_bound, rj_kernel, wk_bound, wk_kernel
+    from .bessel_kernels import check_node_limits, rj_bound, rj_kernel, wk_bound, wk_kernel
 
-    if t == 0:
-        raise ValueError("t must be nonzero")
-    x = 4 * math.pi * math.sqrt(abs(t))
-    if t > 0:
-        T, tail = _truncation_height(k, lambda u: rj_bound(u, x), tail_target)
-        dens = lambda uu: 2 * math.asinh((2 * uu + 1) / x) + 0.6
-        us, ws = gl_panels_graded(0.0, T, dens, order=16, min_panels=4)
-        cont = -2.0 * float(np.sum(ws * k.on_axis(us) * us * rj_kernel(us, x)))
-        disc = 0.0
-        b = 2
-        while (b - 1) / 2 <= max(0.5, k.Z):
-            nu = (b - 1) / 2
-            disc += (-1) ** (b // 2) * (b - 1) * k.at_half_integer(nu) * float(
-                _besselj(b - 1, x)
-            )
-            b += 2
-        return {
-            "value": cont + disc,
-            "continuous": cont,
-            "discrete": disc,
-            "T": T,
-            "tail_bound": tail,
-            "nodes": len(us),
-        }
-    T, tail = _truncation_height(k, lambda u: wk_bound(u, x), tail_target)
-    dens = lambda uu: 2 * math.asinh((2 * uu + 1) / x) + 0.6
-    us, ws = gl_panels_graded(0.0, T, dens, order=16, min_panels=4)
-    val = (4 / math.pi) * float(np.sum(ws * k.on_axis(us) * us * wk_kernel(us, x)))
-    return {"value": val, "T": T, "tail_bound": tail, "nodes": len(us)}
+    ts = [float(t) for t in ts]
+    for t in ts:
+        if t == 0 or not math.isfinite(t):
+            raise ValueError(f"t must be finite and nonzero, got {t}")
+    # every sign's truncation heights, u-panels and node limits before any
+    # kernel is evaluated, so that a refused input fails early
+    sides = []
+    for positive in (True, False):
+        xs = list(dict.fromkeys(4 * math.pi * math.sqrt(abs(t)) for t in ts if (t > 0) == positive))
+        if not xs:
+            continue
+        heights, tails = _truncation_heights(k, rj_bound if positive else wk_bound, xs, tail_target)
+        panels = [
+            graded_panels(0.0, T, lambda uu, x=x: 2 * math.asinh((2 * uu + 1) / x) + 0.6, 4)
+            for x, T in zip(xs, heights)
+        ]
+        # the largest node of a transform: the last point of its last panel
+        last, _ = gl_from_panels(
+            np.array([mid[-1] for mid, _ in panels]), np.array([half[-1] for _, half in panels]), 16
+        )
+        for x, u_max in zip(xs, last[15::16].tolist()):
+            check_node_limits(u_max, x, not positive)
+        sides.append((positive, xs, heights, tails, panels))
+    records: dict[tuple[bool, float], dict] = {}
+    for positive, xs, heights, tails, panels in sides:
+        kernel = rj_kernel if positive else wk_kernel
+        xa = np.array(xs)
+        totals = gl_sums(
+            [len(mid) for mid, _ in panels],
+            lambda sl: (
+                np.array([v for mid, _ in panels[sl] for v in mid]),
+                np.array([v for _, half in panels[sl] for v in half]),
+            ),
+            lambda us, ws, r: ws * k.on_axis(us) * us * kernel(us, xa[r]),
+            16,
+        )
+        for x, T, tail, (mid, _), total in zip(xs, heights, tails, panels, totals):
+            cert = {"T": T, "tail_bound": tail, "nodes": 16 * len(mid)}
+            if positive:
+                disc = 0.0
+                b = 2
+                while (b - 1) / 2 <= max(0.5, k.Z):
+                    nu = (b - 1) / 2
+                    disc += (-1) ** (b // 2) * (b - 1) * k.at_half_integer(nu) * float(
+                        _besselj(b - 1, x)
+                    )
+                    b += 2
+                cont = -2.0 * total
+                records[positive, x] = {"value": cont + disc, "continuous": cont, "discrete": disc, **cert}
+            else:
+                records[positive, x] = {"value": (4 / math.pi) * total, **cert}
+    return [dict(records[t > 0, 4 * math.pi * math.sqrt(abs(t))]) for t in ts]
+
+
+def bessel_transforms(k: KTestGaussian, t: float, tail_target: float = 5e-9) -> dict:
+    """The Kuznetsov transform kcheck(t) for finite t != 0, with certificates.
+
+    t > 0: contour integral of k against J_{2nu} on the spectral axis plus
+    the even discrete-series sum; t < 0: the I-Bessel contour integral,
+    both folded into manifestly real kernels.  The one-t case of
+    bessel_transforms_many.
+    """
+    return bessel_transforms_many(k, [t], tail_target)[0]
 
 
 def bessel_tilde(k: KTestGaussian, tail_target: float = 5e-9) -> dict:
@@ -342,12 +409,25 @@ def kuznetsov_geometric_side(
     double sum, with the modulus sum truncated to the embedding box
     [-box, box]^d and a reported Weil-bound tail majorant.
 
+    Two passes over the box, with the transforms between them.  The first
+    keeps the nonzero moduli c and, for each term (c, unit), the per-place
+    keys of the embeddings of w = u r1 r2 / (gamma c^2), together with the
+    first embedding seen for each key.  Then one bessel_transforms_many call
+    per place takes those embeddings, so an input the transforms refuse
+    fails before any Kloosterman sum.  The second pass computes the
+    Kloosterman sums of each c and adds S / N(c) times the product of the
+    term's transforms in place order, term after term, as a term-by-term
+    walk would.
+
     kernel_bound_const is the constant in |kcheck(t)| <= A Z^2 min(1,
-    sqrt|t|) used only in the majorant.
+    sqrt|t|) used only in the majorant.  The result's "transforms" counts
+    the distinct t per place.
     """
     K = r1.field
     if len(k) != K.d:
         raise ValueError("one test function per place")
+    if not (math.isfinite(box) and box >= 0):
+        raise ValueError(f"box must be finite and >= 0, got {box}")
     # gamma: totally positive generator of d^2 (delta^2 works: N(delta^2)>0)
     gamma = K.delta * K.delta
     if not gamma.is_totally_positive():
@@ -358,25 +438,34 @@ def kuznetsov_geometric_side(
     for td in tildes:
         diag *= td["value"]
     units = K.units_mod_squares()
-    total = 0.0 + 0j
-    n_terms = 0
-    cs = enumerate_in_box(level, [(-box, box)] * K.d)
-    cache: dict[tuple, complex] = {}
-    for c in cs:
+    moduli = []
+    first: list[dict] = [{} for _ in range(K.d)]  # key -> first embedding, per place
+    for c in enumerate_in_box(level, [(-box, box)] * K.d):
         if c.is_zero():
             continue
+        unit_keys = []
+        for u in units:
+            w = (u * r1 * r2) / (gamma * c * c)
+            keys = []
+            for j, emb in enumerate(w.embeddings()):
+                key = round(math.copysign(1, emb) * abs(emb), 18)
+                first[j].setdefault(key, emb)
+                keys.append(key)
+            unit_keys.append(keys)
+        moduli.append((c, unit_keys))
+    kcheck = [
+        dict(zip(seen, (rec["value"] for rec in bessel_transforms_many(kj, list(seen.values())))))
+        for kj, seen in zip(k, first)
+    ]
+    total = 0.0 + 0j
+    for c, unit_keys in moduli:
         nc = abs(float(c.norm()))
         sums = kloosterman_sums([KloostermanQuery(r1, u * r2, c) for u in units])
-        for u, S in zip(units, sums):
-            w = (u * r1 * r2) / (gamma * c * c)
+        for S, keys in zip(sums, unit_keys):
             prod = 1.0
-            for j, emb in enumerate(w.embeddings()):
-                key = (j, round(math.copysign(1, emb) * abs(emb), 18))
-                if key not in cache:
-                    cache[key] = bessel_transforms(k[j], emb)["value"]
-                prod *= cache[key]
+            for values, key in zip(kcheck, keys):
+                prod *= values[key]
             total += S / nc * prod
-            n_terms += 1
     # tail majorant: Weil + |kcheck| <= A Z^2 min(1, sqrt) beyond the box
     NB = box**K.d / 2  # crude norm reached inside the box
     A = kernel_bound_const
@@ -398,7 +487,8 @@ def kuznetsov_geometric_side(
         "value": value,
         "diagonal": diag,
         "off_diagonal": c2 * total,
-        "terms": n_terms,
+        "terms": len(moduli) * len(units),
+        "transforms": [len(seen) for seen in first],
         "box": box,
         "tail_majorant": tail,
         "ktilde": [td["value"] for td in tildes],

@@ -165,6 +165,38 @@ def test_bessel_cli_oversized_Z():
             assert proc.returncode == 2 and "J-kernel" in doc["error"]
 
 
+@pytest.mark.parametrize("args,message", [
+    (("spectral", "bessel", "--Z", "0", "--t", "-1.5"), "Z must be finite and > 0"),
+    (("spectral", "bessel", "--Z", "-1", "--t", "-1.5"), "Z must be finite and > 0"),
+    (("spectral", "bessel", "--Z", "nan", "--t", "-1.5"), "Z must be finite and > 0"),
+    (("spectral", "bessel", "--Z", "2", "--t", "nan"), "t must be finite and nonzero"),
+    (("spectral", "bessel", "--Z", "2", "--t", "inf"), "t must be finite and nonzero"),
+    (("--tol", "-1", "spectral", "bessel", "--Z", "2", "--t", "1.5"), "--tol must be finite and > 0"),
+    (("--tol", "nan", "spectral", "bessel", "--Z", "2", "--t", "1.5"), "--tol must be finite and > 0"),
+    (("--tol", "0", "spectral", "bessel", "--Z", "2", "--t", "1.5"), "--tol must be finite and > 0"),
+    (("--tol", "inf", "whittaker", "gram", "--qmax", "2"), "--tol must be finite and > 0"),
+    (("--field", "5", "spectral", "kuz-geom", "--r1", "1", "--r2", "1", "--level", "1",
+      "--box", "-3"), "box must be finite and >= 0"),
+])
+def test_bad_spectral_inputs_refused(args, message):
+    # exit 2 with a JSON error and nothing on stderr, at once
+    proc = subprocess.run(CMD + list(args), capture_output=True, text=True, timeout=2)
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr == ""
+    assert message in json.loads(proc.stdout)["error"]
+
+
+def test_kuz_geom_refused_before_kloosterman_sums():
+    # a Z the K-kernel refuses: exit 2 with a JSON error naming the limit,
+    # from the node limits checked before any transform or Kloosterman sum
+    args = ["--field", "5", "spectral", "kuz-geom", "--r1", "1", "--r2", "1", "--level", "1",
+            "--Z", "25", "--box", "6"]
+    proc = subprocess.run(CMD + args, capture_output=True, text=True, timeout=10)
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr == ""
+    assert "K-kernel at u=" in json.loads(proc.stdout)["error"]
+
+
 def test_light_subcommands_skip_numeric_stack():
     # commands on exact arithmetic import neither numpy, scipy nor mpmath
     code = (

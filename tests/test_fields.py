@@ -15,6 +15,7 @@ from totreal.fields import (
     Ideal,
     ResidueSystem,
     _factor_int,
+    _trial_primes,
     arith_functions,
     divisors,
     enumerate_in_box,
@@ -209,6 +210,22 @@ def test_factor_examples():
     near_1e7 = [10**7 - 3, 10**7 - 1, 10**7, 10**7 + 1, 9999991, 2**23, 3**14, 3163**2]
     for n in list(range(1, 10**4 + 1)) + near_1e7:
         assert list(_factor_int(n).items()) == _trial_division(n)
+
+
+def test_factor_int_sieve_cached():
+    # one cached sieve (primes below 2^8) serves every n below 2^16; primes
+    # near 10^6 and past 2^20 (where odd trial divisors take over) factor as
+    # trial division by every d >= 2 does
+    _trial_primes.cache_clear()
+    for n in range(1, 20001):
+        assert list(_factor_int(n).items()) == _trial_division(n)
+    assert _trial_primes.cache_info().currsize == 1
+    big = [999983 * 1000003, 999979 * 999983 * 2, 1000003**2, 3 * 5 * 999961,
+           1048573 * 1048583, 1048583**2, 2**20 * 1048583]
+    for n in big:
+        assert list(_factor_int(n).items()) == _trial_division(n)
+    # three sieves in all: below 2^8, 2^12 (for 3 * 5 * 999961) and 2^20
+    assert _trial_primes.cache_info().misses <= 3
 
 
 def _trial_division(n):

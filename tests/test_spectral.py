@@ -2,14 +2,17 @@
 
 import math
 import random
+import tracemalloc
 
 import mpmath as mp
 import numpy as np
 import pytest
 from scipy.special import k0e
 
+from totreal import bessel_kernels
 from totreal.bessel_kernels import rj_bound, rj_kernel, wk_bound, wk_kernel
-from totreal.fields import Ideal, ideals_of_norm_up_to, make_field
+from totreal.fields import Ideal, enumerate_in_box, ideals_of_norm_up_to, make_field
+from totreal.quadrature import _leggauss, equal_panels, gl_panels, graded_panels
 from totreal.spectral import (
     EigenvalueSystem,
     KTestGaussian,
@@ -18,6 +21,7 @@ from totreal.spectral import (
     _truncation_height,
     bessel_tilde,
     bessel_transforms,
+    bessel_transforms_many,
     divisor_system,
     kuznetsov_geometric_side,
     lambda_t,
@@ -200,6 +204,27 @@ def test_kernels_against_mpmath():
             )
 
 
+def test_kernels_mixed_routes_against_mpmath():
+    # one call over shuffled (u, x) pairs that take every route: the J series
+    # (x <= 14) and contour, the K series (x <= 5.5), real axis and shifted
+    # contour (x < pi u - 6)
+    pairs = [(u, x) for x in (0.0126, 3.97, 5.0, 9.0, 14.1, 30.0, 125.7)
+             for u in (0.5, 3.0, 6.0, 17.0)]
+    random.Random(3).shuffle(pairs)
+    u, x = (np.array(col) for col in zip(*pairs))
+    rj, wk = rj_kernel(u, x), wk_kernel(u, x)
+    for (ui, xi), a, b in zip(pairs, rj, wk):
+        assert a == pytest.approx(_rj_oracle(ui, xi), abs=5e-12), (ui, xi)
+        assert b == pytest.approx(_wk_oracle(ui, xi), abs=5e-12), (ui, xi)
+    # a 2-d broadcast gives the same bits as one x at a time
+    xs = np.array([0.0126, 5.0, 9.0, 30.0])[:, None]
+    us = np.array([0.5, 3.0, 6.0, 17.0])
+    for kernel in (rj_kernel, wk_kernel):
+        grid = kernel(us, xs)
+        rows = np.array([kernel(us, float(xi)) for xi in xs[:, 0]])
+        assert np.array_equal(grid.view(np.int64), rows.view(np.int64))
+
+
 def test_kernel_bounds_hold():
     for x in (0.013, 1.0, 30.0, 125.7):
         us = np.linspace(0.05, 45, 60)
@@ -229,9 +254,16 @@ def _wk_bound_loop(u, x):
 def test_wk_bound_bit_identical_to_scalar_loop():
     rng = np.random.default_rng(7)
     u = np.concatenate([[0.0, 0.25, 0.5], rng.uniform(0, 220, 200), rng.uniform(0, 3, 40)])
-    for x in np.concatenate([np.geomspace(1e-3, 1e4, 41), rng.uniform(1e-3, 150, 10)]):
+    xs = np.concatenate([np.geomspace(1e-3, 1e4, 41), rng.uniform(1e-3, 150, 10)])
+    loops = np.array([_wk_bound_loop(u, x) for x in xs])
+    for x, loop in zip(xs, loops):
         got = wk_bound(u, x)
-        assert np.array_equal(got.view(np.int64), _wk_bound_loop(u, x).view(np.int64)), x
+        assert np.array_equal(got.view(np.int64), loop.view(np.int64)), x
+    # x as an array: a column against the u row, and (u, x) pairs
+    got = wk_bound(u, xs[:, None])
+    assert np.array_equal(got.view(np.int64), loops.view(np.int64))
+    got = wk_bound(np.tile(u, xs.size), np.repeat(xs, u.size))
+    assert np.array_equal(got.view(np.int64), loops.ravel().view(np.int64))
 
 
 def test_wk_bound_past_exp_range():
@@ -278,6 +310,140 @@ def test_tail_window_cache_bounded():
     us, wu = _tail_window(KTestGaussian(1.0), 2.0)
     assert not us.flags.writeable and not wu.flags.writeable
     _tail_window.cache_clear()
+
+
+def _gl_panels_linspace(a, b, n, order):
+    # one row of equal panels cut by np.linspace
+    x0, w0 = _leggauss(order)
+    edges = np.linspace(a, b, n + 1)
+    mid = 0.5 * (edges[:-1] + edges[1:])
+    half = 0.5 * (edges[1] - edges[0])
+    return (mid[:, None] + half * x0[None, :]).ravel(), np.broadcast_to(half * w0, (n, order)).ravel()
+
+
+def test_gl_panels_array_form_is_row_concatenation():
+    rng = np.random.default_rng(11)
+    a = np.concatenate([[0.0, 0.0, 1.7, -2.5], rng.uniform(-5, 5, 30)])
+    b = a + np.concatenate([[1.0, math.pi / 2, 0.3, 4.0], rng.uniform(0.01, 40, 30)])
+    n = np.concatenate([[1, 3, 1, 1], rng.integers(1, 12, 30)])
+    for order in (8, 12, 16):
+        xs, ws = gl_panels(a, b, n, order=order)
+        rows = [_gl_panels_linspace(float(ai), float(bi), int(ni), order) for ai, bi, ni in zip(a, b, n)]
+        assert np.array_equal(xs.view(np.int64), np.concatenate([r[0] for r in rows]).view(np.int64))
+        assert np.array_equal(ws.view(np.int64), np.concatenate([r[1] for r in rows]).view(np.int64))
+        for ai, bi, ni, (rx, rw) in zip(a, b, n, rows):
+            xs, ws = gl_panels(float(ai), float(bi), int(ni), order=order)
+            assert np.array_equal(xs.view(np.int64), rx.view(np.int64))
+            assert np.array_equal(ws.view(np.int64), rw.view(np.int64))
+    # a scalar end broadcasts against the rows
+    xs, _ = gl_panels(0.0, math.pi / 2, np.array([2, 5]), order=12)
+    ref = np.concatenate([_gl_panels_linspace(0.0, math.pi / 2, m, 12)[0] for m in (2, 5)])
+    assert np.array_equal(xs.view(np.int64), ref.view(np.int64))
+
+
+def test_graded_panels_fallback_is_equal_panels():
+    # a slowly varying density gives fewer panels than min_panels
+    mid, half = graded_panels(0.3, 2.9, lambda v: 0.01, 4)
+    ref_mid, ref_half = equal_panels(0.3, 2.9, 4)
+    assert mid == ref_mid.tolist() and half == ref_half.tolist()
+    edges = np.linspace(0.3, 2.9, 5)
+    assert mid == (0.5 * (edges[:-1] + edges[1:])).tolist()
+
+
+# t reaching every route at x = 4 pi sqrt|t|: J series (t <= 1.24) and
+# contour, K series (|t| <= 0.19), real axis and shifted contour
+ROUTE_TS = [1e-6, 0.05, 0.9, 1.5, 3.0, 20.0, -1e-5, -0.01, -0.15, -0.25, -2.0, -12.0]
+
+
+@pytest.mark.parametrize("Z", [1.0, 2.0, 8.0])
+def test_transforms_many_bit_identical_to_one_t(Z):
+    k = KTestGaussian(Z)
+    ts = ROUTE_TS + ROUTE_TS[::3]  # duplicates
+    random.Random(int(Z)).shuffle(ts)
+    many = bessel_transforms_many(k, ts)
+    for t, rec in zip(ts, many):
+        one = bessel_transforms(k, t)
+        assert rec.keys() == one.keys()
+        for key, v in one.items():
+            assert np.float64(rec[key]).view(np.int64) == np.float64(v).view(np.int64), (t, key)
+    # every route is taken: the K side reaches u > (x + 6)/pi past x = 5.5
+    xs = {t: 4 * math.pi * math.sqrt(abs(t)) for t in ts}
+    assert {xs[t] <= 14 for t in ts if t > 0} == {True, False}
+    assert {xs[t] <= 5.5 for t in ts if t < 0} == {True, False}
+    assert any(xs[t] > 5.5 and rec["T"] > (xs[t] + 6) / math.pi
+               for t, rec in zip(ts, many) if t < 0)
+
+
+def test_transforms_many_refusals():
+    for t in (0.0, math.inf, -math.inf, math.nan):
+        with pytest.raises(ValueError, match="finite and nonzero"):
+            bessel_transforms_many(KTestGaussian(1.0), [0.5, t])
+    for Z in (0.0, -1.0, math.nan, math.inf):
+        with pytest.raises(ValueError, match="Z must be finite"):
+            KTestGaussian(Z)
+    # a tail target of 0 is never met: ValueError naming the limit on T
+    with pytest.raises(ValueError, match=r"60\*max\(1, Z\) = 120"):
+        bessel_transforms(KTestGaussian(2.0), 1.5, tail_target=0.0)
+    assert bessel_transforms_many(KTestGaussian(1.0), []) == []
+
+
+def test_transforms_many_repeated_t_at_the_J_panel_limit(monkeypatch):
+    # repeated t are one transform: at a J panel limit that one t just meets,
+    # the batch accepts the repeats and gives the one-t bits
+    k = KTestGaussian(2.0)
+    monkeypatch.setattr(bessel_kernels, "_MAX_J_PANELS", 1)
+    with pytest.raises(ValueError, match="J-kernel") as err:
+        bessel_transforms(k, 3.0)
+    need = int(str(err.value).split(" needs ")[1].split()[0])
+    monkeypatch.setattr(bessel_kernels, "_MAX_J_PANELS", need)
+    one = bessel_transforms(k, 3.0)
+    many = bessel_transforms_many(k, [3.0, -3.0, 3.0, 3.0])
+    for rec in (many[0], many[2], many[3]):
+        assert rec == one and rec is not one
+    assert many[0] is not many[2]
+    monkeypatch.setattr(bessel_kernels, "_MAX_J_PANELS", need - 1)
+    with pytest.raises(ValueError, match=f"needs {need} quadrature panels"):
+        bessel_transforms_many(k, [3.0, 3.0])
+
+
+def test_transforms_many_refuses_before_any_kernel(monkeypatch):
+    # a K-side refusal comes from the node limits, before the J side runs
+    def no_kernel(u, x):
+        raise AssertionError("kernel evaluated")
+
+    monkeypatch.setattr(bessel_kernels, "rj_kernel", no_kernel)
+    monkeypatch.setattr(bessel_kernels, "wk_kernel", no_kernel)
+    with pytest.raises(ValueError, match="K-kernel at u="):
+        bessel_transforms_many(KTestGaussian(25.0), [0.5, 3.0, -0.35])
+    with pytest.raises(ValueError, match="Bessel power series"):
+        bessel_transforms_many(KTestGaussian(60.0), [3.0, 0.01])
+
+
+def test_transforms_many_memory_at_box_20():
+    # the 2864 t (1432 per place) of --field 5 kuz-geom --box 20 in one batch:
+    # the flat arrays go in blocks of 2^13 points, a few MB at a time, and
+    # the rest grows with the results alone
+    gamma = K5.delta * K5.delta
+    ts = []
+    for j in range(2):
+        seen = {}
+        for c in enumerate_in_box(K5.unit_ideal(), [(-20.0, 20.0)] * 2):
+            if not c.is_zero():
+                for u in K5.units_mod_squares():
+                    emb = (u / (gamma * c * c)).embeddings()[j]
+                    seen.setdefault(round(emb, 18), emb)
+        ts += list(seen.values())
+    assert len(ts) == 2864
+    k = KTestGaussian(1.0)
+    bessel_transforms_many(k, ts[:8])  # imports and tail windows
+    tracemalloc.start()
+    try:
+        out = bessel_transforms_many(k, ts)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(out) == len(ts)
+    assert peak < 4 * 2**20 + 1024 * len(ts), peak
 
 
 def _kcheck_oracle(Z, t):
@@ -354,3 +520,32 @@ def test_kuznetsov_partial_sums_cauchy():
     rec1 = kuznetsov_geometric_side(r1, r1, Q.unit_ideal(), k, box=20.0)
     rec2 = kuznetsov_geometric_side(r1, r1, Q.unit_ideal(), k, box=40.0)
     assert abs(rec1["value"] - rec2["value"]) <= rec1["tail_majorant"]
+
+
+def test_kuznetsov_batched_equals_term_by_term():
+    # the two-pass geometric side against a walk that transforms each term's
+    # embeddings as it meets them, one bessel_transforms call per new t
+    from totreal.kloosterman import KloostermanQuery, kloosterman_sums
+
+    ks = [KTestGaussian(1.0), KTestGaussian(2.0)]
+    r1, r2 = K5.element(1), K5.element(2)
+    rec = kuznetsov_geometric_side(r1, r2, K5.unit_ideal(), ks, box=5.0)
+    gamma = K5.delta * K5.delta
+    cache, total, terms = {}, 0.0 + 0j, 0
+    for c in enumerate_in_box(K5.unit_ideal(), [(-5.0, 5.0)] * 2):
+        if c.is_zero():
+            continue
+        units = K5.units_mod_squares()
+        sums = kloosterman_sums([KloostermanQuery(r1, u * r2, c) for u in units])
+        for u, S in zip(units, sums):
+            prod = 1.0
+            for j, emb in enumerate(((u * r1 * r2) / (gamma * c * c)).embeddings()):
+                key = (j, round(emb, 18))
+                if key not in cache:
+                    cache[key] = bessel_transforms(ks[j], emb)["value"]
+                prod *= cache[key]
+            total += S / abs(float(c.norm())) * prod
+            terms += 1
+    assert rec["terms"] == terms
+    assert rec["transforms"] == [sum(j == i for j, _ in cache) for i in range(2)]
+    assert rec["off_diagonal"] == total
