@@ -16,6 +16,7 @@ arithmetic start without numpy, scipy or mpmath.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -194,11 +195,16 @@ def _spectral_oldforms(args, K):
             {"gram_residual": basis.gram_residual})
 
 
+def _tail_target(args) -> float:
+    """The tail bound asked of each Bessel transform: half of --tol."""
+    return args.tol / 2 if args.tol is not None else 5e-9
+
+
 def _spectral_bessel(args, K):
     from .spectral import KTestGaussian, bessel_tilde, bessel_transforms
 
     k = KTestGaussian(args.Z)
-    target = args.tol / 2 if args.tol is not None else 5e-9
+    target = _tail_target(args)
     rec = bessel_transforms(k, args.t, tail_target=target)
     til = bessel_tilde(k, tail_target=target)
     return ({"Z": args.Z, "t": args.t},
@@ -213,7 +219,7 @@ def _spectral_kuz_geom(args, K):
     r1, r2 = _parse_element(K, args.r1), _parse_element(K, args.r2)
     level = _parse_ideal(K, args.level)
     ks = [KTestGaussian(args.Z) for _ in range(K.d)]
-    rec = kuznetsov_geometric_side(r1, r2, level, ks, box=args.box)
+    rec = kuznetsov_geometric_side(r1, r2, level, ks, box=args.box, tail_target=_tail_target(args))
     return ({"D": K.D, "r1": args.r1, "r2": args.r2, "level": args.level, "Z": args.Z,
              "box": args.box},
             {"value": _complex_str(rec["value"]), "diagonal": rec["diagonal"],
@@ -383,17 +389,29 @@ def _command_parser(glob: argparse.ArgumentParser):
     return parser, commands.choices
 
 
+@functools.lru_cache(maxsize=1)
+def _cli_table():
+    """The global options, the subcommand table and its command names,
+    built once per process: main only reads them."""
+    glob = _global_options()
+    return (glob, *_command_parser(glob))
+
+
+# quadrature and rounding carry errors near 1e-16 that no certificate
+# reports, so a tail target below this would overstate the accuracy
+_TOL_FLOOR = 1e-14
+
+
 def _fail(message: str, code: int) -> int:
     print(json.dumps({"schema": 1, "error": message}))
     return code
 
 
 def main(argv=None) -> int:
-    glob = _global_options()
+    glob, parser, commands = _cli_table()
     # the global options are read wherever they stand; the rest goes to
     # the subcommand table with them already in the namespace
     opts, rest = glob.parse_known_args(sys.argv[1:] if argv is None else argv)
-    parser, commands = _command_parser(glob)
     first = next((tok for tok in rest if not tok.startswith("-")), None)
     if first is not None and first not in commands:
         return _fail(f"unknown subcommand {first!r}", 64)
@@ -407,6 +425,9 @@ def main(argv=None) -> int:
         return _fail(f"unknown subcommand {args.cmd} {args.sub}", 64)
     if args.tol is not None and not (math.isfinite(args.tol) and args.tol > 0):
         return _fail(f"--tol must be finite and > 0, got {args.tol}", 2)
+    if args.tol is not None and args.tol < _TOL_FLOOR:
+        return _fail(f"--tol must be >= {_TOL_FLOOR:g}, the floor of double-precision"
+                     f" quadrature, got {args.tol}", 2)
     started = time.time()
     try:
         out = args.run(args, make_field(args.field, allow_class_number=True))

@@ -404,6 +404,7 @@ def kuznetsov_geometric_side(
     c2: float = 1.0,
     box: float = 40.0,
     kernel_bound_const: float = 8.0,
+    tail_target: float = 5e-9,
 ) -> dict:
     """Geometric side: c1 * diagonal * prod ktilde_j + c2 * unit/Kloosterman
     double sum, with the modulus sum truncated to the embedding box
@@ -413,15 +414,18 @@ def kuznetsov_geometric_side(
     keeps the nonzero moduli c and, for each term (c, unit), the per-place
     keys of the embeddings of w = u r1 r2 / (gamma c^2), together with the
     first embedding seen for each key.  Then one bessel_transforms_many call
-    per place takes those embeddings, so an input the transforms refuse
-    fails before any Kloosterman sum.  The second pass computes the
-    Kloosterman sums of each c and adds S / N(c) times the product of the
-    term's transforms in place order, term after term, as a term-by-term
-    walk would.
+    per distinct test function takes the first-seen embeddings of every
+    place that has it, and each place reads its own back by its own keys;
+    ktilde too is computed once per distinct test function.  So an input
+    the transforms refuse fails before any Kloosterman sum.  The second pass
+    computes the Kloosterman sums of each c and adds S / N(c) times the
+    product of the term's transforms in place order, term after term, as a
+    term-by-term walk would.
 
     kernel_bound_const is the constant in |kcheck(t)| <= A Z^2 min(1,
-    sqrt|t|) used only in the majorant.  The result's "transforms" counts
-    the distinct t per place.
+    sqrt|t|) used only in the majorant; tail_target is the tail bound asked
+    of every transform and of ktilde.  The result's "transforms" counts the
+    distinct t per place.
     """
     K = r1.field
     if len(k) != K.d:
@@ -432,20 +436,30 @@ def kuznetsov_geometric_side(
     gamma = K.delta * K.delta
     if not gamma.is_totally_positive():
         gamma = -gamma
-    tildes = [bessel_tilde(kj) for kj in k]
+    # places with equal test functions share one ktilde and one transform
+    # batch; in the batch each place passes its own first-seen floats and
+    # reads its slice back by its own keys
+    places: dict[KTestGaussian, list[int]] = {}
+    for j, kj in enumerate(k):
+        places.setdefault(kj, []).append(j)
+    tilde_of = {kj: bessel_tilde(kj, tail_target) for kj in places}
+    tildes = [tilde_of[kj] for kj in k]
     same = Ideal.principal(r1) == Ideal.principal(r2)
     diag = c1 * (1.0 if same else 0.0)
     for td in tildes:
         diag *= td["value"]
     units = K.units_mod_squares()
+    u_r2 = [u * r2 for u in units]
+    numerators = [r1 * ur2 for ur2 in u_r2]
     moduli = []
     first: list[dict] = [{} for _ in range(K.d)]  # key -> first embedding, per place
     for c in enumerate_in_box(level, [(-box, box)] * K.d):
         if c.is_zero():
             continue
+        denominator = gamma * c * c
         unit_keys = []
-        for u in units:
-            w = (u * r1 * r2) / (gamma * c * c)
+        for numerator in numerators:
+            w = numerator / denominator
             keys = []
             for j, emb in enumerate(w.embeddings()):
                 key = round(math.copysign(1, emb) * abs(emb), 18)
@@ -453,14 +467,15 @@ def kuznetsov_geometric_side(
                 keys.append(key)
             unit_keys.append(keys)
         moduli.append((c, unit_keys))
-    kcheck = [
-        dict(zip(seen, (rec["value"] for rec in bessel_transforms_many(kj, list(seen.values())))))
-        for kj, seen in zip(k, first)
-    ]
+    kcheck: list[dict] = [{} for _ in range(K.d)]
+    for kj, js in places.items():
+        recs = iter(bessel_transforms_many(kj, [t for j in js for t in first[j].values()], tail_target))
+        for j in js:
+            kcheck[j] = {key: next(recs)["value"] for key in first[j]}
     total = 0.0 + 0j
     for c, unit_keys in moduli:
         nc = abs(float(c.norm()))
-        sums = kloosterman_sums([KloostermanQuery(r1, u * r2, c) for u in units])
+        sums = kloosterman_sums([KloostermanQuery(r1, ur2, c) for ur2 in u_r2])
         for S, keys in zip(sums, unit_keys):
             prod = 1.0
             for values, key in zip(kcheck, keys):

@@ -177,6 +177,7 @@ def test_bessel_cli_oversized_Z():
     (("--tol", "inf", "whittaker", "gram", "--qmax", "2"), "--tol must be finite and > 0"),
     (("--field", "5", "spectral", "kuz-geom", "--r1", "1", "--r2", "1", "--level", "1",
       "--box", "-3"), "box must be finite and >= 0"),
+    (("--tol", "1e-300", "spectral", "bessel", "--Z", "2", "--t", "1.5"), "--tol must be >= 1e-14"),
 ])
 def test_bad_spectral_inputs_refused(args, message):
     # exit 2 with a JSON error and nothing on stderr, at once
@@ -195,6 +196,48 @@ def test_kuz_geom_refused_before_kloosterman_sums():
     assert proc.returncode == 2, proc.stderr
     assert proc.stderr == ""
     assert "K-kernel at u=" in json.loads(proc.stdout)["error"]
+
+
+def test_kuz_geom_honours_tol():
+    # --tol halves into the transforms' tail target, as for spectral bessel
+    args = ["--field", "5", "spectral", "kuz-geom", "--r1", "1", "--r2", "1", "--level", "1",
+            "--box", "3"]
+    code, default = run(*args)
+    assert code == 0
+    code, loose = run("--tol", "1e-3", *args)
+    assert code == 0
+    assert json.loads(loose)["result"] != json.loads(default)["result"]
+
+
+def test_main_in_one_process_matches_fresh_processes():
+    # the CLI table is built once per process and only read: a sequence of
+    # calls whose global options change prints what fresh processes print
+    import contextlib
+    import io
+
+    from totreal import cli
+
+    seq = [
+        ("field", "info", "--D", "5"),
+        ("--field", "1", "kloosterman", "--r1", "1", "--r2", "1", "--c", "5"),
+        ("--format", "csv", "kloosterman", "sweep", "--cmax", "20"),
+        ("kloosterman", "sweep", "--cmax", "20"),
+        ("--timing", "eisen", "dim", "--n", "3", "--m", "1"),
+        ("eisen", "dim", "--n", "3", "--m", "1"),
+    ]
+    for argv in seq:
+        buf = io.StringIO()
+        with contextlib.redirect_stdout(buf):
+            assert cli.main(list(argv)) == 0
+        code, fresh = run(*argv)
+        assert code == 0
+        if "--timing" in argv:
+            inproc, fresh = json.loads(buf.getvalue()), json.loads(fresh)
+            assert inproc.pop("elapsed_ms") is not None and fresh.pop("elapsed_ms") is not None
+            assert inproc == fresh
+        else:
+            assert buf.getvalue() == fresh
+    assert cli._cli_table.cache_info().currsize == 1
 
 
 def test_light_subcommands_skip_numeric_stack():

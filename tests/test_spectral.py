@@ -522,17 +522,15 @@ def test_kuznetsov_partial_sums_cauchy():
     assert abs(rec1["value"] - rec2["value"]) <= rec1["tail_majorant"]
 
 
-def test_kuznetsov_batched_equals_term_by_term():
-    # the two-pass geometric side against a walk that transforms each term's
-    # embeddings as it meets them, one bessel_transforms call per new t
+def _term_by_term(ks, r1, r2, box):
+    """The off-diagonal sum by a walk that transforms each term's embeddings
+    as it meets them, one bessel_transforms call per new (place, t); returns
+    (sum, terms, distinct t per place)."""
     from totreal.kloosterman import KloostermanQuery, kloosterman_sums
 
-    ks = [KTestGaussian(1.0), KTestGaussian(2.0)]
-    r1, r2 = K5.element(1), K5.element(2)
-    rec = kuznetsov_geometric_side(r1, r2, K5.unit_ideal(), ks, box=5.0)
     gamma = K5.delta * K5.delta
     cache, total, terms = {}, 0.0 + 0j, 0
-    for c in enumerate_in_box(K5.unit_ideal(), [(-5.0, 5.0)] * 2):
+    for c in enumerate_in_box(K5.unit_ideal(), [(-box, box)] * 2):
         if c.is_zero():
             continue
         units = K5.units_mod_squares()
@@ -546,6 +544,54 @@ def test_kuznetsov_batched_equals_term_by_term():
                 prod *= cache[key]
             total += S / abs(float(c.norm())) * prod
             terms += 1
+    return total, terms, [sum(j == i for j, _ in cache) for i in range(2)]
+
+
+def _count_transform_calls(monkeypatch):
+    from totreal import spectral
+
+    calls = {"bessel_transforms_many": 0, "bessel_tilde": 0}
+    for name in calls:
+        def counted(*args, _f=getattr(spectral, name), _name=name, **kw):
+            calls[_name] += 1
+            return _f(*args, **kw)
+        monkeypatch.setattr(spectral, name, counted)
+    return calls
+
+
+def _check_against_term_by_term(monkeypatch, ks, batches):
+    # the two-pass geometric side against the term-by-term walk, bit for
+    # bit, with the number of transform batches and ktilde evaluations
+    r1, r2 = K5.element(1), K5.element(2)
+    calls = _count_transform_calls(monkeypatch)
+    rec = kuznetsov_geometric_side(r1, r2, K5.unit_ideal(), ks, box=5.0)
+    assert calls == {"bessel_transforms_many": batches, "bessel_tilde": batches}
+    monkeypatch.undo()
+    total, terms, transforms = _term_by_term(ks, r1, r2, 5.0)
     assert rec["terms"] == terms
-    assert rec["transforms"] == [sum(j == i for j, _ in cache) for i in range(2)]
+    assert rec["transforms"] == transforms
     assert rec["off_diagonal"] == total
+    assert rec["ktilde"] == [bessel_tilde(k)["value"] for k in ks]
+
+
+def test_kuznetsov_batched_equals_term_by_term(monkeypatch):
+    # two test functions: one batch and one ktilde each
+    _check_against_term_by_term(monkeypatch, [KTestGaussian(1.0), KTestGaussian(2.0)], 2)
+
+
+def test_kuznetsov_equal_test_functions_share_one_batch(monkeypatch):
+    # equal test functions: the places share one batch and one ktilde, and
+    # each place still counts its own distinct t
+    _check_against_term_by_term(monkeypatch, [KTestGaussian(1.0)] * 2, 1)
+
+
+def test_kuznetsov_tail_target_reaches_transforms():
+    # a looser tail target moves kcheck and ktilde; the default is 5e-9
+    ks = [KTestGaussian(1.0)] * 2
+    one = K5.element(1)
+    default = kuznetsov_geometric_side(one, one, K5.unit_ideal(), ks, box=3.0)
+    assert kuznetsov_geometric_side(one, one, K5.unit_ideal(), ks, box=3.0, tail_target=5e-9) == default
+    loose = kuznetsov_geometric_side(one, one, K5.unit_ideal(), ks, box=3.0, tail_target=5e-4)
+    assert loose["ktilde"] == [bessel_tilde(ks[0], 5e-4)["value"]] * 2
+    assert loose["ktilde"] != default["ktilde"]
+    assert loose["value"] != default["value"]
