@@ -9,8 +9,13 @@ options (--field, --tol, --bound, --seed, --format, --timing) may stand
 before or after the subcommand.  Output is byte-identical across runs for
 fixed inputs and seed; wall-clock timing is only reported under --timing
 (elapsed_ms is null otherwise, keeping the default output deterministic).
-Each subcommand imports the layers it uses, so the commands on exact
-arithmetic start without numpy, scipy or mpmath.
+Each subcommand imports the layers it uses, and spectral, shifted and
+whittaker import numpy, scipy.special and the numeric layers inside the
+functions that evaluate with them.  So field, chars, eisen and shifted
+start without numpy, scipy or mpmath; kloosterman and spectral oldforms
+load numpy alone; whittaker loads numpy and mpmath, and scipy.special only
+on its K-Bessel and Laplace routes (integer kappa that does not terminate,
+and every gram); spectral bessel and kuz-geom load numpy and scipy.special.
 """
 
 from __future__ import annotations

@@ -53,6 +53,12 @@ Rat = Union[int, Fraction]
 # the largest D accepted: the class number search grows like D
 MAX_D = 10**7
 
+# enumerate_in_box refuses a box whose volume over the covolume of the
+# lattice exceeds this many points: over Q(sqrt D) a box of side B holds
+# about B^2/sqrt(disc) points of o_K, and the default trace height 300 of
+# shifted.dirichlet_D over Q(sqrt 5) needs about 6.4e5
+MAX_BOX_POINTS = 1_000_000
+
 
 class FieldError(ValueError):
     """Invalid field construction or cross-field operation."""
@@ -250,12 +256,21 @@ class RingElement:
         return 2 * self.x + K.t_omega * self.y, K.s_omega * self.y, 2 * self.den
 
     def embeddings(self) -> tuple[float, ...]:
+        """(sigma_1, sigma_2) in floats.  Where p = P/M and r sqrt(D) agree
+        to better than 2^-26 relative, p -+ r sqrt(D) has lost more than
+        half its digits, and the smaller conjugate is N(self)/sigma_large
+        from the exact norm; elsewhere both are p +- r sqrt(D), so every
+        embedding that kept half its digits keeps its bits."""
         P, R, M = self._sqrt_form()
         if self.field.d == 1:
             return (P / M,)
         p, r = P / M, R / M
-        s = self.field.sqrt_D
-        return (p + r * s, p - r * s)
+        rs = r * self.field.sqrt_D
+        s1, s2 = p + rs, p - rs
+        if abs(abs(p) - abs(rs)) < 2**-26 * abs(p):
+            n = (P * P - R * R * self.field.D) / (M * M)
+            return (s1, n / s1) if abs(s1) > abs(s2) else (n / s2, s2)
+        return (s1, s2)
 
     def compare_embedding(self, j: int, q: Rat) -> int:
         """Exact sign of sigma_j(self) - q for rational q."""
@@ -786,6 +801,9 @@ def enumerate_in_box(
     and the range within each row come from exact integer floors of
     (P + R*sqrt(D))/M, so no boundary element is lost or gained.  Output
     in lexicographic order of (a, b) coordinates.
+
+    A box whose volume over the covolume N(I)*sqrt(disc) of I exceeds
+    MAX_BOX_POINTS is refused with ValueError before any point is made.
     """
     K = I.field
     if len(box) != K.d:
@@ -798,6 +816,18 @@ def enumerate_in_box(
         return []
     if totally_positive:
         bounds = [((max(ln, 0), ld), hi) for (ln, ld), hi in bounds]
+    # points / MAX_BOX_POINTS = volume / (N(I) sqrt(disc) MAX_BOX_POINTS),
+    # compared exactly in squares
+    volume = math.prod(max(Fraction(hn, hd) - Fraction(ln, ld), 0) for (ln, ld), (hn, hd) in bounds)
+    ratio = volume / (I.norm() * MAX_BOX_POINTS)
+    if ratio * ratio > K.disc:
+        # log10 of the estimate, from the integers: it may pass the float range
+        lg = math.log10(ratio.numerator * MAX_BOX_POINTS) - math.log10(ratio.denominator)
+        lg -= math.log10(K.disc) / 2
+        raise ValueError(
+            f"the box holds about {10 ** (lg % 1):.2g}e{math.floor(lg)} lattice points"
+            f" (volume over covolume), above the limit of {MAX_BOX_POINTS}"
+        )
     a, b, c, den = I.a, I.b, I.c, I.den
     if K.d == 1:
         # k*a/den in [lo, hi]

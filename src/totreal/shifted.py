@@ -25,13 +25,7 @@ from .fields import (
     principal_generator,
 )
 from .characters import HeckeCharacter, characters_mod
-from .quadrature import central_difference
 from .spectral import EigenvalueSystem
-
-# dirichlet_D refuses a trace height whose box holds more lattice points
-# than this: over a quadratic field the points grow like the square of the
-# height, and the default height 300 over Q(sqrt 5) needs about 6.4e5
-_MAX_BOX_POINTS = 1_000_000
 
 
 class SmoothBump:
@@ -54,6 +48,8 @@ class SmoothBump:
         return math.exp(1 - 1 / (1 - z * z))
 
     def derivative(self, order: int) -> Callable[[float], float]:
+        from .quadrature import central_difference
+
         return central_difference(self, order, self.fd_step)
 
 
@@ -194,16 +190,9 @@ def dirichlet_D(
     warn = beta <= d * 66
     if not q.is_totally_positive():
         raise ValueError("q must be totally positive for the positive cone sum")
+    if not math.isfinite(trace_height):
+        raise ValueError(f"trace height must be finite, got {trace_height}")
     H = trace_height
-    # lattice points of y in the box [0, 4H/l1_j]: its volume over the
-    # covolume N(y)*sqrt(disc) of y
-    points = math.prod(4 * H / e for e in l1.embeddings())
-    points /= float(y.norm()) * math.sqrt(K.disc)
-    if points > _MAX_BOX_POINTS:
-        raise ValueError(
-            f"trace height {H:g} needs about {points:.2g} lattice points, "
-            f"above the limit of {_MAX_BOX_POINTS}"
-        )
 
     def solutions(hmax: float):
         box = []

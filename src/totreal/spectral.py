@@ -7,6 +7,13 @@ system (alpha_p = 1), or synthetic seeded systems satisfying the Hecke
 recursion and the Ramanujan-type bound |lambda(p)| <= 2 Np^theta.  The
 cuspidal spectrum itself is out of reach; synthetic systems exercise all
 formulas that depend only on the Hecke relations.
+
+Imports: the eigenvalue systems and the shifted sums built on them run on
+exact arithmetic, so numpy, scipy.special, quadrature, bessel_kernels and
+kloosterman are imported inside the functions that evaluate with them
+(oldform_gram_schmidt, the test functions, the transforms and the
+geometric side), never at module level.  Importing this module, and
+shifted with it, loads none of them.
 """
 
 from __future__ import annotations
@@ -17,8 +24,6 @@ import hashlib
 import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
-
-import numpy as np
 
 from .characters import HeckeCharacter
 from .fields import (
@@ -31,8 +36,6 @@ from .fields import (
     factor_ideal,
     ideals_of_norm_up_to,
 )
-from .kloosterman import KloostermanQuery, kloosterman_sums
-from .quadrature import gl_from_panels, gl_panels, gl_sums, graded_panels
 
 RAMANUJAN_THETA = 1.0 / 9.0
 
@@ -176,6 +179,8 @@ def oldform_gram_schmidt(
     """Orthonormalize the shift maps {R_t : t | c c_pi^{-1}} against the
     inner products of shifted_inner_ratio; divisor order is ascending
     (norm, HNF key)."""
+    import numpy as np
+
     if not sys.conductor.divides(c):
         raise ValueError("conductor must divide the level")
     quot = c * sys.conductor.inverse()
@@ -235,6 +240,8 @@ class KTestGaussian:
             raise ValueError(f"Z must be finite and > 0, got {self.Z}")
 
     def on_axis(self, u):
+        import numpy as np
+
         u = np.asarray(u, dtype=float)
         return np.exp(-(u**2 + 0.25) / self.Z**2)
 
@@ -249,6 +256,8 @@ def _tail_window(k: KTestGaussian, T: float) -> tuple[np.ndarray, np.ndarray]:
     """Nodes u on [T, T + 8Z] and the weights ws * k(iu) * u of the tail
     integral, read-only.  They depend on (Z, T) alone and T steps on a fixed
     grid from max(2, Z), so every t of one Z shares a few windows."""
+    from .quadrature import gl_panels
+
     us, ws = gl_panels(T, T + 8 * k.Z, 16, order=8)
     wu = ws * k.on_axis(us) * us
     us.flags.writeable = False
@@ -261,6 +270,8 @@ def _truncation_heights(k: KTestGaussian, bound, xs, target: float) -> tuple[lis
     tail integral of k(iu) * u * bound(u, x) below target; returns the lists
     of T and of tail bounds.  Every x still open steps T together, on one
     (x, window) array per step."""
+    import numpy as np
+
     xs = np.asarray(xs, dtype=float)
     heights, tails = [0.0] * xs.size, [0.0] * xs.size
     limit = 60 * max(1.0, k.Z)
@@ -308,9 +319,11 @@ def bessel_transforms_many(k: KTestGaussian, ts, tail_target: float = 5e-9) -> l
     x at a time, so the temporaries stay within about 4 MB; past that a
     batch grows only with its results, about 1 kB per t.
     """
+    import numpy as np
     from scipy.special import jv as _besselj
 
     from .bessel_kernels import check_node_limits, rj_bound, rj_kernel, wk_bound, wk_kernel
+    from .quadrature import gl_from_panels, gl_sums, graded_panels
 
     ts = [float(t) for t in ts]
     for t in ts:
@@ -379,6 +392,10 @@ def bessel_transforms(k: KTestGaussian, t: float, tail_target: float = 5e-9) -> 
 
 def bessel_tilde(k: KTestGaussian, tail_target: float = 5e-9) -> dict:
     """The scalar transform ktilde with its discrete-series part."""
+    import numpy as np
+
+    from .quadrature import gl_panels
+
     T, tail = _truncation_height(k, lambda u: np.ones_like(u), tail_target)
     us, ws = gl_panels(0.0, T, max(8, int(T)), order=16)
     cont = float(np.sum(ws * k.on_axis(us) * us * np.tanh(math.pi * us)))
@@ -427,6 +444,8 @@ def kuznetsov_geometric_side(
     of every transform and of ktilde.  The result's "transforms" counts the
     distinct t per place.
     """
+    from .kloosterman import KloostermanQuery, kloosterman_sums
+
     K = r1.field
     if len(k) != K.d:
         raise ValueError("one test function per place")

@@ -17,6 +17,11 @@ alongside the value:
 
 The two integer-kappa routes evaluate a whole array of x at once, which is
 how the Gram grids are built.
+
+Imports: scipy.special and bessel_kernels (about 0.27 s of start-up) are
+imported inside the two routes that evaluate with them, _w_kbessel and
+_w_laplace, so a process that stays on the laguerre and mpmath routes
+never loads them.
 """
 
 from __future__ import annotations
@@ -29,9 +34,7 @@ from typing import Callable, Optional, Sequence
 
 import mpmath as mp
 import numpy as np
-from scipy.special import loggamma
 
-from .bessel_kernels import k_scaled
 from .quadrature import central_difference, gl_rows, log_axis_grid
 
 _TWO_PI = 2 * math.pi
@@ -123,6 +126,8 @@ def _w_kbessel(kappa: int, mu: complex, x: np.ndarray) -> np.ndarray:
     W_1 = (x/2) W_0 - x W_0' and W_{k+1} = (x - 2k) W_k -
     ((k - 1/2)^2 - mu^2) W_{k-1}; every W_k carries the factor e^{x/2}
     until the end."""
+    from .bessel_kernels import k_scaled
+
     w = x / 2
     k, dk = k_scaled(mu, w)
     r = np.sqrt(x / math.pi)
@@ -145,6 +150,8 @@ def _w_laplace(kappa: int, mu: complex, x: np.ndarray) -> np.ndarray:
     integrand falls like e^{Re(a) tau} below min(log x, 0) and like
     exp(-e^tau) above 0; each row gets a Gauss-Legendre rule between the
     cuts, where the integrand is below e^{-40} of its peak."""
+    from scipy.special import loggamma
+
     if mu.real < 0:
         mu = -mu
     a, b = 0.5 + mu - kappa, mu + kappa - 0.5

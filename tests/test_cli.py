@@ -3,6 +3,7 @@
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -240,24 +241,53 @@ def test_main_in_one_process_matches_fresh_processes():
     assert cli._cli_table.cache_info().currsize == 1
 
 
-def test_light_subcommands_skip_numeric_stack():
-    # commands on exact arithmetic import neither numpy, scipy nor mpmath
-    code = (
-        "import sys, totreal.cli as c;"
-        "c.main(['field', 'info', '--D', '5']);"
-        "c.main(['--field', '5', 'chars', 'eisen-count', '--level', '1', '--X', '14']);"
-        "c.main(['eisen', 'constterm', '--level', '5']);"
-        "print(sorted(m for m in ('numpy', 'scipy', 'mpmath') if m in sys.modules))"
-    )
+# The numeric modules each README command loads, from a fresh interpreter:
+# the commands on exact arithmetic load none, the Kloosterman phases numpy,
+# the Laguerre route of whittaker eval numpy and mpmath, and only the Bessel
+# transforms scipy.special.
+NUMERIC = ("numpy", "scipy.special", "mpmath")
+README_IMPORTS = {
+    "field_info": ("field info --D 5", set()),
+    "kloosterman_eval": ("--field 1 kloosterman eval --r1 1 --r2 1 --c 5", {"numpy"}),
+    "kloosterman_sweep": ("--field 1 --format csv kloosterman sweep --cmax 200", {"numpy"}),
+    "chars_eisen_count": ("--field 5 chars eisen-count --level 1 --X 14", set()),
+    "eisen_constterm": ("--field 1 eisen constterm --level 5", set()),
+    "whittaker_eval": ("whittaker eval --q 2 --nu 0.5 --y 1.0", {"numpy", "mpmath"}),
+    "spectral_bessel": ("spectral bessel --Z 2 --t -1.5", {"numpy", "scipy.special"}),
+    "spectral_kuz_geom": ("--field 5 spectral kuz-geom --r1 1 --r2 1 --level 1 --Z 1 --box 20",
+                          {"numpy", "scipy.special"}),
+    "shifted_amplify": ("--field 1 shifted amplify --q 7 --L 5 --Y 40", set()),
+}
+
+
+def _loaded_after(code: str) -> set:
+    """The NUMERIC modules in sys.modules after code runs in a fresh process."""
+    code += f"\nimport json, sys; print(json.dumps([m for m in {NUMERIC!r} if m in sys.modules]))"
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip().splitlines()[-1] == "[]"
-    # the exact-arithmetic layers under EigenvalueSystem leave out scipy.special,
-    # which only the Bessel transforms need
-    code = "import sys, totreal.shifted; print('scipy.special' in sys.modules)"
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=60)
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "False"
+    return set(json.loads(proc.stdout.splitlines()[-1]))
+
+
+def test_import_table_lists_the_readme_commands():
+    text = (Path(__file__).parents[1] / "README.md").read_text()
+    block = text.split("\n## CLI\n", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    commands = [line.removeprefix("totreal ") for line in block.splitlines()]
+    assert commands == [command for command, _ in README_IMPORTS.values()]
+
+
+@pytest.mark.parametrize("name", list(README_IMPORTS))
+def test_readme_command_imports(name):
+    command, modules = README_IMPORTS[name]
+    code = f"import totreal.cli as c\nassert c.main({command.split()!r}) == 0"
+    assert _loaded_after(code) == modules
+
+
+def test_exact_layers_import_without_numpy():
+    # characters, Eisenstein data, EigenvalueSystem and the shifted sums sit
+    # on exact arithmetic; numpy comes in only with a function that
+    # evaluates with it
+    code = "import totreal.characters, totreal.eisenstein, totreal.spectral, totreal.shifted"
+    assert _loaded_after(code) == set()
 
 
 def test_eisen_subcommands():
@@ -326,6 +356,17 @@ def test_dirichlet_height_limit():
                  ("--q", "3", "--s", "1.5", "--height", "1600")):
         proc = subprocess.run(CMD + ["--field", "5", "shifted", "dirichlet", *args],
                               capture_output=True, text=True, timeout=2)
+        assert proc.returncode == 2
+        assert proc.stderr == ""
+        assert "limit of 1000000" in json.loads(proc.stdout)["error"]
+
+
+def test_oversized_boxes_refused():
+    # the amplifier's r-box: 2e8 points over Q at Y = 10^8, and a side of
+    # about 10^135 over Q(sqrt 48799), whose unit is about 1e269
+    for args in (("--field", "1", "shifted", "amplify", "--q", "7", "--L", "5", "--Y", "100000000"),
+                 ("--field", "48799", "shifted", "amplify", "--q", "7", "--L", "5", "--Y", "40")):
+        proc = subprocess.run(CMD + list(args), capture_output=True, text=True, timeout=2)
         assert proc.returncode == 2
         assert proc.stderr == ""
         assert "limit of 1000000" in json.loads(proc.stdout)["error"]

@@ -261,6 +261,27 @@ def test_enumerate_box_examples():
     assert [int(e.a) for e in els2] == [2, 4, 6]
 
 
+def test_enumerate_box_point_limit():
+    # volume over covolume N(I) sqrt(disc), compared exactly: over Q the
+    # ideal (3) in [0, 3*10^6 + 3] makes 10^6 + 1, over Q(sqrt 5) the ideal
+    # (1/3) in [0, 499]^2 makes 499^2 * 9 / sqrt 5 = 1.0022e6; both are
+    # refused before any point is made
+    with pytest.raises(ValueError, match="limit of 1000000"):
+        enumerate_in_box(Q.ideal(3), [(0, 3 * 10**6 + 3)])
+    third = Ideal.principal(K5.element(Fraction(1, 3)))
+    with pytest.raises(ValueError, match="about 1e6 lattice points"):
+        enumerate_in_box(third, [(0, 499)] * 2)
+    # a box past the float range is refused the same way
+    with pytest.raises(ValueError, match="about 1.8e400 lattice points"):
+        enumerate_in_box(K5.unit_ideal(), [(-1e200, 1e200)] * 2)
+    # the volume is that of the box left after the totally positive cut
+    with pytest.raises(ValueError, match="limit of 1000000"):
+        enumerate_in_box(K5.unit_ideal(), [(-10**7, 5)] * 2)
+    els = enumerate_in_box(K5.unit_ideal(), [(-10**7, 5)] * 2, totally_positive=True)
+    assert els == enumerate_in_box(K5.unit_ideal(), [(0, 5)] * 2, totally_positive=True)
+    assert len(els) == 11  # 1..5, k + omega for k = 1, 2, 3 and k - omega for k = 2, 3, 4
+
+
 def test_enumerate_against_bruteforce():
     # generous double loop over coordinates must agree exactly
     rng = random.Random(3)
@@ -413,6 +434,32 @@ def test_principal_generator_large_regulators():
             assert g.is_totally_positive() == bool(pos)
             best = min(pos or wide, key=lambda x: (abs(x.trace()), x.a, x.b))
             assert g == best, (D, I)
+
+
+@pytest.mark.parametrize("D", [1381, 48799])
+def test_embeddings_of_unit_powers(D):
+    # sigma_j(eps^k), |k| <= 40, against Decimal embeddings: the smaller
+    # conjugate is about eps^-|k| (8.4e-270 for eps over Q(sqrt 48799)),
+    # all of whose digits p -+ r sqrt(D) in floats would lose.  Powers whose
+    # larger embedding leaves the float range are skipped; below 2^1000 the
+    # Decimal a + b*omega cancels at most 610 of its 800 digits
+    K = make_field(D)
+    checked = 0
+    with localcontext() as ctx:
+        ctx.prec = 800
+        root = Decimal(D).sqrt()
+        omegas = [(1 + r) / 2 if D % 4 == 1 else r for r in (root, -root)]
+        for k in range(-40, 41):
+            u = K.one()
+            for _ in range(abs(k)):
+                u = u * (K.eps if k > 0 else K.eps.inverse())
+            exact = [_dec(u.a) + _dec(u.b) * w for w in omegas]
+            if max(abs(e) for e in exact) > Decimal(2) ** 1000:
+                continue
+            for got, want in zip(u.embeddings(), exact):
+                assert abs(Decimal(got) - want) <= Decimal("1e-14") * abs(want), (D, k)
+            checked += 1
+    assert checked == (55 if D == 1381 else 3)
 
 
 # ---------------------------------------------------------------------------
