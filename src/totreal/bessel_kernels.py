@@ -20,9 +20,9 @@ e^{pi u} of precision.  The exponential factors are removed analytically:
   e^{-pi u} into an explicit prefactor; for x >= pi u - 13 the real-axis
   integral is already stable.
 
-* k_scaled, the seed of the Whittaker grids: e^w K_mu(w) and e^w K_mu'(w)
-  for one order mu and an array of w, from scipy for real mu and otherwise
-  from K_mu(w) = int_0^inf e^{-w cosh t} cosh(mu t) dt.
+* k_scaled, the seed of the integer-order Whittaker values: e^w K_mu(w)
+  and e^w K_mu'(w) for one order mu and an array of w, from scipy for real
+  mu and otherwise from K_mu(w) = int_0^inf e^{-w cosh t} cosh(mu t) dt.
 
 * wk_bound, the majorant that fixes the truncation height of every
   K-kernel transform, minimises over four contour tilts eps for arrays of
@@ -384,7 +384,9 @@ def wk_bound(u, x) -> np.ndarray:
 
 
 def k_scaled(mu: complex, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """e^w K_mu(w) and e^w K_mu'(w) for an array of w > 0.
+    """e^w K_mu(w) and e^w K_mu'(w) for an array of w > 0: the seeds of
+    W_{kappa,mu}(2w) at integer kappa >= 0 (half-integer kappa is seeded
+    from the Laplace integral instead, in whittaker).
 
     Real mu takes scipy's scaled kve, with K_mu' = -(K_{mu-1} + K_{mu+1})/2.
     Otherwise the integral over t in [0, T] is cut where w (cosh T - 1) = 46

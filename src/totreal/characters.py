@@ -438,8 +438,10 @@ def enumerate_eisenstein_pairs(
     offset satisfies |s_1 - s_2| <= X; the diagonal parameter is sampled
     over |y| <= X.
     """
-    if X < 0:
-        raise ValueError("X must be nonnegative")
+    if not (math.isfinite(X) and X >= 0):
+        raise ValueError(f"X must be finite and >= 0, got {X}")
+    if not (math.isfinite(resolution) and resolution > 0):
+        raise ValueError(f"resolution must be finite and > 0, got {resolution}")
     K = c.field
     # c1 = largest ideal with c1^2 | c
     c1 = K.unit_ideal()

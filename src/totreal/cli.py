@@ -13,9 +13,9 @@ Each subcommand imports the layers it uses, and spectral, shifted and
 whittaker import numpy, scipy.special and the numeric layers inside the
 functions that evaluate with them.  So field, chars, eisen and shifted
 start without numpy, scipy or mpmath; kloosterman and spectral oldforms
-load numpy alone; whittaker loads numpy and mpmath, and scipy.special only
-on its K-Bessel and Laplace routes (integer kappa that does not terminate,
-and every gram); spectral bessel and kuz-geom load numpy and scipy.special.
+load numpy alone; whittaker loads numpy and mpmath, and scipy.special for
+every kappa whose Laguerre form does not apply (so for every gram);
+spectral bessel and kuz-geom load numpy and scipy.special.
 """
 
 from __future__ import annotations

@@ -294,20 +294,25 @@ def constant_term_local_factor(
     raise ValueError(f"unknown case {case!r}")
 
 
+# the cross-check route sums the layers j < _LAYER_DEPTH; the first layer it
+# leaves out has size N(p)^(-2 _LAYER_DEPTH Re s) (1 - 1/N(p))
+_LAYER_DEPTH = 40
+
+
 def constant_term_local_factor_layers(
     Np: int, s: complex, case: str = "unramified", v: int = 1,
-    v_eta: Optional[int] = None, depth: int = 40,
+    v_eta: Optional[int] = None,
 ) -> complex:
     """The same local factor from the raw p-adic layer decomposition,
-    truncated at the given depth (cross-check route)."""
+    truncated before layer _LAYER_DEPTH (cross-check route)."""
     N = float(Np)
     if case == "unramified":
         return 1 + sum(
-            N ** (-j * (1 + 2 * s)) * N**j * (1 - 1 / N) for j in range(1, depth)
+            N ** (-j * (1 + 2 * s)) * N**j * (1 - 1 / N) for j in range(1, _LAYER_DEPTH)
         )
     if case == "level":
         return sum(
-            N ** (-j * (1 + 2 * s)) * N**j * (1 - 1 / N) for j in range(v, depth)
+            N ** (-j * (1 + 2 * s)) * N**j * (1 - 1 / N) for j in range(v, _LAYER_DEPTH)
         )
     if case == "level-eta":
         if v_eta is None:
@@ -315,7 +320,7 @@ def constant_term_local_factor_layers(
         if v_eta <= -v:
             eta_abs = N ** (-v_eta)
             return eta_abs ** (2 * s - 1) * sum(
-                N ** (-j * (1 + 2 * s)) * N**j * (1 - 1 / N) for j in range(v, depth)
+                N ** (-j * (1 + 2 * s)) * N**j * (1 - 1 / N) for j in range(v, _LAYER_DEPTH)
             )
         return N ** (-float(v))
     raise ValueError(f"unknown case {case!r}")

@@ -91,6 +91,8 @@ class ShiftedQuery:
             raise ValueError("q must be nonzero")
         if len(self.Y) != K.d:
             raise ValueError("Y must have one entry per place")
+        if not all(math.isfinite(Yj) and Yj > 0 for Yj in self.Y):
+            raise ValueError(f"Y must be finite and > 0 at every place, got {self.Y}")
 
 
 def shifted_sum(query: ShiftedQuery) -> complex:
@@ -190,8 +192,8 @@ def dirichlet_D(
     warn = beta <= d * 66
     if not q.is_totally_positive():
         raise ValueError("q must be totally positive for the positive cone sum")
-    if not math.isfinite(trace_height):
-        raise ValueError(f"trace height must be finite, got {trace_height}")
+    if not (math.isfinite(trace_height) and trace_height > 0):
+        raise ValueError(f"trace height must be finite and > 0, got {trace_height}")
     H = trace_height
 
     def solutions(hmax: float):
@@ -251,6 +253,20 @@ def dirichlet_D(
 # fundamental domain for the totally positive unit action
 
 
+def _fd_position(K: FieldDesc, y: Sequence[float]) -> float:
+    """t = z / log eps_+, z the first log-coordinate of y / (N y)^(1/d): the
+    unit eps_+^-k moves t to t - k, so y lies in the fundamental domain
+    exactly when floor(t) = 0 (t = 0 for d = 1)."""
+    if any(v <= 0 for v in y):
+        raise ValueError("the unit fundamental domain needs totally positive coordinates")
+    if K.d == 1:
+        return 0.0
+    u_gen = K.totally_positive_unit_gens()[0]
+    le = math.log(u_gen.embeddings()[0])
+    z = math.log(y[0]) - (math.log(y[0]) + math.log(y[1])) / 2
+    return z / le
+
+
 def fd_reduce(K: FieldDesc, y: Sequence[float]) -> tuple[RingElement, list[float]]:
     """Reduce a totally positive vector into the unit fundamental domain.
 
@@ -258,16 +274,11 @@ def fd_reduce(K: FieldDesc, y: Sequence[float]) -> tuple[RingElement, list[float
     u*y / (N y)^(1/d) inside the half-open fundamental parallelotope.
     """
     y = [float(v) for v in y]
-    if any(v <= 0 for v in y):
-        raise ValueError("fd_reduce needs totally positive coordinates")
-    if K.d == 1:
-        return K.one(), y
-    u_gen = K.totally_positive_unit_gens()[0]
-    le = math.log(u_gen.embeddings()[0])
-    z = math.log(y[0]) - (math.log(y[0]) + math.log(y[1])) / 2
-    t = z / le
-    kfl = math.floor(t)
+    kfl = math.floor(_fd_position(K, y))
     u = K.one()
+    if kfl == 0:
+        return u, y
+    u_gen = K.totally_positive_unit_gens()[0]
     g = u_gen if kfl < 0 else u_gen.inverse()
     for _ in range(abs(kfl)):
         u = u * g
@@ -276,18 +287,12 @@ def fd_reduce(K: FieldDesc, y: Sequence[float]) -> tuple[RingElement, list[float
 
 
 def fd_contains(K: FieldDesc, y: Sequence[float]) -> bool:
-    u, _ = fd_reduce(K, y)
-    return u == K.one()
+    return math.floor(_fd_position(K, y)) == 0
 
 
 def fd_log_coordinate(K: FieldDesc, y: Sequence[float]) -> float:
     """Position in [0, 1) within the fundamental parallelotope (d = 2)."""
-    if K.d == 1:
-        return 0.0
-    u_gen = K.totally_positive_unit_gens()[0]
-    le = math.log(u_gen.embeddings()[0])
-    z = math.log(y[0]) - (math.log(y[0]) + math.log(y[1])) / 2
-    return (z / le) % 1.0
+    return _fd_position(K, y) % 1.0
 
 
 # ---------------------------------------------------------------------------
@@ -333,6 +338,9 @@ def amplified_moment(
     are equal as finite sums; the report also isolates the diagonal
     l1 r1 = l2 r2 contribution of side B.
     """
+    for name, size in (("L", L), ("Y", Y)):
+        if not (math.isfinite(size) and size > 0):
+            raise ValueError(f"{name} must be finite and > 0, got {size}")
     K = q.field
     if K.h != 1:
         raise ValueError("amplified moment requires h = 1")
@@ -430,6 +438,8 @@ def afe_sum(
     """The smoothed central-value sum: sum over integral ideals of
     lambda(m) chi(m) / sqrt(N m) * V(N m / Y); exact finite sum for a
     compactly supported V."""
+    if not (math.isfinite(Y) and Y > 0):
+        raise ValueError(f"Y must be finite and > 0, got {Y}")
     K = sys.field
     hi = int(math.floor(V.b * Y))
     if hi < 1:

@@ -38,6 +38,14 @@ from .fields import (
 )
 
 RAMANUJAN_THETA = 1.0 / 9.0
+# the Euler factors of shifted_inner_ratio stop once their tail bound is
+# below this
+_INNER_RATIO_TOL = 1e-12
+# oldform_gram_schmidt refuses a level with more shift divisors than this
+_MAX_OLDFORM_DIVISORS = 64
+# A in |kcheck(t)| <= A Z^2 min(1, sqrt|t|), the transform bound in the tail
+# majorant of kuznetsov_geometric_side: assumed, not proven (ROADMAP item 3)
+KERNEL_BOUND_A = 8.0
 
 
 class EigenvalueSystem:
@@ -119,9 +127,7 @@ def eisenstein_system(chi: HeckeCharacter) -> EigenvalueSystem:
     return sys
 
 
-def shifted_inner_ratio(
-    sys: EigenvalueSystem, t1: Ideal, t2: Ideal, tol: float = 1e-12
-) -> complex:
+def shifted_inner_ratio(sys: EigenvalueSystem, t1: Ideal, t2: Ideal) -> complex:
     """<R_{t1} phi, R_{t2} phi> / <phi, phi> by the Euler-product formula
     with the coprime parts t_i' = t_i / gcd(t1, t2)."""
     if sys.theta >= 0.5:
@@ -150,7 +156,7 @@ def shifted_inner_ratio(
                     (k + 2) * (k + nu + 2) * N ** ((k + 1) * (2 * sys.theta - 1))
                     / (1 - N ** (2 * sys.theta - 1))
                 )
-                if bound < tol and k > 4:
+                if bound < _INNER_RATIO_TOL and k > 4:
                     break
                 k += 1
                 if k > 10000:
@@ -173,9 +179,7 @@ class OldformBasis:
         return self.alpha.get((t.key(), s.key()), 0.0)
 
 
-def oldform_gram_schmidt(
-    sys: EigenvalueSystem, c: Ideal, max_divisors: int = 64
-) -> OldformBasis:
+def oldform_gram_schmidt(sys: EigenvalueSystem, c: Ideal) -> OldformBasis:
     """Orthonormalize the shift maps {R_t : t | c c_pi^{-1}} against the
     inner products of shifted_inner_ratio; divisor order is ascending
     (norm, HNF key)."""
@@ -185,7 +189,7 @@ def oldform_gram_schmidt(
         raise ValueError("conductor must divide the level")
     quot = c * sys.conductor.inverse()
     divs = divisors(quot)
-    if len(divs) > max_divisors:
+    if len(divs) > _MAX_OLDFORM_DIVISORS:
         raise ValueError("too many divisors")
     n = len(divs)
     G = np.zeros((n, n), dtype=complex)
@@ -417,14 +421,11 @@ def kuznetsov_geometric_side(
     r2: RingElement,
     level: Ideal,
     k: Sequence[KTestGaussian],
-    c1: float = 1.0,
-    c2: float = 1.0,
     box: float = 40.0,
-    kernel_bound_const: float = 8.0,
     tail_target: float = 5e-9,
 ) -> dict:
-    """Geometric side: c1 * diagonal * prod ktilde_j + c2 * unit/Kloosterman
-    double sum, with the modulus sum truncated to the embedding box
+    """Geometric side: diagonal * prod ktilde_j + unit/Kloosterman double
+    sum, with the modulus sum truncated to the embedding box
     [-box, box]^d and a reported Weil-bound tail majorant.
 
     Two passes over the box, with the transforms between them.  The first
@@ -439,10 +440,10 @@ def kuznetsov_geometric_side(
     product of the term's transforms in place order, term after term, as a
     term-by-term walk would.
 
-    kernel_bound_const is the constant in |kcheck(t)| <= A Z^2 min(1,
-    sqrt|t|) used only in the majorant; tail_target is the tail bound asked
-    of every transform and of ktilde.  The result's "transforms" counts the
-    distinct t per place.
+    The majorant takes |kcheck(t)| <= A Z^2 min(1, sqrt|t|) with A =
+    KERNEL_BOUND_A; tail_target is the tail bound asked of every transform
+    and of ktilde.  The result's "transforms" counts the distinct t per
+    place.
     """
     from .kloosterman import KloostermanQuery, kloosterman_sums
 
@@ -464,7 +465,7 @@ def kuznetsov_geometric_side(
     tilde_of = {kj: bessel_tilde(kj, tail_target) for kj in places}
     tildes = [tilde_of[kj] for kj in k]
     same = Ideal.principal(r1) == Ideal.principal(r2)
-    diag = c1 * (1.0 if same else 0.0)
+    diag = 1.0 if same else 0.0
     for td in tildes:
         diag *= td["value"]
     units = K.units_mod_squares()
@@ -502,11 +503,10 @@ def kuznetsov_geometric_side(
             total += S / nc * prod
     # tail majorant: Weil + |kcheck| <= A Z^2 min(1, sqrt) beyond the box
     NB = box**K.d / 2  # crude norm reached inside the box
-    A = kernel_bound_const
     wnorm = abs(float((Ideal.principal(r1 * r2)).norm() / gamma.norm()))
     kc = 1.0
     for kj in k:
-        kc *= A * kj.Z**2
+        kc *= KERNEL_BOUND_A * kj.Z**2
     tail = 0.0
     for I in ideals_of_norm_up_to(K, int(4 * NB) + 8):
         n = float(I.norm())
@@ -514,13 +514,13 @@ def kuznetsov_geometric_side(
             continue
         tau = arith_functions(I)[2]
         tail += tau * math.sqrt(n) / n * math.sqrt(wnorm) / n * (2**K.d) * 3.0
-    tail *= abs(c2) * kc
-    tail += abs(c2) * kc * math.sqrt(wnorm) * 4.0 / math.sqrt(max(NB, 1.0))
-    value = diag + c2 * total
+    tail *= kc
+    tail += kc * math.sqrt(wnorm) * 4.0 / math.sqrt(max(NB, 1.0))
+    value = diag + total
     return {
         "value": value,
         "diagonal": diag,
-        "off_diagonal": c2 * total,
+        "off_diagonal": total,
         "terms": len(moduli) * len(units),
         "transforms": [len(seen) for seen in first],
         "box": box,

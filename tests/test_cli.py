@@ -93,6 +93,16 @@ def test_gram_order_limit():
     assert "at most 60" in " ".join(proc.stdout.split())
 
 
+def test_gram_odd_orders():
+    # odd q runs on the same array routes as even q: seconds, not minutes
+    proc = subprocess.run(CMD + ["whittaker", "gram", "--qmax", "5"],
+                          capture_output=True, text=True, timeout=5)
+    assert proc.returncode == 0, proc.stderr
+    doc = json.loads(proc.stdout)["result"]
+    assert len(doc["csv"]) == 1 + 3 * 6 * 6
+    assert doc["max_identity_deviation"] <= 1e-5
+
+
 def test_field_range():
     # a long unit period finishes quickly; D above 10^7 and a fundamental unit
     # beyond the float range are refused with exit 2, not a hang or a traceback
@@ -182,6 +192,28 @@ def test_bessel_cli_oversized_Z():
 ])
 def test_bad_spectral_inputs_refused(args, message):
     # exit 2 with a JSON error and nothing on stderr, at once
+    proc = subprocess.run(CMD + list(args), capture_output=True, text=True, timeout=2)
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr == ""
+    assert message in json.loads(proc.stdout)["error"]
+
+
+@pytest.mark.parametrize("args,message", [
+    (("shifted", "amplify", "--q", "7", "--L", "5", "--Y", "inf"), "Y must be finite and > 0"),
+    (("shifted", "amplify", "--q", "7", "--L", "inf"), "L must be finite and > 0"),
+    (("shifted", "sum", "--q", "1", "--Y", "inf"), "Y must be finite and > 0"),
+    (("shifted", "afe", "--Y", "inf"), "Y must be finite and > 0"),
+    (("chars", "eisen-count", "--level", "1", "--X", "inf"), "X must be finite and >= 0"),
+    (("chars", "eisen-count", "--level", "1", "--X", "2", "--resolution", "0"),
+     "resolution must be finite and > 0"),
+    (("whittaker", "eval", "--q", "2", "--nu", "0.5", "--y", "inf"), "y must be finite and nonzero"),
+    (("whittaker", "eval", "--q", "2", "--nu", "0.5", "--y", "nan"), "y must be finite and nonzero"),
+    (("shifted", "dirichlet", "--q", "1", "--s", "1.5", "--height", "-1"),
+     "trace height must be finite and > 0"),
+])
+def test_bad_sizes_refused(args, message):
+    # sizes that are not finite, or zero where they divide: exit 2 with a
+    # JSON error and nothing on stderr, at once, not a traceback or a value
     proc = subprocess.run(CMD + list(args), capture_output=True, text=True, timeout=2)
     assert proc.returncode == 2, proc.stderr
     assert proc.stderr == ""
@@ -280,6 +312,31 @@ def test_readme_command_imports(name):
     command, modules = README_IMPORTS[name]
     code = f"import totreal.cli as c\nassert c.main({command.split()!r}) == 0"
     assert _loaded_after(code) == modules
+
+
+def test_readme_outputs_match_the_benchmark_reference(monkeypatch):
+    # the benchmark's README commands, run through cli.main, print what
+    # bench/reference.json pins by md5, so output drift shows here first
+    import contextlib
+    import hashlib
+    import importlib.util
+    import io
+    import shlex
+
+    from totreal import cli
+
+    bench = Path(__file__).parents[1] / "bench"
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    spec = importlib.util.spec_from_file_location("bench_spans", bench / "spans.py")
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    reference = json.loads((bench / "reference.json").read_text())
+    assert spans.CLI_COMMANDS
+    for name, command in spans.CLI_COMMANDS.items():
+        buf = io.StringIO()
+        with contextlib.redirect_stdout(buf):
+            assert cli.main(shlex.split(command)) == 0, name
+        assert hashlib.md5(buf.getvalue().encode()).hexdigest() == reference[f"cli.{name}"], name
 
 
 def test_exact_layers_import_without_numpy():

@@ -179,6 +179,27 @@ def test_fd_reduce():
     assert uu == K5.one()
 
 
+@pytest.mark.parametrize("D", [5, 13])
+def test_fd_contains_only_the_unshifted_point(D):
+    # y0 sits at log coordinate 0.4; eps_+^k y0 sits at 0.4 + k, so it lies
+    # in the domain only at k = 0, and reduces back to y0 for every k
+    K = make_field(D)
+    eps = K.totally_positive_unit_gens()[0]
+    le = math.log(eps.embeddings()[0])
+    y0 = [3.0 * math.exp(0.8 * le), 3.0]
+    for k in range(-6, 7):
+        u = K.one()
+        for _ in range(abs(k)):
+            u = u * (eps if k > 0 else eps.inverse())
+        e = u.embeddings()
+        y = [e[0] * y0[0], e[1] * y0[1]]
+        assert fd_contains(K, y) == (k == 0), (D, k)
+        assert fd_log_coordinate(K, y) == pytest.approx(0.4, abs=1e-9)
+        assert fd_reduce(K, y)[1] == pytest.approx(y0, rel=1e-9)
+    with pytest.raises(ValueError):
+        fd_contains(K, [1.0, 0.0])
+
+
 def test_fd_random_lattice_rounding():
     rng = random.Random(11)
     for _ in range(40):

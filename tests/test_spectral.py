@@ -507,9 +507,7 @@ def test_kuznetsov_large_level_is_diagonal():
     # delta term survives
     k = [KTestGaussian(1.0)]
     lev = Q.ideal(10**4)
-    rec = kuznetsov_geometric_side(
-        Q.element(1), Q.element(1), lev, k, box=0.5, kernel_bound_const=8.0
-    )
+    rec = kuznetsov_geometric_side(Q.element(1), Q.element(1), lev, k, box=0.5)
     assert rec["terms"] == 0
     assert rec["value"] == pytest.approx(rec["ktilde"][0], rel=1e-12)
 

@@ -18,7 +18,7 @@ from totreal.whittaker import (
     nu_admissible,
     whittaker_inner,
     whittaker_w,
-    whittaker_w_int,
+    whittaker_w_array,
 )
 
 
@@ -33,14 +33,13 @@ def test_closed_form_examples():
 
 
 def test_against_mpmath_grid():
-    # relative 1e-9 on x in [1e-3, 50] across parameter classes; mpmath only
-    # for half-integer kappa
+    # relative 1e-9 on x in [1e-3, 50] across parameter classes
     cases = [(1, 0.3j), (0, 0.25), (2, 0.5), (-1, 0.7j), (1.5, 1.0j)]
     cases += [(k, mu) for k in (-2, -1, 0, 1, 2) for mu in (0, 0.25, 1 / 9, 0.5j, 1j)]
     for kappa, mu in cases:
         for x in (1e-3, 0.1, 1.0, 10.0, 50.0):
             got, route = whittaker_w(kappa, mu, x)
-            assert (route == "mpmath") == (kappa != int(kappa)), (kappa, mu, route)
+            assert route in ("laguerre", "kbessel", "laplace"), (kappa, mu, route)
             want = complex(mp.whitw(kappa, mu, x))
             assert abs(got - want) <= 1e-9 * max(abs(want), 1e-300), (kappa, mu, x)
 
@@ -52,14 +51,34 @@ def test_gram_grid_against_mpmath():
     xs = 4 * math.pi * ys[::16]
     for nu in (0.5j, 1 / 9, 0.0):
         for kappa in (-2, -1, 0, 1, 2):
-            got, _ = whittaker_w_int(kappa, nu, xs)
+            got, _ = whittaker_w_array(kappa, nu, xs)
             want = np.array([complex(mp.whitw(kappa, nu, x)) for x in xs])
             keep = np.abs(want) >= 1e-12 * np.max(np.abs(want))
             assert np.all(np.abs(got - want)[keep] <= 1e-9 * np.abs(want)[keep]), (nu, kappa)
     # an order at which x^kappa alone overflows on the first nodes
-    got, _ = whittaker_w_int(-35, 0.5j, xs[:4])
+    got, _ = whittaker_w_array(-35, 0.5j, xs[:4])
     want = np.array([complex(mp.whitw(-35, 0.5j, x)) for x in xs[:4]])
     assert np.all(np.abs(got - want) <= 1e-9 * np.abs(want))
+
+
+def test_half_integer_grid_against_mpmath():
+    # odd q: every 16th node of the default Gram grid, through the Laplace
+    # route below 0 and the upward relation from its values at -3/2 and -1/2
+    # above; relative 1e-9 where |W| >= 1e-12 max|W|, and at the edge of the
+    # accuracy range, Im mu = 4, 1e-9 of max|W|
+    ys, _ = log_axis_grid(-26.0, 4.2, 0.04)
+    xs = 4 * math.pi * ys[::16]
+    for nu in (0.0, 0.5j, 1j, 4j):
+        for kappa in (-3.5, -0.5, 0.5, 1.5, 7.5, 29.5):
+            got, route = whittaker_w_array(kappa, nu, xs)
+            assert route == "laplace"
+            want = np.array([complex(mp.whitw(kappa, nu, x)) for x in xs])
+            err, top = np.abs(got - want), np.max(np.abs(want))
+            if nu == 4j:
+                assert np.max(err) <= 1e-9 * top, (nu, kappa)
+            else:
+                keep = np.abs(want) >= 1e-12 * top
+                assert np.all(err[keep] <= 1e-9 * np.abs(want)[keep]), (nu, kappa)
 
 
 def test_asymptotic_normalization():
@@ -77,9 +96,26 @@ def test_admissibility():
     assert not nu_admissible(1, 0.25)
     with pytest.raises(WhittakerDomainError):
         WhittakerSpec((2,), (0.7,))
-    # beyond the accuracy range of the integer-kappa routes
+    # beyond the accuracy range of the array routes, at integer and
+    # half-integer kappa
+    for kappa in (1, 1.5, -2.5):
+        with pytest.raises(WhittakerDomainError, match="above 4"):
+            whittaker_w(kappa, 5j, 1.0)
+    # kappa = q/2 only
+    for kappa in (0.25, -1.3):
+        with pytest.raises(WhittakerDomainError, match="not in Z/2"):
+            whittaker_w(kappa, 0.5j, 1.0)
+        with pytest.raises(WhittakerDomainError, match="not in Z/2"):
+            whittaker_w_array(kappa, 0.5j, [1.0])
+    # a kappa off Z/2 is refused even where its series would terminate
     with pytest.raises(WhittakerDomainError):
-        whittaker_w(1, 5j, 1.0)
+        whittaker_w(0.25, 0.25, 1.0)
+    for x in (0.0, -1.0, math.inf, math.nan):
+        with pytest.raises(WhittakerDomainError, match="x must be finite"):
+            whittaker_w(1, 0.5j, x)
+    for y in (0.0, math.inf, -math.inf, math.nan):
+        with pytest.raises(WhittakerDomainError, match="y must be finite"):
+            normalized_whittaker_1d(2, 0.5, y)
 
 
 def test_normalized_examples():
@@ -155,10 +191,12 @@ def test_gram_small():
 
 
 def test_order_limit():
-    # |q| = Q_MAX still converges at nu = 0, 0.5i and 1i; past it the
-    # pairing and the Gram matrix refuse before any grid is built
+    # |q| = Q_MAX, and the odd order below it, still converge at nu = 0, 0.5i
+    # and 1i; past it the pairing and the Gram matrix refuse before any grid
+    # is built
     for nu in (0, 0.5j, 1j):
-        assert whittaker_inner(whittaker.Q_MAX, whittaker.Q_MAX, nu) == pytest.approx(1, abs=1e-6)
+        for q in (whittaker.Q_MAX, whittaker.Q_MAX - 1):
+            assert whittaker_inner(q, q, nu) == pytest.approx(1, abs=1e-6)
     misses = whittaker._grid_values.cache_info().misses
     for q in (whittaker.Q_MAX + 1, whittaker.Q_MAX + 2, -80):
         with pytest.raises(WhittakerDomainError, match=str(whittaker.Q_MAX)):
@@ -169,9 +207,11 @@ def test_order_limit():
 
 
 def test_grid_cache_bounded():
+    # at nu = 1/2 every order m <= 0 sits on a Gamma pole, so each of these
+    # distinct keys is a cheap zero grid
     maxsize = whittaker._grid_values.cache_info().maxsize
     for i in range(maxsize + 5):
-        whittaker._grid_values(0.0, 0.5j, -1.0, 1.0, 0.5 + 0.001 * i)
+        whittaker._grid_values(-float(i), 0.5)
     assert whittaker._grid_values.cache_info().currsize == maxsize
 
 
