@@ -18,7 +18,7 @@ from fractions import Fraction
 from typing import Optional
 
 from .characters import HeckeCharacter
-from .fields import FieldDesc, Ideal, arith_functions, factor_ideal, primes_up_to
+from .fields import FieldDesc, Ideal, PrimeIdeal, arith_functions, factor_ideal, primes_up_to
 
 
 def local_dimension(n: int, m: int) -> int:
@@ -170,7 +170,7 @@ class EisCoefficientContext:
         chi_cond = self.chi.conductor()
         self.t_chi = K.unit_ideal()
         self.F = 1.0
-        self.local: dict[tuple, dict] = {}
+        self.local: dict[PrimeIdeal, dict] = {}
         for P, v in factor_ideal(self.t):
             ram = chi_cond.norm() > 1 and P.ideal.divides(chi_cond)
             z = None if ram else self.chi.eval_on_ideal(P.ideal) ** 2
@@ -189,7 +189,7 @@ class EisCoefficientContext:
             info["tchi_exp"] = tchi_exp
             for _ in range(tchi_exp):
                 self.t_chi = self.t_chi * P.ideal
-            self.local[(P.p, P.ideal.key())] = info
+            self.local[P] = info
 
     def lambda_chi_t(self, m: Ideal) -> complex:
         """The multiplicative function lambda_{chi,t} at an integral ideal."""
@@ -197,9 +197,8 @@ class EisCoefficientContext:
             return 0.0
         out = 1.0 + 0j
         for P, n in factor_ideal(m):
-            key = (P.p, P.ideal.key())
-            if key in self.local:
-                info = self.local[key]
+            if P in self.local:
+                info = self.local[P]
                 if info["ramified"]:
                     return 0.0
                 out *= self._local_lambda(info, n)
@@ -345,7 +344,7 @@ def constant_term_H_numeric(c: Ideal, delta: float, prime_bound: int = 3000) -> 
         math.sqrt(math.pi) * math.gamma(s) / math.gamma(s + 0.5)
     ) ** d
     val *= float(abs(K.disc)) ** (-2 * s)
-    level_primes = {(P.p, P.ideal.key()): e for P, e in factor_ideal(c)} if c.norm() > 1 else {}
+    level_primes = dict(factor_ideal(c))
     zeta_num = 1.0  # prod (1 - Np^-2s)^-1 over Np <= bound
     zeta_den = 1.0  # prod (1 - Np^-(1+2s))^-1
     lam_num = 1.0  # zeta part of Lambda(1+2delta) = zeta_K(1+2delta)
@@ -357,9 +356,8 @@ def constant_term_H_numeric(c: Ideal, delta: float, prime_bound: int = 3000) -> 
                 continue
             lam_num /= 1 - N ** (-(1 + 2 * delta))
             lam_den /= 1 - N ** (-(2 + 2 * delta))
-            key = (P.p, P.ideal.key())
-            if key in level_primes:
-                val *= constant_term_local_factor(N, s, "level", level_primes[key])
+            if P in level_primes:
+                val *= constant_term_local_factor(N, s, "level", level_primes[P])
             else:
                 val *= constant_term_local_factor(N, s, "unramified")
     lam_ratio = (

@@ -23,6 +23,10 @@ the only reduction of a lattice: walked from omega it gives the fundamental
 unit, its cycles on the reduced pairs (a, b) count the class number, and
 walked from an ideal's HNF it gives a generator of the ideal.
 
+Ideals are listed in one place, ideals_of_norm_up_to, one product of prime
+ideals per ideal under a norm bound of at most MAX_BOX_POINTS; a
+factorisation is read off the HNF (_factor).
+
 The units of o/c are decided in one place, unit_mask: a bytearray over the
 classes i + j*omega with one strided slice cleared per prime P | c.  Both
 ResidueSystem (the characters) and the Kloosterman tables read it.
@@ -56,7 +60,8 @@ MAX_D = 10**7
 # enumerate_in_box refuses a box whose volume over the covolume of the
 # lattice exceeds this many points: over Q(sqrt D) a box of side B holds
 # about B^2/sqrt(disc) points of o_K, and the default trace height 300 of
-# shifted.dirichlet_D over Q(sqrt 5) needs about 6.4e5
+# shifted.dirichlet_D over Q(sqrt 5) needs about 6.4e5; ideals_of_norm_up_to
+# refuses a norm bound above it
 MAX_BOX_POINTS = 1_000_000
 
 
@@ -714,15 +719,6 @@ class FieldDesc:
             out.append(PrimeIdeal(self.ideal(p, gen2), p, 1, e, gen2))
         return out
 
-    def prime_valuation(self, P: PrimeIdeal, I: Ideal) -> int:
-        v = 0
-        J = I
-        inv = P.ideal.inverse()
-        while P.ideal.divides(J):
-            J = J * inv
-            v += 1
-        return v
-
 
 # ---------------------------------------------------------------------------
 # module-level operations
@@ -749,11 +745,22 @@ def factor_ideal(I: Ideal, bound: int = 10**7) -> list[tuple[PrimeIdeal, int]]:
 
 @functools.lru_cache(maxsize=200_000)
 def _factor(I: Ideal) -> list[tuple[PrimeIdeal, int]]:
+    """Read from the HNF: I = c*J with J = (A, B + omega) primitive, A = a/c
+    and B = b/c.  P | p divides (c) e_P*v_p(c) times; J, prime to every
+    rational integer, v_p(A) times when P = (p, omega - r) holds B + omega,
+    that is B + r = 0 mod p, and else not.  Over Q, v_p(I) = v_p(a)."""
     K = I.field
+    if K.d == 1:
+        return [(K.primes_above(p)[0], v) for p, v in _factor_int(I.a).items()]
+    c = I.c
+    A, B = I.a // c, I.b // c
+    fc, fA = _factor_int(c), _factor_int(A)
     out = []
-    for p in _factor_int(int(I.norm())):
+    for p in sorted(fc.keys() | fA.keys()):
         for P in K.primes_above(p):
-            v = K.prime_valuation(P, I)
+            v = P.e * fc.get(p, 0)
+            if P.second is not None and (B - P.second.x) % p == 0:  # second = omega - r
+                v += fA.get(p, 0)
             if v:
                 out.append((P, v))
     return out
@@ -1153,38 +1160,28 @@ unit_reduced_generator = principal_generator
 
 
 def ideals_of_norm_up_to(K: FieldDesc, bound: int) -> list[Ideal]:
-    """All nonzero integral ideals of norm <= bound, sorted by (norm, HNF)."""
-    pps: list[list[tuple[Ideal, int]]] = []  # per prime ideal: powers with norms
-    for p in primes_up_to(bound):
-        for P in K.primes_above(p):
-            if P.norm() > bound:
-                continue
-            powers = []
-            I = P.ideal
-            nm = P.norm()
-            k = 1
-            while nm <= bound:
-                powers.append((I, nm))
-                k += 1
-                I = I * P.ideal
-                nm = P.norm() ** k
-            pps.append(powers)
-    # (norm, ideal) pairs kept sorted by norm, so each power stops at the
-    # first partial product whose norm times N(P^k) exceeds the bound; the
-    # largest primes go first, so the list re-sorted after each prime stays
-    # short until the small primes, which have the most multiples
-    out = [(1, K.unit_ideal())]
-    for powers in reversed(pps):
-        new = list(out)
-        for I, nm in powers:
-            for nj, J in out:
-                if nj * nm > bound:
-                    break
-                new.append((nj * nm, J * I))
-        new.sort(key=lambda e: e[0])
-        out = new
+    """All nonzero integral ideals of norm <= bound, sorted by (norm, HNF).
+
+    With the prime ideals sorted by norm, each ideal is made once, as its
+    prefix times its last prime: a product extends only by primes from its
+    last one on and stops at the first that passes the bound, so the walk is
+    linear in the number of ideals.  A bound above MAX_BOX_POINTS is refused
+    with ValueError before the primes are sieved."""
+    if bound > MAX_BOX_POINTS:
+        raise ValueError(f"ideals of norm <= {bound} requested, above the limit of {MAX_BOX_POINTS}")
+    primes = [(P.norm(), P.ideal) for p in primes_up_to(bound) for P in K.primes_above(p)]
+    primes.sort(key=lambda e: e[0])
+    # (norm, ideal, index of its last prime); the loop visits the products
+    # it appends
+    out = [(1, K.unit_ideal(), 0)]
+    for nj, J, i in out:
+        for k in range(i, len(primes)):
+            n = nj * primes[k][0]
+            if n > bound:
+                break
+            out.append((n, J * primes[k][1], k))
     out.sort(key=lambda e: (e[0], e[1].key()))
-    return [I for _, I in out]
+    return [I for _, I, _ in out]
 
 
 def field_to_json(K: FieldDesc) -> dict:

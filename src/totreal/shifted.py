@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Optional, Sequence
+from typing import Callable, Sequence
 
 from .fields import (
     FieldDesc,
@@ -286,10 +286,6 @@ def fd_reduce(K: FieldDesc, y: Sequence[float]) -> tuple[RingElement, list[float
     return u, [emb[j] * y[j] for j in range(K.d)]
 
 
-def fd_contains(K: FieldDesc, y: Sequence[float]) -> bool:
-    return math.floor(_fd_position(K, y)) == 0
-
-
 def fd_log_coordinate(K: FieldDesc, y: Sequence[float]) -> float:
     """Position in [0, 1) within the fundamental parallelotope (d = 2)."""
     return _fd_position(K, y) % 1.0
@@ -299,25 +295,32 @@ def fd_log_coordinate(K: FieldDesc, y: Sequence[float]) -> float:
 # amplified second moment (the Plancherel identity experiment)
 
 
+def _reduced_generators(K: FieldDesc, lo: float, hi: float):
+    """(I, r) for each integral ideal I with lo <= N(I) <= hi that has a
+    totally positive generator, r that generator reduced into F by fd_reduce:
+    one r per class of totally positive elements modulo U^+, in the order
+    of ideals_of_norm_up_to."""
+    for I in ideals_of_norm_up_to(K, math.floor(hi)):
+        if I.norm() < lo:
+            continue
+        g = principal_generator(I)
+        if not g.is_totally_positive():
+            continue  # no totally positive generator exists
+        u, _ = fd_reduce(K, g.embeddings())
+        yield I, u * g
+
+
 def _amplifier_primes(K: FieldDesc, q: Ideal, L: float) -> list[RingElement]:
     """Totally positive prime-ideal generators, reduced into F, with norm
     in [L, 2L] and coprime to q."""
     out = []
-    for I in ideals_of_norm_up_to(K, int(2 * L)):
-        n = int(I.norm())
-        if n < L or n > 2 * L or n == 1:
-            continue
+    for I, r in _reduced_generators(K, L, 2 * L):
         fac = factor_ideal(I)
         if len(fac) != 1 or fac[0][1] != 1:
             continue
         if q.norm() > 1 and (I + q).norm() != 1:
             continue
-        g = principal_generator(I)
-        if not g.is_totally_positive():
-            continue  # no totally positive generator exists
-        # reduce into the fundamental domain
-        u, _ = fd_reduce(K, g.embeddings())
-        out.append(u * g)
+        out.append(r)
     return out
 
 
@@ -328,10 +331,12 @@ def amplified_moment(
     chi: HeckeCharacter,
     V: SmoothBump,
     Y: float,
-    y: Optional[Ideal] = None,
 ) -> dict:
     """Both sides of the amplified-moment rearrangement.
 
+    The r-sum runs over the totally positive r modulo U^+, one term per
+    ideal (r) in the support of V(N(r)/Y), with r the generator reduced
+    into F (_reduced_generators) and weight V(N(r)/Y) lambda(r)/sqrt(N(r)).
     Side A sums |L_xi|^2 |amplifier(xi)|^2 over all finite characters xi
     mod q; side B is the Plancherel rearrangement phi(q) * sum over
     residues x of |inner sum over r in the class x ell^{-1}|^2.  The two
@@ -344,29 +349,16 @@ def amplified_moment(
     K = q.field
     if K.h != 1:
         raise ValueError("amplified moment requires h = 1")
-    if y is None:
-        y = K.unit_ideal()
     ells = _amplifier_primes(K, q, L)
     if not ells:
         raise ValueError(f"no amplifier primes with norm in [{L}, {2*L}]")
-    # weighted r-sum support: totally positive r in y, F-reduced, N r <= 2Y
-    if K.d == 1:
-        B = Fraction(2 * Y).limit_denominator(10**9)
-        box = [(Fraction(0), B)]
-    else:
-        eps_plus = K.totally_positive_unit_gens()[0].embeddings()[0]
-        B = Fraction(math.sqrt(2 * Y * eps_plus) + 1).limit_denominator(10**9)
-        box = [(Fraction(0), B), (Fraction(0), B)]
     rs = []
-    for r in enumerate_in_box(y, box, totally_positive=True):
-        w = V(abs(float(r.norm())) / Y)
+    for I, r in _reduced_generators(K, V.a * Y, V.b * Y):
+        n = float(I.norm())
+        w = V(n / Y)
         if w == 0.0:
             continue
-        if K.d == 2 and not fd_contains(K, r.embeddings()):
-            continue
-        I = Ideal.principal(r) * y.inverse()
-        lam = sys.lambda_value(I)
-        rs.append((r, lam / math.sqrt(float(I.norm())) * w))
+        rs.append((r, sys.lambda_value(I) / math.sqrt(n) * w))
     chars = characters_mod(q)
     rsys = chars[0].structure.rs
     # side A

@@ -419,14 +419,36 @@ def test_dirichlet_height_limit():
 
 
 def test_oversized_boxes_refused():
-    # the amplifier's r-box: 2e8 points over Q at Y = 10^8, and a side of
-    # about 10^135 over Q(sqrt 48799), whose unit is about 1e269
-    for args in (("--field", "1", "shifted", "amplify", "--q", "7", "--L", "5", "--Y", "100000000"),
-                 ("--field", "48799", "shifted", "amplify", "--q", "7", "--L", "5", "--Y", "40")):
-        proc = subprocess.run(CMD + list(args), capture_output=True, text=True, timeout=2)
-        assert proc.returncode == 2
-        assert proc.stderr == ""
-        assert "limit of 1000000" in json.loads(proc.stdout)["error"]
+    # the amplifier's r-sum over Q at Y = 10^8 asks for the ideals of norm
+    # up to 2*10^8
+    args = ("--field", "1", "shifted", "amplify", "--q", "7", "--L", "5", "--Y", "100000000")
+    proc = subprocess.run(CMD + list(args), capture_output=True, text=True, timeout=2)
+    assert proc.returncode == 2
+    assert proc.stderr == ""
+    assert "limit of 1000000" in json.loads(proc.stdout)["error"]
+
+
+@pytest.mark.parametrize("D", [1381, 48799])
+def test_amplifier_over_large_units(D):
+    # units about 7e10 and 1e269: the r-sum walks the ideals of norm <= 2Y,
+    # so its size does not grow with the unit
+    args = ("--field", str(D), "shifted", "amplify", "--q", "7", "--L", "5", "--Y", "40")
+    proc = subprocess.run(CMD + list(args), capture_output=True, text=True, timeout=2)
+    assert proc.returncode == 0, proc.stdout
+    assert json.loads(proc.stdout)["result"]["relative_difference"] <= 1e-9
+
+
+@pytest.mark.parametrize("args", [
+    ("shifted", "afe", "--Y", "1e8"),
+    ("kloosterman", "sweep", "--cmax", "100000000"),
+    ("shifted", "amplify", "--q", "7", "--L", "1e8"),
+], ids=["afe", "sweep", "amplify-L"])
+def test_oversized_ideal_walks_refused(args):
+    proc = subprocess.run(CMD + ["--field", "1"] + list(args), capture_output=True, text=True,
+                          timeout=2)
+    assert proc.returncode == 2
+    assert proc.stderr == ""
+    assert "limit of 1000000" in json.loads(proc.stdout)["error"]
 
 
 def test_chars_list_cli():

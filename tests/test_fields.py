@@ -346,6 +346,36 @@ def test_ideal_count_growth():
             assert x / C <= n <= C * x
 
 
+@pytest.mark.parametrize("D", [1, 2, 5, 13])
+def test_ideal_counts_by_norm(D):
+    # the number of ideals of norm n is sum_{d | n} (disc/d), and 1 over Q
+    K = make_field(D)
+    counts = {}
+    for I in ideals_of_norm_up_to(K, 2000):
+        counts[I.norm()] = counts.get(I.norm(), 0) + 1
+    chi = [0] + [_kronecker(K.disc, d) for d in range(1, 2001)]
+    for n in range(1, 2001):
+        expect = 1 if D == 1 else sum(chi[d] for d in range(1, n + 1) if n % d == 0)
+        assert counts.get(n, 0) == expect, (D, n)
+
+
+@pytest.mark.parametrize("D", [1, 2, 3, 5, 13, 21, 94, 1381])
+def test_factorisation_multiplies_back(D):
+    # the product of the prime powers is the ideal, primes from primes_above
+    # in order p ascending, each listed once with a positive exponent
+    K = make_field(D)
+    for I in ideals_of_norm_up_to(K, 3000):
+        fac = factor_ideal(I)
+        prod = K.unit_ideal()
+        for P, v in fac:
+            assert v > 0 and P in K.primes_above(P.p)
+            for _ in range(v):
+                prod = prod * P.ideal
+        assert prod == I, (D, I)
+        order = [(P.p, K.primes_above(P.p).index(P)) for P, _ in fac]
+        assert order == sorted(set(order))
+
+
 def test_tau_bound():
     for K in (K5, Q, K2):
         ideals = ideals_of_norm_up_to(K, 60)

@@ -16,7 +16,6 @@ from totreal.shifted import (
     afe_sum,
     amplified_moment,
     dirichlet_D,
-    fd_contains,
     fd_log_coordinate,
     fd_reduce,
     shifted_sum,
@@ -160,7 +159,6 @@ def test_dirichlet_domain_checks():
 
 def test_fd_reduce():
     u, red = fd_reduce(K5, [7.3, 0.11])
-    assert fd_contains(K5, red)
     assert 0.0 <= fd_log_coordinate(K5, red) < 1.0
     # norm preserved
     assert red[0] * red[1] == pytest.approx(7.3 * 0.11, rel=1e-12)
@@ -182,7 +180,8 @@ def test_fd_reduce():
 @pytest.mark.parametrize("D", [5, 13])
 def test_fd_contains_only_the_unshifted_point(D):
     # y0 sits at log coordinate 0.4; eps_+^k y0 sits at 0.4 + k, so it lies
-    # in the domain only at k = 0, and reduces back to y0 for every k
+    # in the domain only at k = 0 (fd_reduce returns the unit 1 exactly
+    # there), and reduces back to y0 for every k
     K = make_field(D)
     eps = K.totally_positive_unit_gens()[0]
     le = math.log(eps.embeddings()[0])
@@ -193,11 +192,12 @@ def test_fd_contains_only_the_unshifted_point(D):
             u = u * (eps if k > 0 else eps.inverse())
         e = u.embeddings()
         y = [e[0] * y0[0], e[1] * y0[1]]
-        assert fd_contains(K, y) == (k == 0), (D, k)
+        u_red, y_red = fd_reduce(K, y)
+        assert (u_red == K.one()) == (k == 0), (D, k)
         assert fd_log_coordinate(K, y) == pytest.approx(0.4, abs=1e-9)
-        assert fd_reduce(K, y)[1] == pytest.approx(y0, rel=1e-9)
+        assert y_red == pytest.approx(y0, rel=1e-9)
     with pytest.raises(ValueError):
-        fd_contains(K, [1.0, 0.0])
+        fd_reduce(K, [1.0, 0.0])
 
 
 def test_fd_random_lattice_rounding():
@@ -219,6 +219,44 @@ def test_amplified_moment_identity():
     rep1 = amplified_moment(Q.unit_ideal(), 5.0, divisor_system(Q), chi, V, 40.0)
     assert rep1["relative_difference"] < 1e-12
     assert rep1["n_amplifier_primes"] >= 1
+
+
+def _brute_r_count(K, Y):
+    """#{totally positive r in F : Y/2 < N(r) < 2Y}, from integer loops over
+    x + y*omega.  F = {r : y(r) >= 0 and y(r * conj(eps_+)) < 0}, the
+    omega-coordinate y being the sign of sigma_1 - sigma_2: it holds one
+    generator of each ideal, and its r have sigma_2 <= sigma_1 < sqrt(2Y) eps_+."""
+    if K.d == 1:
+        return sum(1 for n in range(1, 2 * int(Y) + 1) if Y / 2 < n < 2 * Y)
+    t, nw = K.t_omega, K.n_omega
+    eps_plus = K.totally_positive_unit_gens()[0]
+    ea, eb = eps_plus.conj().coords()
+    side = math.sqrt(2 * Y) * eps_plus.embeddings()[0] + 1
+    # sigma_1 - sigma_2 = s*y*sqrt(D) and sigma_1 + sigma_2 = 2x + t*y lie in [0, 2*side]
+    y_max = int(side / math.sqrt(K.D)) + 1
+    count = 0
+    for y in range(0, y_max + 1):
+        for x in range(-t * y // 2 - 1, int(side) + 2):
+            if 2 * x + t * y <= 0:
+                continue
+            n = x * x + t * x * y + nw * y * y
+            if not Y / 2 < n < 2 * Y:
+                continue
+            # omega-coordinate of (x + y w)(ea + eb w), w^2 = t w - nw
+            if x * eb + y * ea + t * y * eb < 0:
+                count += 1
+    return count
+
+
+@pytest.mark.parametrize("D,L,Y", [(1, 10.0, 40.0), (2, 10.0, 40.0), (5, 10.0, 25.0),
+                                   (5, 10.0, 2000.0), (13, 10.0, 40.0)])
+def test_amplifier_r_terms_brute_force(D, L, Y):
+    # one term per totally positive r modulo U^+ with N(r) in the support of V
+    K = make_field(D)
+    chi = unramified_character(K, [0.0] * K.d)
+    rep = amplified_moment(K.unit_ideal(), L, divisor_system(K), chi, SmoothBump(0.5, 2.0), Y)
+    assert rep["n_r_terms"] == _brute_r_count(K, Y)
+    assert rep["relative_difference"] < 1e-9
 
 
 def test_amplified_moment_diagonal_count():
