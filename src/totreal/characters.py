@@ -21,7 +21,6 @@ from .fields import (
     Ideal,
     RingElement,
     ResidueSystem,
-    divisors,
     factor_ideal,
     principal_generator,
 )
@@ -128,8 +127,11 @@ class UnitGroupStructure:
         self.field = rs.field
         units = rs.units
         self.order = rs.phi
-        # conductor of each character, keyed by its exponent vector
+        # conductor of each character, keyed by its exponent vector, and the
+        # units = 1 mod each divisor g of the modulus (the kernel of reduction
+        # mod g) that a conductor descent has asked for
         self._conductors: dict[tuple, Ideal] = {}
+        self._kernels: dict[Ideal, list[RingElement]] = {}
         if rs.phi == 1:
             self.orders: list[int] = []
             self.exponent = 1
@@ -260,28 +262,25 @@ class FiniteCharacter:
 
     def conductor(self) -> Ideal:
         """Smallest divisor q' of q with the character trivial on the kernel
-        of reduction (o/q)^x -> (o/q')^x; computed once per character."""
-        memo = self.structure._conductors
-        if self.exponents not in memo:
-            memo[self.exponents] = self._conductor()
-        return memo[self.exponents]
+        of reduction (o/q)^x -> (o/q')^x; computed once per character.
 
-    def _conductor(self) -> Ideal:
-        q = self.modulus
-        rs = self.structure.rs
-        best = q
-        for q2 in divisors(q):
-            if q2 == q:
-                continue
-            trivial = True
-            for u in rs.units:
-                if q2.contains(u - rs.field.one()):
-                    if self._exponent_num(u) != 0:
-                        trivial = False
+        Such divisors are closed under gcd, so the conductor is reached by
+        descent, one prime at a time: q' drops a factor P while the character
+        is trivial on the units = 1 mod q'/P (listed once per divisor)."""
+        st = self.structure
+        if self.exponents not in st._conductors:
+            one = st.field.one()
+            f = self.modulus
+            for P, e in factor_ideal(f):
+                for _ in range(e):
+                    g = f * P.ideal.inverse()
+                    if g not in st._kernels:
+                        st._kernels[g] = [u for u in st.rs.units if g.contains(u - one)]
+                    if any(self._exponent_num(u) for u in st._kernels[g]):
                         break
-            if trivial and q2.norm() < best.norm():
-                best = q2
-        return best
+                    f = g
+            st._conductors[self.exponents] = f
+        return st._conductors[self.exponents]
 
     def __hash__(self) -> int:
         return hash((id(self.structure), self.exponents))

@@ -1,6 +1,9 @@
 """Local Eisenstein newvector data, Hecke eigenvalues, oldform coefficients,
 and the constant-term local factors.
 
+The eigenvalues lambda_{chi,chi^{-1}}, and the factors of lambda_{chi,t} at
+primes off t, come from spectral.eisenstein_system(chi) and its one rule.
+
 Local vectors are stored by their value profile on the valuation level sets
 of the lower-left coordinate, which determines them completely; norms and
 inner products are then exact rational (or rational + rational*sqrt(Np))
@@ -19,6 +22,7 @@ from typing import Optional
 
 from .characters import HeckeCharacter
 from .fields import FieldDesc, Ideal, PrimeIdeal, arith_functions, factor_ideal, primes_up_to
+from .spectral import eisenstein_system, hecke_prime_power
 
 
 def local_dimension(n: int, m: int) -> int:
@@ -133,22 +137,16 @@ def coset_index(c: Ideal) -> int:
     return int(out)
 
 
-def _eis_prime_power(w: complex, n: int) -> complex:
-    """lambda_{chi,chi^{-1}}(P^n) from w = chi(P): sum over i <= n of
-    w^(2i - n), and zero when chi(P) = 0 (P divides the modulus of chi)."""
-    if w == 0:
-        return 0.0
-    return sum(w ** (2 * i - n) for i in range(n + 1))
-
-
 def eis_hecke_eigenvalue(chi: HeckeCharacter, m: Ideal) -> complex:
-    """lambda_{chi,chi^{-1}}(m) = sum_{ab=m} chi(a b^{-1}), zero on ideals
-    meeting the modulus of chi."""
+    """lambda_{chi,chi^{-1}}(m) = sum_{ab=m} chi(a b^{-1}) from chi(P) of
+    eisenstein_system(chi); zero on ideals meeting the modulus of chi."""
     if not m.is_integral():
         return 0.0
+    sys_ = eisenstein_system(chi)
     out = 1.0 + 0j
+    # only chi(P) is cached: entries per ideal or per (P, n) would cost memory
     for P, n in factor_ideal(m):
-        loc = _eis_prime_power(chi.eval_on_ideal(P.ideal), n)
+        loc = hecke_prime_power(sys_.alpha(P), n)
         if loc == 0:
             return 0.0
         out *= loc
@@ -168,12 +166,13 @@ class EisCoefficientContext:
             raise ValueError("t must be integral")
         K = self.chi.field
         chi_cond = self.chi.conductor()
+        self.system = eisenstein_system(self.chi)
         self.t_chi = K.unit_ideal()
         self.F = 1.0
         self.local: dict[PrimeIdeal, dict] = {}
         for P, v in factor_ideal(self.t):
             ram = chi_cond.norm() > 1 and P.ideal.divides(chi_cond)
-            z = None if ram else self.chi.eval_on_ideal(P.ideal) ** 2
+            z = None if ram else self.system.alpha(P) ** 2
             minus_one = (z is not None) and abs(z + 1) < 1e-12
             info = {"P": P, "v": v, "ramified": ram, "z": z, "z_is_minus_one": minus_one}
             if ram:
@@ -203,7 +202,7 @@ class EisCoefficientContext:
                     return 0.0
                 out *= self._local_lambda(info, n)
             else:
-                out *= _eis_prime_power(self.chi.eval_on_ideal(P.ideal), n)
+                out *= self.system.lambda_prime_power(P, n)
         return out
 
     def _local_lambda(self, info: dict, n: int) -> complex:

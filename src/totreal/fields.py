@@ -1160,7 +1160,8 @@ unit_reduced_generator = principal_generator
 
 
 def ideals_of_norm_up_to(K: FieldDesc, bound: int) -> list[Ideal]:
-    """All nonzero integral ideals of norm <= bound, sorted by (norm, HNF).
+    """All nonzero integral ideals of norm <= bound (none for bound < 1),
+    sorted by (norm, HNF).
 
     With the prime ideals sorted by norm, each ideal is made once, as its
     prefix times its last prime: a product extends only by primes from its
@@ -1173,7 +1174,7 @@ def ideals_of_norm_up_to(K: FieldDesc, bound: int) -> list[Ideal]:
     primes.sort(key=lambda e: e[0])
     # (norm, ideal, index of its last prime); the loop visits the products
     # it appends
-    out = [(1, K.unit_ideal(), 0)]
+    out = [(1, K.unit_ideal(), 0)] if bound >= 1 else []
     for nj, J, i in out:
         for k in range(i, len(primes)):
             n = nj * primes[k][0]

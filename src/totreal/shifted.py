@@ -433,11 +433,8 @@ def afe_sum(
     if not (math.isfinite(Y) and Y > 0):
         raise ValueError(f"Y must be finite and > 0, got {Y}")
     K = sys.field
-    hi = int(math.floor(V.b * Y))
-    if hi < 1:
-        return 0.0
     out = 0.0 + 0j
-    for m in ideals_of_norm_up_to(K, hi):
+    for m in ideals_of_norm_up_to(K, int(math.floor(V.b * Y))):
         n = float(m.norm())
         w = V(n / Y)
         if w == 0.0:

@@ -4,9 +4,11 @@ transforms, and the geometric side of the trace formula.
 Eigenvalue systems are multiplicative assignments built from per-prime
 Satake parameters: Eisenstein-derived (alpha_p = chi(p)), the divisor
 system (alpha_p = 1), or synthetic seeded systems satisfying the Hecke
-recursion and the Ramanujan-type bound |lambda(p)| <= 2 Np^theta.  The
-cuspidal spectrum itself is out of reach; synthetic systems exercise all
-formulas that depend only on the Hecke relations.
+recursion and the Ramanujan-type bound |lambda(p)| <= 2 Np^theta.  One
+rule, lambda(p^k) = sum over i <= k of alpha_p^(2i - k), gives every
+eigenvalue, eisenstein's lambda_{chi,chi^{-1}} included.  The cuspidal
+spectrum itself is out of reach; synthetic systems exercise all formulas
+that depend only on the Hecke relations.
 
 Imports: the eigenvalue systems and the shifted sums built on them run on
 exact arithmetic, so numpy, scipy.special, quadrature, bessel_kernels and
@@ -44,12 +46,24 @@ _INNER_RATIO_TOL = 1e-12
 # oldform_gram_schmidt refuses a level with more shift divisors than this
 _MAX_OLDFORM_DIVISORS = 64
 # A in |kcheck(t)| <= A Z^2 min(1, sqrt|t|), the transform bound in the tail
-# majorant of kuznetsov_geometric_side: assumed, not proven (ROADMAP item 3)
+# majorant of kuznetsov_geometric_side: assumed, not proven
 KERNEL_BOUND_A = 8.0
 
 
+def hecke_prime_power(a: complex, k: int) -> complex:
+    """lambda(P^k) = sum over i <= k of a^(2i - k) from the Satake parameter
+    a at P, the one eigenvalue rule; zero for k > 0 when a = 0 (P divides
+    the modulus of chi)."""
+    if a == 0 and k:
+        return 0.0
+    return sum(a ** (2 * i - k) for i in range(k + 1))
+
+
 class EigenvalueSystem:
-    """Multiplicative Hecke-eigenvalue system with trivial central character."""
+    """Multiplicative Hecke-eigenvalue system with trivial central character.
+
+    A system built with a Hecke character chi is the Eisenstein system
+    lambda_{chi,chi^{-1}}, with Satake parameter alpha_P = chi(P)."""
 
     def __init__(
         self,
@@ -60,60 +74,46 @@ class EigenvalueSystem:
         theta: float = RAMANUJAN_THETA,
         exceptional: Sequence[int] = (),
     ):
+        if source not in ("synthetic", "divisor"):
+            raise ValueError(f"unknown source {source!r}")
         self.field = K
         self.source = source
         self.seed = seed
         self.chi = chi
         self.theta = theta
         self.exceptional = set(exceptional)
-        self.conductor = K.unit_ideal()
-        if source == "eisenstein":
-            if chi is None:
-                raise ValueError("eisenstein systems need a character")
-            cond = chi.conductor()
-            self.conductor = cond * cond
-        if source not in ("synthetic", "eisenstein", "divisor"):
-            raise ValueError(f"unknown source {source!r}")
+        self.conductor = K.unit_ideal() if chi is None else chi.conductor() * chi.conductor()
 
     @functools.lru_cache(maxsize=200_000)
     def alpha(self, P) -> complex:
         """Satake parameter at the prime P."""
+        if self.chi is not None:
+            return self.chi.eval_on_ideal(P.ideal)
         if self.source == "divisor":
-            a = 1.0 + 0j
-        elif self.source == "eisenstein":
-            a = self.chi.eval_on_ideal(P.ideal)
-        else:
-            digest = hashlib.sha256(
-                f"{self.seed}:{self.field.D}:{P.p}:{P.ideal.key()}".encode()
-            ).digest()
-            frac = int.from_bytes(digest[:8], "big") / 2**64
-            if P.p in self.exceptional:
-                a = complex(P.norm() ** self.theta)
-            else:
-                a = cmath.exp(1j * math.pi * frac)
-        return a
-
-    def lambda_prime_power(self, P, k: int) -> complex:
-        """lambda(p^k) from the Satake parameter via the Hecke recursion."""
-        a = self.alpha(P)
-        if k == 0:
             return 1.0 + 0j
-        if a == 0:  # ramified prime of an Eisenstein-derived system
-            return 0.0 + 0j
-        if abs(a - 1) < 1e-12:
-            return complex(k + 1)
-        if abs(a + 1) < 1e-12:
-            return complex((-1) ** k * (k + 1))
-        return (a ** (k + 1) - a ** (-(k + 1))) / (a - 1 / a)
+        if P.p in self.exceptional:
+            return complex(P.norm() ** self.theta)
+        key = f"{self.seed}:{self.field.D}:{P.p}:{P.ideal.key()}"
+        frac = int.from_bytes(hashlib.sha256(key.encode()).digest()[:8], "big") / 2**64
+        return cmath.exp(1j * math.pi * frac)
+
+    @functools.lru_cache(maxsize=200_000)
+    def lambda_prime_power(self, P, k: int) -> complex:
+        """lambda(P^k) by hecke_prime_power, once per (P, k)."""
+        return hecke_prime_power(self.alpha(P), k)
 
     @functools.lru_cache(maxsize=200_000)
     def lambda_value(self, m: Ideal) -> complex:
-        """lambda(m); zero on nonintegral ideals."""
+        """lambda(m); zero on nonintegral ideals and at the first vanishing
+        local factor."""
         if not m.is_integral():
             return 0.0
         out = 1.0 + 0j
         for P, e in factor_ideal(m):
-            out *= self.lambda_prime_power(P, e)
+            loc = self.lambda_prime_power(P, e)
+            if loc == 0:
+                return 0.0
+            out *= loc
         return out
 
 
@@ -122,9 +122,10 @@ def divisor_system(K: FieldDesc) -> EigenvalueSystem:
     return EigenvalueSystem(K, source="divisor")
 
 
+@functools.lru_cache(maxsize=256)
 def eisenstein_system(chi: HeckeCharacter) -> EigenvalueSystem:
-    sys = EigenvalueSystem(chi.field, source="eisenstein", chi=chi)
-    return sys
+    """The Eisenstein system lambda_{chi,chi^{-1}}, one per character."""
+    return EigenvalueSystem(chi.field, chi=chi)
 
 
 def shifted_inner_ratio(sys: EigenvalueSystem, t1: Ideal, t2: Ideal) -> complex:

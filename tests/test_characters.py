@@ -12,7 +12,7 @@ from totreal.characters import (
     unramified_character,
     unramified_exponent_lattice,
 )
-from totreal.fields import Ideal, arith_functions, make_field
+from totreal.fields import Ideal, arith_functions, divisors, ideals_of_norm_up_to, make_field
 
 Q = make_field(1)
 K5 = make_field(5)
@@ -71,6 +71,30 @@ def test_conductors():
     # the quartic... cubic and sextic characters are primitive mod 9
     chars9 = characters_mod(Q.ideal(9))
     assert sorted(int(c.conductor().norm()) for c in chars9) == [1, 3, 9, 9, 9, 9]
+
+
+def _conductor_by_divisor_scan(chi):
+    """The smallest divisor q' of the modulus with chi trivial on every unit
+    = 1 mod q', by scanning all divisors and all units."""
+    rs = chi.structure.rs
+    one = rs.field.one()
+    best = chi.modulus
+    for q2 in divisors(chi.modulus):
+        if q2.norm() < best.norm() and all(
+            chi.value_exponent(u) == 0 for u in rs.units if q2.contains(u - one)
+        ):
+            best = q2
+    return best
+
+
+def test_conductor_descent_matches_divisor_scan():
+    # the descent one prime at a time against the scan over every divisor,
+    # for every character of every modulus in range
+    for D, X in ((1, 150), (5, 80), (13, 50), (2, 50)):
+        K = make_field(D)
+        for q in ideals_of_norm_up_to(K, X):
+            for chi in characters_mod(q):
+                assert chi.conductor() == _conductor_by_divisor_scan(chi), (D, q, chi.exponents)
 
 
 def test_hecke_eval_examples():

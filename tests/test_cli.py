@@ -456,3 +456,16 @@ def test_chars_list_cli():
     doc = json.loads(out)
     assert code == 0 and doc["result"]["count"] == 3
     assert sorted(c["order"] for c in doc["result"]["characters"]) == [1, 3, 3]
+
+
+def test_chars_list_squarefree_modulus_in_time():
+    # 30030 = 2*3*5*7*11*13 has 5760 characters; conductors by descent list
+    # them in about a second.  Over a squarefree n the primitive characters
+    # number prod (p - 2), none when 2 | n, and mod 15015 there are 1*3*5*9*11.
+    proc = subprocess.run(CMD + ["chars", "list", "--modulus", "30030"],
+                          capture_output=True, text=True, timeout=20)
+    assert proc.returncode == 0, proc.stderr
+    conds = [int(c["conductor_norm"]) for c in json.loads(proc.stdout)["result"]["characters"]]
+    assert len(conds) == 5760
+    assert all(15015 % c == 0 for c in conds)
+    assert conds.count(15015) == 1485

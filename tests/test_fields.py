@@ -346,6 +346,14 @@ def test_ideal_count_growth():
             assert x / C <= n <= C * x
 
 
+def test_ideal_walk_below_one():
+    # no integral ideal has norm below 1, so the list is empty there
+    for K in (Q, K5):
+        for bound in (0, -1):
+            assert ideals_of_norm_up_to(K, bound) == []
+        assert ideals_of_norm_up_to(K, 1) == [K.unit_ideal()]
+
+
 @pytest.mark.parametrize("D", [1, 2, 5, 13])
 def test_ideal_counts_by_norm(D):
     # the number of ideals of norm n is sum_{d | n} (disc/d), and 1 over Q

@@ -11,7 +11,7 @@ from scipy.special import k0e
 
 from totreal import bessel_kernels
 from totreal.bessel_kernels import rj_bound, rj_kernel, wk_bound, wk_kernel
-from totreal.fields import Ideal, enumerate_in_box, ideals_of_norm_up_to, make_field
+from totreal.fields import Ideal, divisors, enumerate_in_box, ideals_of_norm_up_to, make_field
 from totreal.quadrature import _leggauss, equal_panels, gl_panels, graded_panels
 from totreal.spectral import (
     EigenvalueSystem,
@@ -56,42 +56,56 @@ def test_hecke_recursion_and_multiplicativity():
             assert sys_.lambda_value(K.ideal(2).inverse()) == 0.0
 
 
-def test_eisenstein_system_matches_eigenvalues():
+def _divisor_pair_lambda(chi, inv, m):
+    """lambda_{chi,chi^{-1}}(m) by its definition, the sum over a | m of
+    chi(a) chi^{-1}(m/a), each ideal evaluated through its own generator;
+    with the sum of the absolute values of the terms."""
+    terms = [chi.eval_on_ideal(a) * inv.eval_on_ideal(m * a.inverse()) for a in divisors(m)]
+    return sum(terms), sum(abs(x) for x in terms)
+
+
+def _eisenstein_characters(K, t):
+    """The unramified character |.|^{it} and, for every character mod 5 and
+    mod 15 that a Hecke character can carry, one with diagonal exponent t."""
     from totreal.characters import HeckeCharacter, characters_mod, unramified_character
-    from totreal.eisenstein import eis_hecke_eigenvalue
+
+    out = [unramified_character(K, [t] * K.d)]
+    for q in (5, 15):
+        for fin in characters_mod(K.ideal(q)):
+            if K.d == 1:
+                sign = 0 if fin.value_exponent(-K.one()) == 0 else 1
+                out.append(HeckeCharacter(K, fin, [t], [sign]))
+            elif fin.value_exponent(-K.one()) == 0:
+                le = math.log(K.eps.embeddings()[0])
+                off = -2 * math.pi * float(fin.value_exponent(K.eps)) / le
+                out.append(HeckeCharacter(K, fin, [t + off / 2, t - off / 2], [0, 0]))
+    return out
+
+
+def test_eisenstein_system_matches_eigenvalues():
+    # the Eisenstein system, eis_hecke_eigenvalue and lambda_{chi,(1)}
+    # against the divisor-pair definition, to 1e-13 of the size of its
+    # terms (so exactly 0 on ideals meeting the modulus, where every term
+    # is 0): at small t, chi(P) is near +-1, where a closed form in chi(P)
+    # loses digits; finite parts mod 5 are ramified, and those mod 15 include
+    # imprimitive ones (chi(P) = 0 at a prime of the modulus outside the
+    # conductor)
+    from totreal.eisenstein import EisCoefficientContext, eis_hecke_eigenvalue
     from totreal.spectral import eisenstein_system
 
-    chi = unramified_character(Q, [0.9])
-    sys_ = eisenstein_system(chi)
-    for I in ideals_of_norm_up_to(Q, 80):
-        assert sys_.lambda_value(I) == pytest.approx(
-            eis_hecke_eigenvalue(chi, I), abs=1e-12
-        )
-    # ramified finite part: both vanish at the conductor primes
-    fin = next(c for c in characters_mod(Q.ideal(5)) if not c.is_trivial())
-    sign = 0 if fin.value_exponent(-Q.one()) == 0 else 1
-    chi5 = HeckeCharacter(Q, fin, [0.0], [sign])
-    sys5 = eisenstein_system(chi5)
-    assert sys5.conductor == Q.ideal(25)
-    for I in ideals_of_norm_up_to(Q, 60):
-        assert sys5.lambda_value(I) == pytest.approx(
-            eis_hecke_eigenvalue(chi5, I), abs=1e-12
-        )
-    # every character mod 15, imprimitive ones included: chi(P) = 0 at a prime
-    # of the modulus outside the conductor, and the three routes agree there
-    from totreal.eisenstein import EisCoefficientContext
-
-    for fin in characters_mod(Q.ideal(15)):
-        sign = 0 if fin.value_exponent(-Q.one()) == 0 else 1
-        chi = HeckeCharacter(Q, fin, [0.0], [sign])
-        sys_ = eisenstein_system(chi)
-        ctx = EisCoefficientContext(chi, Q.unit_ideal())
-        for I in ideals_of_norm_up_to(Q, 60):
-            lam = eis_hecke_eigenvalue(chi, I)
-            if I.norm() % 3 == 0 or I.norm() % 5 == 0:
-                assert lam == 0
-            assert sys_.lambda_value(I) == pytest.approx(lam, abs=1e-12)
-            assert ctx.lambda_chi_t(I) == pytest.approx(lam, abs=1e-12)
+    for K, X in ((Q, 130), (K5, 50)):
+        ideals = ideals_of_norm_up_to(K, X)
+        for t in (1e-9, 2.2136e-9, 1e-6):
+            for chi in _eisenstein_characters(K, t):
+                inv = chi.inverse()
+                sys_ = eisenstein_system(chi)
+                assert sys_.conductor == chi.conductor() * chi.conductor()
+                ctx = EisCoefficientContext(chi, K.unit_ideal())
+                for I in ideals:
+                    ref, size = _divisor_pair_lambda(chi, inv, I)
+                    for got in (sys_.lambda_value(I), eis_hecke_eigenvalue(chi, I),
+                                ctx.lambda_chi_t(I)):
+                        assert abs(got - ref) <= 1e-13 * size, (K.D, t, chi.modulus, I, got, ref)
 
 
 def test_exceptional_parameters():
