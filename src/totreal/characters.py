@@ -286,9 +286,9 @@ class FiniteCharacter:
         return hash((id(self.structure), self.exponents))
 
 
-def characters_mod(q: Ideal, bound: int = 10**5) -> list[FiniteCharacter]:
+def characters_mod(q: Ideal) -> list[FiniteCharacter]:
     """All phi(q) characters of (o/q)^x, trivial character first."""
-    rs = ResidueSystem(q, bound=bound)
+    rs = ResidueSystem(q)
     st = UnitGroupStructure(rs)
     chars = []
     idx = [0] * len(st.orders)
@@ -424,9 +424,7 @@ def unramified_exponent_lattice(K: FieldDesc) -> dict:
     return {"M": M, "spacing": 2 * math.pi / le, "free_direction": "diagonal"}
 
 
-def enumerate_eisenstein_pairs(
-    c: Ideal, X: float, resolution: float = 1.0, bound: int = 10**5
-) -> dict:
+def enumerate_eisenstein_pairs(c: Ideal, X: float, resolution: float = 1.0) -> dict:
     """Totally even Eisenstein parameters {chi, chi^{-1}} at level c.
 
     The finite part runs over characters whose conductor squared divides c
@@ -441,14 +439,15 @@ def enumerate_eisenstein_pairs(
         raise ValueError(f"X must be finite and >= 0, got {X}")
     if not (math.isfinite(resolution) and resolution > 0):
         raise ValueError(f"resolution must be finite and > 0, got {resolution}")
+    if not c.is_integral():
+        raise ValueError("level must be integral")
     K = c.field
     # c1 = largest ideal with c1^2 | c
     c1 = K.unit_ideal()
-    if c.norm() > 1:
-        for P, e in factor_ideal(c):
-            for _ in range(e // 2):
-                c1 = c1 * P.ideal
-    finite_chars = characters_mod(c1, bound=bound)
+    for P, e in factor_ideal(c):
+        for _ in range(e // 2):
+            c1 = c1 * P.ideal
+    finite_chars = characters_mod(c1)
     grid_points = max(1, int(math.floor(2 * X / resolution)) + 1)
     branches = []
     lat = unramified_exponent_lattice(K)

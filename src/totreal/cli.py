@@ -5,10 +5,13 @@ command, inputs, result, certificates, elapsed_ms and exits 0; under
 --format csv, `kloosterman sweep` and `whittaker gram` print CSV rows
 instead.  Domain errors exit 2 with a machine-readable {"error": ...}; an
 unknown subcommand, or a command with no subcommand, exits 64.  The global
-options (--field, --tol, --bound, --seed, --format, --timing) may stand
-before or after the subcommand.  Output is byte-identical across runs for
-fixed inputs and seed; wall-clock timing is only reported under --timing
-(elapsed_ms is null otherwise, keeping the default output deterministic).
+options (--field, --tol, --seed, --format, --timing) may stand before or
+after the subcommand, and any other option exits 2 with argparse's message
+wherever it stands.  A modulus of norm above 10^6 (chars, kloosterman,
+shifted amplify) exits 2 from fields.unit_mask.  Output is byte-identical
+across runs for fixed inputs and seed; wall-clock timing is only reported
+under --timing (elapsed_ms is null otherwise, keeping the default output
+deterministic).
 Each subcommand imports the layers it uses, and spectral, shifted and
 whittaker import numpy, scipy.special and the numeric layers inside the
 functions that evaluate with them.  So field, chars, eisen and shifted
@@ -29,8 +32,6 @@ import time
 from fractions import Fraction
 
 from .fields import (
-    BoundExceeded,
-    FieldError,
     Ideal,
     RingElement,
     field_to_json,
@@ -68,7 +69,7 @@ def _chars_list(args, K):
     from .characters import characters_mod
 
     q = _parse_ideal(K, args.modulus)
-    chars = characters_mod(q, bound=args.bound)
+    chars = characters_mod(q)
     out = [{"exponents": list(c.exponents), "order": c.order(),
             "conductor_norm": str(c.conductor().norm())} for c in chars]
     return ({"D": K.D, "modulus": ideal_to_json(q)},
@@ -79,7 +80,7 @@ def _chars_eisen_count(args, K):
     from .characters import enumerate_eisenstein_pairs
 
     c = _parse_ideal(K, args.level)
-    rep = enumerate_eisenstein_pairs(c, args.X, args.resolution, bound=args.bound)
+    rep = enumerate_eisenstein_pairs(c, args.X, args.resolution)
     return ({"D": K.D, "level": ideal_to_json(c), "X": args.X, "resolution": args.resolution},
             rep, {})
 
@@ -125,7 +126,7 @@ def _kloosterman_eval(args, K):
 
     r1, r2 = _parse_element(K, args.r1), _parse_element(K, args.r2)
     c = _parse_element(K, args.c)
-    rec = weil_margin(KloostermanQuery(r1, r2, c), bound=args.bound)
+    rec = weil_margin(KloostermanQuery(r1, r2, c))
     return ({"D": K.D, "r1": args.r1, "r2": args.r2, "c": args.c},
             {"S": _complex_str(rec["S"]), "abs_S": rec["abs_S"], "margin": rec["margin"],
              "tau": rec["tau"], "gcd_norm": rec["gcd_norm"], "c_norm": rec["c_norm"]},
@@ -135,7 +136,7 @@ def _kloosterman_eval(args, K):
 def _kloosterman_sweep(args, K):
     from .kloosterman import weil_sweep
 
-    records = list(weil_sweep(K, args.cmax, bound=args.bound))
+    records = list(weil_sweep(K, args.cmax))
     if args.format == "csv":
         return ["c_norm,S_re,S_im,margin"] + [
             f"{rec['c_norm']},{rec['S'].real:.12e},{rec['S'].imag:.12e},{rec['margin']:.12e}"
@@ -291,7 +292,6 @@ def _global_options() -> argparse.ArgumentParser:
     g.add_argument("--field", type=int, default=1, help="squarefree D (1 = Q)")
     g.add_argument("--tol", type=float, default=None,
                    help="override module default tolerances/certificate targets")
-    g.add_argument("--bound", type=int, default=10**6)
     g.add_argument("--seed", type=int, default=0)
     g.add_argument("--format", choices=("json", "csv"), default="json")
     g.add_argument("--timing", action="store_true")
@@ -417,6 +417,11 @@ def main(argv=None) -> int:
     # the global options are read wherever they stand; the rest goes to
     # the subcommand table with them already in the namespace
     opts, rest = glob.parse_known_args(sys.argv[1:] if argv is None else argv)
+    if rest[:1] and rest[0].startswith("-"):
+        # an option before the command that the global table does not know
+        # moves after it, so argparse reports it as it does there
+        k = next((i for i, tok in enumerate(rest) if tok in commands), len(rest))
+        rest = rest[k:] + rest[:k]
     first = next((tok for tok in rest if not tok.startswith("-")), None)
     if first is not None and first not in commands:
         return _fail(f"unknown subcommand {first!r}", 64)
@@ -436,7 +441,7 @@ def main(argv=None) -> int:
     started = time.time()
     try:
         out = args.run(args, make_field(args.field, allow_class_number=True))
-    except (FieldError, BoundExceeded, ValueError, NotImplementedError) as exc:
+    except (ValueError, NotImplementedError) as exc:
         return _fail(str(exc), 2)
     if isinstance(out, list):
         print("\n".join(out))

@@ -172,6 +172,10 @@ class EisCoefficientContext:
         self.local: dict[PrimeIdeal, dict] = {}
         for P, v in factor_ideal(self.t):
             ram = chi_cond.norm() > 1 and P.ideal.divides(chi_cond)
+            if not ram and v >= 2 and P.ideal.divides(self.chi.modulus):
+                # chi(P) = 0 there, so the local factor's normaliser vanishes
+                raise ValueError(f"t is divisible by {P}^{v} and {P} divides the modulus"
+                                 " of chi but not its conductor")
             z = None if ram else self.system.alpha(P) ** 2
             minus_one = (z is not None) and abs(z + 1) < 1e-12
             info = {"P": P, "v": v, "ramified": ram, "z": z, "z_is_minus_one": minus_one}
@@ -241,7 +245,7 @@ def oldform_eis_coefficient(ctx: EisCoefficientContext, m: Ideal) -> complex:
         return 0.0
     if not ctx.t_chi.divides(m):
         return 0.0
-    _, _, tau_t = arith_functions(ctx.t) if ctx.t.norm() > 1 else (1, 1, 1)
+    _, _, tau_t = arith_functions(ctx.t)
     m_red = m * ctx.t_chi.inverse()
     lead = (
         (1.0 / ctx.F)
@@ -469,7 +473,7 @@ def newvector_fourier_magnitude(
     Lfull = hecke_l_value(chi2, 1.0, prime_bound)
     removed = t * ctx.t_chi.inverse()
     Lval = Lfull["value"]
-    for P, _ in (factor_ideal(removed) if removed.norm() > 1 else []):
+    for P, _ in factor_ideal(removed):
         w = chi2.eval_on_ideal(P.ideal)
         Lval *= 1 - w / P.norm()
     denom = abs(Lval) * math.sqrt(float(removed.norm())) * ctx.F

@@ -29,7 +29,9 @@ factorisation is read off the HNF (_factor).
 
 The units of o/c are decided in one place, unit_mask: a bytearray over the
 classes i + j*omega with one strided slice cleared per prime P | c.  Both
-ResidueSystem (the characters) and the Kloosterman tables read it.
+ResidueSystem (the characters) and the Kloosterman tables read it, and it
+is the one place that refuses a residue ring: more than MAX_BOX_POINTS
+classes, the limit of the lattice and ideal walks, raise ValueError.
 
 The generator of a principal ideal is chosen in one place too,
 principal_generator: the generator from the walk, balanced by a power of
@@ -61,16 +63,17 @@ MAX_D = 10**7
 # lattice exceeds this many points: over Q(sqrt D) a box of side B holds
 # about B^2/sqrt(disc) points of o_K, and the default trace height 300 of
 # shifted.dirichlet_D over Q(sqrt 5) needs about 6.4e5; ideals_of_norm_up_to
-# refuses a norm bound above it
+# refuses a norm bound above it, and unit_mask a residue ring o/c with more
+# classes
 MAX_BOX_POINTS = 1_000_000
+
+# factor_ideal refuses a norm above this: its cost is trial division of the
+# HNF entries, not a walk over classes
+MAX_FACTOR_NORM = 10**7
 
 
 class FieldError(ValueError):
     """Invalid field construction or cross-field operation."""
-
-
-class BoundExceeded(ValueError):
-    """A configured enumeration/factorization bound was exceeded."""
 
 
 def _is_squarefree(n: int) -> bool:
@@ -733,13 +736,14 @@ def make_field(D: int, allow_class_number: bool = False) -> FieldDesc:
     return FieldDesc(D, allow_class_number=allow_class_number)
 
 
-def factor_ideal(I: Ideal, bound: int = 10**7) -> list[tuple[PrimeIdeal, int]]:
-    """Factor an integral ideal into prime ideals with positive exponents."""
+def factor_ideal(I: Ideal) -> list[tuple[PrimeIdeal, int]]:
+    """Factor an integral ideal into prime ideals with positive exponents;
+    a norm above MAX_FACTOR_NORM is refused."""
     if not I.is_integral():
         raise ValueError("factor_ideal requires an integral ideal")
     n = I.norm()
-    if n > bound:
-        raise BoundExceeded(f"norm {n} exceeds bound {bound}")
+    if n > MAX_FACTOR_NORM:
+        raise ValueError(f"ideal of norm {n}, above the limit of {MAX_FACTOR_NORM}")
     return _factor(I)
 
 
@@ -886,8 +890,12 @@ def unit_mask(c: Ideal) -> bytearray:
     A class is a unit when it lies in no prime P | c.  For P = (p), inert or
     over Q, that excludes p | i and p | j; for P = (p, omega - r) it excludes
     p | i + j*r.  Since p | c.a, each row loses exactly c.a/p classes per P.
-    The mask of (1) is the single class 0.
+    The mask of (1) is the single class 0.  A ring of more than
+    MAX_BOX_POINTS classes is refused with ValueError before any is made.
     """
+    n = c.norm()
+    if n > MAX_BOX_POINTS:
+        raise ValueError(f"residue ring of {n} classes, above the limit of {MAX_BOX_POINTS}")
     a, rows = c.a, c.c
     mask = bytearray(b"\x01") * (a * rows)
     for P, _ in factor_ideal(c):
@@ -907,11 +915,9 @@ class ResidueSystem:
     """The classes i + j*omega of o/c and its units (by j, then i, as in
     unit_mask)."""
 
-    def __init__(self, c: Ideal, bound: int = 10**6):
+    def __init__(self, c: Ideal):
         if not c.is_integral() or c.norm() == 0:
             raise ValueError("modulus must be a nonzero integral ideal")
-        if c.norm() > bound:
-            raise BoundExceeded(f"norm {c.norm()} exceeds bound {bound}")
         self.modulus = c
         K = c.field
         self.field = K
@@ -1206,6 +1212,6 @@ def ideal_to_json(I: Ideal) -> dict:
         "norm": str(I.norm()),
         "factors": [
             [[P.p, P.f, P.e], e] for P, e in factor_ideal(I)
-        ] if I.is_integral() and I.norm() <= 10**7 else None,
+        ] if I.is_integral() and I.norm() <= MAX_FACTOR_NORM else None,
     }
 

@@ -19,7 +19,8 @@ and one row-wise sum, each row bit-identical to a one-pair call.  The
 sweep makes one pass per modulus: its ideal, residue table, (c*delta)^{-1},
 tau and the gcds with each r are made once and shared by all its pairs.
 Which classes are units comes from fields.unit_mask, the rule the
-characters use too; each table is kept in a bounded LRU cache.
+characters use too, which also refuses a modulus of norm above
+fields.MAX_BOX_POINTS; each table is kept in a bounded LRU cache.
 """
 
 from __future__ import annotations
@@ -31,7 +32,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fields import (
-    BoundExceeded,
     FieldDesc,
     FieldError,
     Ideal,
@@ -61,10 +61,7 @@ class KloostermanQuery:
 class _ModulusTable:
     """Invertible residues mod (c) with inverses, as coordinate arrays."""
 
-    def __init__(self, cI: Ideal, bound: int):
-        n = int(cI.norm())
-        if n > bound:
-            raise BoundExceeded(f"norm {n} exceeds bound {bound}")
+    def __init__(self, cI: Ideal):
         K = cI.field
         self.field = K
         self.ideal = cI
@@ -121,10 +118,9 @@ class _ModulusTable:
 
 
 @functools.lru_cache(maxsize=1024)
-def _table(cI: Ideal, bound: int = 10**6) -> _ModulusTable:
-    """The table of (c), built once per (c, bound); the norm bound is
-    checked whenever a table is built."""
-    return _ModulusTable(cI, bound)
+def _table(cI: Ideal) -> _ModulusTable:
+    """The table of (c), built once per (c)."""
+    return _ModulusTable(cI)
 
 
 def _trace_pair(w: RingElement) -> tuple[tuple[int, int], tuple[int, int]]:
@@ -163,7 +159,7 @@ def _phase_sums(tab: _ModulusTable, pairs) -> list[complex]:
     return np.exp(2j * np.pi * (num % den) / den).sum(axis=1).tolist()
 
 
-def kloosterman_sums(queries: list[KloostermanQuery], bound: int = 10**6) -> list[complex]:
+def kloosterman_sums(queries: list[KloostermanQuery]) -> list[complex]:
     """S(r1, r2; c) for queries that share one modulus c, from one table and
     one phase array; S = 1 for (c) = (1)."""
     c = queries[0].c
@@ -173,17 +169,15 @@ def kloosterman_sums(queries: list[KloostermanQuery], bound: int = 10**6) -> lis
     if cI.norm() == 1:
         return [1.0 + 0j] * len(queries)
     w = (c * c.field.delta).inverse()
-    return _phase_sums(_table(cI, bound), [(q.r1 * w, q.r2 * w) for q in queries])
+    return _phase_sums(_table(cI), [(q.r1 * w, q.r2 * w) for q in queries])
 
 
-def kloosterman_sum(query: KloostermanQuery, bound: int = 10**6) -> complex:
+def kloosterman_sum(query: KloostermanQuery) -> complex:
     """S(r1, r2; c) per the module normal form; S = 1 for (c) = (1)."""
-    return kloosterman_sums([query], bound)[0]
+    return kloosterman_sums([query])[0]
 
 
-def kloosterman_sum_crt(
-    query: KloostermanQuery, c1: RingElement, c2: RingElement, bound: int = 10**6
-) -> complex:
+def kloosterman_sum_crt(query: KloostermanQuery, c1: RingElement, c2: RingElement) -> complex:
     """S(r1, r2; c1*c2) via twisted multiplicativity for coprime c1, c2:
 
         S(r1, r2; c1 c2) = S(r1 * cbar2^2, r2; c1) * S(r1 * cbar1^2, r2; c2)
@@ -200,14 +194,14 @@ def kloosterman_sum_crt(
     for cf, other, I in ((c1, c2, I1), (c2, c1, I2)):
         if I.norm() == 1:
             continue
-        tab = _table(I, bound)
+        tab = _table(I)
         obar = tab.inverse_element(other)
         sub = KloostermanQuery(query.r1 * obar * obar, query.r2, cf)
-        out *= kloosterman_sum(sub, bound)
+        out *= kloosterman_sum(sub)
     return out
 
 
-def _weil_records(cI: Ideal, c: RingElement, rs, pairs, bound: int):
+def _weil_records(cI: Ideal, c: RingElement, rs, pairs):
     """Weil-margin records of S(rs[i], rs[j]; c) for each (i, j) in pairs:
 
         margin = |S| / (tau((c)) * sqrt(N gcd((r1),(r2),(c))) * sqrt(N (c))).
@@ -220,7 +214,7 @@ def _weil_records(cI: Ideal, c: RingElement, rs, pairs, bound: int):
         for _ in pairs:
             yield {"S": 1.0 + 0j, "abs_S": 1.0, "tau": 1, "gcd_norm": 1, "c_norm": 1, "margin": 1.0}
         return
-    tab = _table(cI, bound)
+    tab = _table(cI)
     w = (c * c.field.delta).inverse()
     rw = [r * w for r in rs]
     _, _, tau = arith_functions(cI)
@@ -239,13 +233,13 @@ def _weil_records(cI: Ideal, c: RingElement, rs, pairs, bound: int):
         }
 
 
-def weil_margin(query: KloostermanQuery, bound: int = 10**6) -> dict:
+def weil_margin(query: KloostermanQuery) -> dict:
     """|S| / (tau((c)) * sqrt(N gcd((r1),(r2),(c))) * sqrt(N (c))) with parts."""
     cI = Ideal.principal(query.c)
-    return next(_weil_records(cI, query.c, [query.r1, query.r2], [(0, 1)], bound))
+    return next(_weil_records(cI, query.c, [query.r1, query.r2], [(0, 1)]))
 
 
-def weil_sweep(K: FieldDesc, cmax: int, r_values=(1, 2, 3), bound: int = 10**6):
+def weil_sweep(K: FieldDesc, cmax: int, r_values=(1, 2, 3)):
     """Margins for all moduli of norm <= cmax and r1, r2 in r_values.
 
     Yields dicts (one per (c, r1, r2), r1-major), one modulus at a time:
@@ -258,7 +252,7 @@ def weil_sweep(K: FieldDesc, cmax: int, r_values=(1, 2, 3), bound: int = 10**6):
         if cI.norm() == 1:
             continue
         c = principal_generator(cI)
-        for (i, j), rec in zip(pairs, _weil_records(cI, c, rs, pairs, bound)):
+        for (i, j), rec in zip(pairs, _weil_records(cI, c, rs, pairs)):
             rec["c"] = c
             rec["r1"], rec["r2"] = rs[i], rs[j]
             yield rec

@@ -140,8 +140,6 @@ def shifted_inner_ratio(sys: EigenvalueSystem, t1: Ideal, t2: Ideal) -> complex:
     t2p = t2 * g.inverse()
     out = 1.0 / math.sqrt(float((t1p * t2p).norm()))
     for tp, conj_shift in ((t1p, True), (t2p, False)):
-        if tp.norm() == 1:
-            continue
         for P, nu in factor_ideal(tp):
             N = P.norm()
             num = 0.0 + 0j
@@ -203,10 +201,11 @@ def oldform_gram_schmidt(sys: EigenvalueSystem, c: Ideal) -> OldformBasis:
         raise ValueError(f"numerically singular Gram matrix: {exc}") from exc
     A = np.linalg.inv(L.conj().T)  # columns give R^(t) in the R_s basis
     resid = float(np.max(np.abs(A.conj().T @ G @ A - np.eye(n))))
+    # G is a product over primes, so A[s, t] = 0 unless s | t: kept exactly there
     alpha = {}
     for j, t in enumerate(divs):
         for i, s in enumerate(divs):
-            if abs(A[i, j]) > 0:
+            if s.divides(t):
                 alpha[(t.key(), s.key())] = complex(A[i, j])
     return OldformBasis(sys, c, divs, alpha, resid)
 

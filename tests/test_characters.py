@@ -21,6 +21,8 @@ K2 = make_field(2)
 
 def test_character_counts():
     assert len(characters_mod(Q.ideal(5))) == 4
+    # a prime modulus of norm above 10^5 and below the ring limit 10^6
+    assert len(characters_mod(Q.ideal(200003))) == 200002
     assert len(characters_mod(Q.unit_ideal())) == 1
     assert len(characters_mod(K5.ideal(2))) == 3  # GF(4)^x
     for K, q in ((Q, 12), (Q, 45), (K5, 9), (K2, 6)):

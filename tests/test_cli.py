@@ -210,6 +210,7 @@ def test_bad_spectral_inputs_refused(args, message):
     (("whittaker", "eval", "--q", "2", "--nu", "0.5", "--y", "nan"), "y must be finite and nonzero"),
     (("shifted", "dirichlet", "--q", "1", "--s", "1.5", "--height", "-1"),
      "trace height must be finite and > 0"),
+    (("chars", "eisen-count", "--level", "1/2", "--X", "2"), "level must be integral"),
 ])
 def test_bad_sizes_refused(args, message):
     # sizes that are not finite, or zero where they divide: exit 2 with a
@@ -377,11 +378,11 @@ LEAVES = [
     (("--format", "csv"), ("whittaker", "gram", "--qmax", "2", "--numax", "0.5")),
     (("--field", "5"), ("kloosterman", "eval", "--r1", "1", "--r2", "2,1", "--c", "3")),
     (("--format", "csv"), ("kloosterman", "sweep", "--cmax", "20")),
-    (("--bound", "1000"), ("eisen", "dim", "--n", "3", "--m", "1")),
-    (("--bound", "1000"), ("eisen", "norms", "--Np", "5", "--j", "2")),
+    (("--seed", "2"), ("eisen", "dim", "--n", "3", "--m", "1")),
+    (("--seed", "2"), ("eisen", "norms", "--Np", "5", "--j", "2")),
     (("--field", "5"), ("eisen", "coeff", "--chi-t", "0.3", "--t", "2", "--m", "11")),
     (("--field", "5"), ("eisen", "constterm", "--level", "4")),
-    (("--bound", "1000"), ("eisen", "localfactor", "--Np", "5", "--s", "1.0", "--case", "level")),
+    (("--seed", "2"), ("eisen", "localfactor", "--Np", "5", "--s", "1.0", "--case", "level")),
     (("--seed", "3"), ("spectral", "oldforms", "--level", "4")),
     (("--tol", "1e-10"), ("spectral", "bessel", "--Z", "2", "--t", "-1.5")),
     (("--field", "5"), ("spectral", "kuz-geom", "--r1", "1", "--r2", "1", "--level", "1",
@@ -449,6 +450,35 @@ def test_oversized_ideal_walks_refused(args):
     assert proc.returncode == 2
     assert proc.stderr == ""
     assert "limit of 1000000" in json.loads(proc.stdout)["error"]
+
+
+@pytest.mark.parametrize("args", [
+    ("--field", "1", "chars", "list", "--modulus", "1000003"),
+    ("--field", "1", "kloosterman", "eval", "--r1", "1", "--r2", "1", "--c", "1000003"),
+    ("--field", "5", "kloosterman", "eval", "--r1", "1", "--r2", "1", "--c", "1000,1"),
+    ("--field", "1", "shifted", "amplify", "--q", "1000003", "--L", "3", "--Y", "20"),
+], ids=["chars", "kloosterman", "kloosterman-K5", "amplify"])
+def test_oversized_residue_rings_refused(args):
+    # fields.unit_mask refuses o/c of more than 10^6 classes before making any
+    proc = subprocess.run(CMD + list(args), capture_output=True, text=True, timeout=2)
+    assert proc.returncode == 2
+    assert proc.stderr == ""
+    assert "above the limit of 1000000" in json.loads(proc.stdout)["error"]
+
+
+def test_unknown_option_either_side():
+    # an option the CLI does not know gets argparse's message and exit 2,
+    # before the subcommand as after it
+    leaf = ["field", "info", "--D", "5"]
+    before = subprocess.run(CMD + ["--bound", "10"] + leaf, capture_output=True, text=True,
+                            timeout=60)
+    after = subprocess.run(CMD + leaf + ["--bound", "10"], capture_output=True, text=True,
+                           timeout=60)
+    for proc in (before, after):
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert proc.stderr.endswith("error: unrecognized arguments: --bound 10\n")
+    assert before.stderr == after.stderr
 
 
 def test_chars_list_cli():

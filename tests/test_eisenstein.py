@@ -1,6 +1,7 @@
 """Tests for Eisenstein local vectors, Hecke eigenvalues, oldform
 coefficients, and the constant term."""
 
+import cmath
 import math
 import random
 from fractions import Fraction
@@ -145,6 +146,28 @@ def test_oldform_coefficient_cases():
         ctxz = EisCoefficientContext(chi_z, Ideal.principal(chi_z.field.element(3)))
         assert ctxz.t_chi.norm() == 3
         assert oldform_eis_coefficient(ctxz, chi_z.field.ideal(5)) == 0.0
+
+
+def test_oldform_context_refuses_vanishing_normaliser():
+    # P | t twice, P | modulus of chi, P not | conductor: chi(P) = 0 and the
+    # local factor would divide by zero, so the context refuses t
+    trivial12 = HeckeCharacter(Q, characters_mod(Q.ideal(12))[0], [0.0], [0])
+    with pytest.raises(ValueError, match=r"P\(2\)\^2"):
+        EisCoefficientContext(trivial12, Q.ideal(4))
+    with pytest.raises(ValueError, match=r"P\(3\)\^3"):
+        EisCoefficientContext(trivial12, Q.ideal(27))
+    # once at such a prime, or at a prime off the modulus, t is accepted
+    # and every coefficient is finite
+    for tval in (2, 3, 6, 25, 50):
+        ctx = EisCoefficientContext(trivial12, Q.ideal(tval))
+        for m in ideals_of_norm_up_to(Q, 60):
+            assert cmath.isfinite(oldform_eis_coefficient(ctx, m))
+    # at a prime of the conductor (chi mod 4 primitive) t = (4) is ramified
+    for fin in characters_mod(Q.ideal(12)):
+        if fin.conductor() == Q.ideal(4):
+            chi = HeckeCharacter(Q, fin, [0.0], [1], check=False)
+            ctx = EisCoefficientContext(chi, Q.ideal(4))
+            assert ctx.local[Q.primes_above(2)[0]]["ramified"]
 
 
 def _char_with_z_minus_one():

@@ -10,7 +10,6 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from totreal.fields import (
-    BoundExceeded,
     FieldError,
     Ideal,
     ResidueSystem,
@@ -25,6 +24,7 @@ from totreal.fields import (
     primes_up_to,
     principal_generator,
     psi,
+    unit_mask,
 )
 
 Q = make_field(1)
@@ -204,7 +204,7 @@ def test_factor_examples():
             for _ in range(e):
                 prod = prod * P.ideal
         assert prod == I
-    with pytest.raises(BoundExceeded):
+    with pytest.raises(ValueError, match="above the limit of 10000000"):
         factor_ideal(Q.ideal(10**8))
     # the rational factorisation against trial division by every d >= 2
     near_1e7 = [10**7 - 3, 10**7 - 1, 10**7, 10**7 + 1, 9999991, 2**23, 3**14, 3163**2]
@@ -325,6 +325,18 @@ def test_residue_system():
     rsk = ResidueSystem(K5.ideal(2))
     assert rsk.size == 4 and rsk.phi == 3
     assert ResidueSystem(K5.ideal(3)).phi == arith_functions(K5.ideal(3))[1]
+
+
+def test_unit_mask_ring_limit():
+    # o/c of up to 10^6 classes is made; beyond, unit_mask refuses it before
+    # any class is made, for every caller
+    assert sum(unit_mask(Q.ideal(10**6))) == arith_functions(Q.ideal(10**6))[1] == 400000
+    for c in (Q.ideal(1000003), Ideal.principal(K5.element(1000, 1))):
+        assert c.norm() > 10**6
+        with pytest.raises(ValueError, match="above the limit of 1000000"):
+            unit_mask(c)
+        with pytest.raises(ValueError, match="above the limit of 1000000"):
+            ResidueSystem(c)
 
 
 def test_psi():

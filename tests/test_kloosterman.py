@@ -8,7 +8,6 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from totreal.fields import (
-    BoundExceeded,
     FieldError,
     Ideal,
     ResidueSystem,
@@ -160,14 +159,16 @@ def test_sweep_margins_small():
 
 
 def test_table_cache_bounded_and_checks_bound():
-    c = Q.element(101)
+    # a modulus of norm above the ring limit is refused by unit_mask before
+    # any class is made, and no table is cached for it
+    c = Q.element(1000003)
     q = KloostermanQuery(Q.element(1), Q.element(1), c)
-    kloosterman_sum(q)
-    # a cached table of the same modulus does not lift the norm bound
-    with pytest.raises(BoundExceeded):
-        kloosterman_sum(q, bound=100)
-    with pytest.raises(BoundExceeded):
-        kloosterman_sum_crt(q, c, Q.element(1), bound=100)
+    held = _table.cache_info().currsize
+    with pytest.raises(ValueError, match="above the limit of 1000000"):
+        kloosterman_sum(q)
+    with pytest.raises(ValueError, match="above the limit of 1000000"):
+        kloosterman_sum_crt(q, c, Q.element(1))
+    assert _table.cache_info().currsize == held
     maxsize = _table.cache_info().maxsize
     for n in range(2, maxsize + 40):
         _table(Q.ideal(n))

@@ -153,6 +153,25 @@ def test_oldform_gram_schmidt():
             assert basis.coefficient(one, one) == pytest.approx(1.0)
 
 
+def test_oldform_coefficients_only_at_divisors():
+    # the Gram matrix is a product over primes, so alpha_{t,s} = 0 unless
+    # s | t: level 1080 = 2^3 3^3 5 keeps exactly the 10 * 10 * 3 pairs
+    # s | t, and those alone still give an orthonormal basis
+    sys_ = EigenvalueSystem(Q, seed=3)
+    basis = oldform_gram_schmidt(sys_, Q.ideal(1080))
+    divs = basis.divisors
+    pairs = {(t.key(), s.key()) for t in divs for s in divs if s.divides(t)}
+    assert set(basis.alpha) == pairs and len(pairs) == 300
+    G = {(s.key(), u.key()): shifted_inner_ratio(sys_, s, u) for s in divs for u in divs}
+    for t1 in divs:
+        for t2 in divs:
+            ip = sum(
+                basis.coefficient(t1, s).conjugate() * basis.coefficient(t2, u) * G[s.key(), u.key()]
+                for s in divisors(t1) for u in divisors(t2)
+            )
+            assert abs(ip - (t1 == t2)) <= 1e-10, (t1, t2, ip)
+
+
 def test_oldform_alpha_decay_squarefree():
     # squarefree c/c_pi = (pq): |alpha_{t,s}| follows the decay shape
     # (N(t/s))^{theta - 1/2} with one calibrated constant
