@@ -2,6 +2,10 @@
 region, the unit fundamental domain, and the amplified second-moment
 (Plancherel) experiment.
 
+Both shifted sums walk y once (_walk: one enumerate_in_box call over a box
+pushed outward past its float rounding) and decide exactly which points
+count: shifted_sum by its weights, dirichlet_D by the exact trace.
+
 Only left-hand sides are assembled here: the spectral right-hand sides
 would require the full cuspidal spectrum, which is not computable in this
 toolkit.  The Eisenstein ingredients live in the eisenstein module.
@@ -11,7 +15,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Callable, Sequence
 
 from .fields import (
@@ -95,38 +98,45 @@ class ShiftedQuery:
             raise ValueError(f"Y must be finite and > 0 at every place, got {self.Y}")
 
 
+def _walk(l1, l2, y, q, bounds, totally_positive=False):
+    """(r1, r2) with r1, r2 nonzero in y, l1 r1 - l2 r2 = q and r2 totally
+    positive if asked, for every r1 of y with sigma_j(l1 r1) in bounds[j], in
+    the (a, b) order of one enumerate_in_box call.  The r1 box is pushed out
+    by 2^-30 of its size, far above the error of its float quotient by
+    sigma_j(l1) > 0, so some r1 just outside come too: callers decide exactly."""
+    box = []
+    for (lo, hi), e in zip(bounds, l1.embeddings()):
+        lo, hi = lo / e, hi / e
+        box.append((lo - abs(lo) * 2**-30, hi + abs(hi) * 2**-30))
+    l2_inv = l2.inverse()
+    for r1 in enumerate_in_box(y, box, totally_positive):
+        r2 = (l1 * r1 - q) * l2_inv
+        if r1.is_zero() or r2.is_zero() or not y.contains(r2):
+            continue
+        if not totally_positive or r2.is_totally_positive():
+            yield r1, r2
+
+
 def shifted_sum(query: ShiftedQuery) -> complex:
     """Sum over l1 r1 - l2 r2 = q, r's nonzero in y, of
     lambda1(r1 y^-1) conj(lambda2(r2 y^-1)) / sqrt(N(r1 r2 y^-2))
-    * W1(l1 r1 / Y) conj(W2(l2 r2 / Y))."""
-    K = query.l1.field
-    y = query.y
+    * W1(l1 r1 / Y) conj(W2(l2 r2 / Y)); the weights decide which r1 of the
+    walk over the support of W1 count."""
+    y, l1, l2, Y = query.y, query.l1, query.l2, query.Y
     if not y.contains(query.q):
         return 0.0  # the summation condition is unsatisfiable
-    l1e = query.l1.embeddings()
-    # r1 box from the support of W1
-    box = []
-    for j in range(K.d):
-        a, b = query.W1.support[j]
-        lo = Fraction(a * query.Y[j] / l1e[j]).limit_denominator(10**12)
-        hi = Fraction(b * query.Y[j] / l1e[j]).limit_denominator(10**12)
-        box.append((min(lo, hi), max(lo, hi)))
-    ny = float(y.norm())
+    y_inv = y.inverse()
+    bounds = [(a * Yj, b * Yj) for (a, b), Yj in zip(query.W1.support, Y)]
     out = 0.0 + 0j
-    for r1 in enumerate_in_box(y, box):
-        if r1.is_zero():
-            continue
-        r2 = (query.l1 * r1 - query.q) / query.l2
-        if r2.is_zero() or not y.contains(r2):
-            continue
-        w1 = query.W1([e / Y for e, Y in zip((query.l1 * r1).embeddings(), query.Y)])
+    for r1, r2 in _walk(l1, l2, y, query.q, bounds):
+        w1 = query.W1([e / Yj for e, Yj in zip((l1 * r1).embeddings(), Y)])
         if w1 == 0.0:
             continue
-        w2 = query.W2([e / Y for e, Y in zip((query.l2 * r2).embeddings(), query.Y)])
+        w2 = query.W2([e / Yj for e, Yj in zip((l2 * r2).embeddings(), Y)])
         if w2 == 0.0:
             continue
-        I1 = Ideal.principal(r1) * y.inverse()
-        I2 = Ideal.principal(r2) * y.inverse()
+        I1 = Ideal.principal(r1) * y_inv
+        I2 = Ideal.principal(r2) * y_inv
         lam = query.sys1.lambda_value(I1) * query.sys2.lambda_value(I2).conjugate()
         out += lam / math.sqrt(float(I1.norm() * I2.norm())) * w1 * w2
     return out
@@ -180,9 +190,9 @@ def dirichlet_D(
     """The Dirichlet series of the shifted convolution in its region of
     absolute convergence Re s_j > 1, truncated by trace height with a
     reported tail bound.  beta below the continuation threshold d*66 is
-    allowed but flagged."""
-    K = l1.field
-    d = K.d
+    allowed but flagged; a beta whose terms leave the float range is
+    refused."""
+    d = l1.field.d
     if len(s) != d:
         raise ValueError("s must have one entry per place")
     if any(z.real <= 1 for z in s):
@@ -190,63 +200,53 @@ def dirichlet_D(
     if beta % 2:
         raise ValueError("beta must be even")
     warn = beta <= d * 66
+    if not (l1.is_totally_positive() and l2.is_totally_positive()):
+        raise ValueError("shifts must be totally positive")
     if not q.is_totally_positive():
         raise ValueError("q must be totally positive for the positive cone sum")
     if not (math.isfinite(trace_height) and trace_height > 0):
         raise ValueError(f"trace height must be finite and > 0, got {trace_height}")
     H = trace_height
-
-    def solutions(hmax: float):
-        box = []
-        for j in range(d):
-            box.append((Fraction(0), Fraction(hmax / l1.embeddings()[j]).limit_denominator(10**9)))
-        for r1 in enumerate_in_box(y, box, totally_positive=True):
-            tr = float((l1 * r1).trace())
-            if tr > hmax or tr <= -1e-12:
-                continue
-            r2 = (l1 * r1 - q) / l2
-            if r2.is_zero() or not y.contains(r2):
-                continue
-            if not r2.is_totally_positive():
-                continue
-            yield r1, r2, tr
-
-    # one pass over trace <= 4H: the value sums trace <= H; the tail bounds
-    # the dyadic shells (H, 2H] and (2H, 4H] by |lambda| <= tau N^theta and
-    # extrapolates geometrically with the observed shell decay
+    # one walk over trace(l1 r1) <= 4H, decided on the exact trace: the value
+    # sums trace <= H; the tail bounds the shells [H, 2H] and [2H, 4H] by
+    # |lambda| <= tau N^theta and extrapolates with the observed shell decay
     y_inv = y.inverse()
     total = 0.0 + 0j
     shell1 = shell2 = 0.0
-    for r1, r2, tr in solutions(4 * H):
-        I1 = Ideal.principal(r1) * y_inv
-        I2 = Ideal.principal(r2) * y_inv
-        x = (l1 * r1).embeddings()
-        z = (l2 * r2).embeddings()
-        nprod = abs(float((l1 * r1 * l2 * r2).norm()))
-        if tr <= H:
-            out = sys1.lambda_value(I1) * sys2.lambda_value(I2).conjugate()
-            out *= nprod ** ((beta - 1) / 2)
-            for j in range(d):
-                out /= (x[j] + z[j]) ** (s[j] + beta - 1)
-            total += out
-        if tr > H - 1e-12:
-            t1 = arith_functions(I1)[2] * float(I1.norm()) ** sys1.theta
-            t2 = arith_functions(I2)[2] * float(I2.norm()) ** sys2.theta
-            out = t1 * t2 * nprod ** ((beta - 1) / 2)
-            for j in range(d):
-                out /= (x[j] + z[j]) ** (s[j].real + beta - 1)
-            if tr <= 2 * H:
-                shell1 += out
-            if tr > 2 * H - 1e-12:
-                shell2 += out
-    ratio = 0.75 if shell1 == 0 else min(0.75, shell2 / shell1)
-    tail = shell1 / (1 - ratio) if shell1 else shell2 / (1 - ratio)
-    return {
-        "value": total,
-        "tail_bound": tail,
-        "trace_height": trace_height,
-        "beta_warning": warn,
-    }
+    try:
+        for r1, r2 in _walk(l1, l2, y, q, [(0, 4 * H)] * d, totally_positive=True):
+            tr = (l1 * r1).trace()
+            if tr > 4 * H:
+                continue
+            I1 = Ideal.principal(r1) * y_inv
+            I2 = Ideal.principal(r2) * y_inv
+            x = (l1 * r1).embeddings()
+            z = (l2 * r2).embeddings()
+            nprod = abs(float((l1 * r1 * l2 * r2).norm()))
+            if tr <= H:
+                out = sys1.lambda_value(I1) * sys2.lambda_value(I2).conjugate()
+                out *= nprod ** ((beta - 1) / 2)
+                for j in range(d):
+                    out /= (x[j] + z[j]) ** (s[j] + beta - 1)
+                total += out
+            if tr >= H:
+                t1 = arith_functions(I1)[2] * float(I1.norm()) ** sys1.theta
+                t2 = arith_functions(I2)[2] * float(I2.norm()) ** sys2.theta
+                out = t1 * t2 * nprod ** ((beta - 1) / 2)
+                for j in range(d):
+                    out /= (x[j] + z[j]) ** (s[j].real + beta - 1)
+                if tr <= 2 * H:
+                    shell1 += out
+                if tr >= 2 * H:
+                    shell2 += out
+        ratio = 0.75 if shell1 == 0 else min(0.75, shell2 / shell1)
+        tail = shell1 / (1 - ratio) if shell1 else shell2 / (1 - ratio)
+    except (OverflowError, ZeroDivisionError):
+        tail = math.inf
+    if not all(map(math.isfinite, (total.real, total.imag, shell1, shell2, tail))):
+        raise ValueError(f"beta = {beta} takes the terms of the series out of the float range")
+    return {"value": total, "tail_bound": tail, "trace_height": trace_height,
+            "beta_warning": warn}
 
 
 # ---------------------------------------------------------------------------

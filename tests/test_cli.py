@@ -211,6 +211,8 @@ def test_bad_spectral_inputs_refused(args, message):
     (("shifted", "dirichlet", "--q", "1", "--s", "1.5", "--height", "-1"),
      "trace height must be finite and > 0"),
     (("chars", "eisen-count", "--level", "1/2", "--X", "2"), "level must be integral"),
+    (("--field", "5", "shifted", "dirichlet", "--q", "1", "--s", "1.5", "--beta", "134",
+      "--height", "20"), "beta = 134 takes the terms of the series out of the float range"),
 ])
 def test_bad_sizes_refused(args, message):
     # sizes that are not finite, or zero where they divide: exit 2 with a

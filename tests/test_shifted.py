@@ -1,14 +1,14 @@
 """Tests for shifted convolution sums, the Dirichlet series, the unit
 fundamental domain, and the amplified-moment identity."""
 
+import functools
 import math
 import random
-from fractions import Fraction
 
 import pytest
 
 from totreal.characters import unramified_character
-from totreal.fields import Ideal, enumerate_in_box, make_field
+from totreal.fields import make_field
 from totreal.shifted import (
     ProductWeight,
     ShiftedQuery,
@@ -90,42 +90,154 @@ def test_shifted_swap_conjugates():
     assert shifted_sum(qA) == pytest.approx(shifted_sum(qB).conjugate(), abs=1e-12)
 
 
-def _double_loop_oracle_K5(sys1, sys2, l1, l2, y, qel, Y, W1, W2, B=25):
-    """Independent double loop over coordinate rectangles (support-filtered)."""
+# Q(sqrt 5) in integer coordinates: r = (x, y) is x + y*omega, omega^2 =
+# omega + 1, and sigma_1(omega) = (1 + sqrt 5)/2; no field or ideal objects
+PHI = (1 + math.sqrt(5)) / 2
+
+
+def _mul5(r, s):
+    (x1, y1), (x2, y2) = r, s
+    return (x1 * x2 + y1 * y2, x1 * y2 + x2 * y1 + y1 * y2)
+
+
+def _norm5(r):
+    x, y = r
+    return x * x + x * y - y * y
+
+
+def _totally_positive5(r):
+    return 2 * r[0] + r[1] > 0 and _norm5(r) > 0
+
+
+def _emb5(r):
+    x, y = r
+    return (x + y * PHI, x + y * (1 - PHI))
+
+
+def _div5(r, s):
+    """r / s in integer coordinates, or None when it is not integral."""
+    x, y = _mul5(r, (s[0] + s[1], -s[1]))  # r * conj(s)
+    n = _norm5(s)
+    return (x // n, y // n) if x % n == 0 and y % n == 0 else None
+
+
+@functools.lru_cache(maxsize=None)
+def _roots5(a):
+    # b + omega generates a primitive ideal of norm a with a | N(b + omega)
+    return [b for b in range(a) if (b * b + b - 1) % a == 0]
+
+
+@functools.lru_cache(maxsize=None)
+def _tau5(r):
+    """tau((r)): the HNF ideals c*(a*Z + (b + omega)*Z), of norm c^2 a,
+    that contain r = x + y*omega."""
+    x, y = r
+    n = abs(_norm5(r))
+    count = 0
+    for c in range(1, math.isqrt(n) + 1):
+        if x % c or y % c or n % (c * c):
+            continue
+        m = n // (c * c)
+        for a in range(1, m + 1):
+            if m % a == 0:
+                count += sum(1 for b in _roots5(a) if (x // c - y // c * b) % a == 0)
+    return count
+
+
+def _double_loop_oracle_K5(l1, l2, g, qel, Y, W1, W2, B=25):
+    """shifted_sum for the divisor system over Q(sqrt 5) with y = (g), g a
+    rational integer, by a double loop over r = g*(x + y*omega) with |x|,
+    |y| <= 2B (every r whose embeddings lie in [-B, B]); weight-filtered."""
     total = 0j
-    box = [(Fraction(-B), Fraction(B))] * 2
-    elems = [e for e in enumerate_in_box(y, box) if not e.is_zero()]
-    lhs = []
-    for r1 in elems:
-        w1 = W1([e / Yj for e, Yj in zip((l1 * r1).embeddings(), Y)])
-        if w1 != 0.0:
-            lhs.append((r1, w1))
-    rhs = []
-    for r2 in elems:
-        w2 = W2([e / Yj for e, Yj in zip((l2 * r2).embeddings(), Y)])
-        if w2 != 0.0:
-            rhs.append((r2, w2))
-    for r1, w1 in lhs:
-        for r2, w2 in rhs:
-            if not (l1 * r1 - l2 * r2) == qel:
+    rhos = [(x, y) for x in range(-2 * B, 2 * B + 1) for y in range(-2 * B, 2 * B + 1)
+            if (x, y) != (0, 0)]
+    sides = []
+    for l, W in ((l1, W1), (l2, W2)):
+        side = []
+        for rho in rhos:
+            lr = _mul5(l, (g * rho[0], g * rho[1]))
+            w = W([e / Yj for e, Yj in zip(_emb5(lr), Y)])
+            if w != 0.0:
+                side.append((rho, lr, w))
+        sides.append(side)
+    for rho1, lr1, w1 in sides[0]:
+        for rho2, lr2, w2 in sides[1]:
+            if (lr1[0] - lr2[0], lr1[1] - lr2[1]) != qel:
                 continue
-            I1 = Ideal.principal(r1) * y.inverse()
-            I2 = Ideal.principal(r2) * y.inverse()
-            lam = sys1.lambda_value(I1) * sys2.lambda_value(I2).conjugate()
-            total += lam / math.sqrt(float(I1.norm() * I2.norm())) * w1 * w2
+            lam = _tau5(rho1) * _tau5(rho2)
+            total += lam / math.sqrt(abs(_norm5(rho1) * _norm5(rho2))) * w1 * w2
     return total
 
 
 def test_shifted_matches_double_loop_K5():
-    rng = random.Random(6)
+    # y = (1) and y = (2), with q = 1 and q = 2 in y
     dv = divisor_system(K5)
-    for _ in range(3):
-        Y = (rng.uniform(5, 9), rng.uniform(5, 9))
-        W = ProductWeight([SmoothBump(0.3, 2.2), SmoothBump(0.25, 2.4)])
-        q = ShiftedQuery(dv, dv, K5.one(), K5.one(), K5.unit_ideal(), K5.one(), Y, W, W)
-        v = shifted_sum(q)
-        vo = _double_loop_oracle_K5(dv, dv, K5.one(), K5.one(), K5.unit_ideal(), K5.one(), Y, W, W)
-        assert v == pytest.approx(vo, abs=1e-10)
+    for g in (1, 2):
+        rng = random.Random(6)
+        for _ in range(3):
+            Y = (rng.uniform(5, 9), rng.uniform(5, 9))
+            W = ProductWeight([SmoothBump(0.3, 2.2), SmoothBump(0.25, 2.4)])
+            q = ShiftedQuery(dv, dv, K5.one(), K5.one(), K5.ideal(g), K5.element(g), Y, W, W)
+            v = shifted_sum(q)
+            assert abs(v) > 0.1
+            assert v == pytest.approx(_double_loop_oracle_K5((1, 0), (1, 0), g, (g, 0), Y, W, W),
+                                      rel=1e-12)
+
+
+def _dirichlet_oracle_K5(l1, l2, g, q, s, beta, H, theta):
+    """(value, tail_bound) of dirichlet_D for the divisor system over
+    Q(sqrt 5) with y = (g), by brute force over the integer coordinates of
+    u = l1 r1 with 0 < trace(u) <= 4H; the tail from the shells of trace
+    [H, 2H] and [2H, 4H] extrapolated as documented."""
+    total = 0j
+    shell1 = shell2 = 0.0
+    R = int(4 * H)
+    for x in range(-R, R + 1):
+        for y in range(-R, R + 1):
+            u = (x, y)
+            tr = 2 * x + y
+            v = (x - q[0], y - q[1])  # l2 r2
+            if tr > 4 * H or not (_totally_positive5(u) and _totally_positive5(v)):
+                continue
+            rho1, rho2 = _div5(u, (g * l1[0], g * l1[1])), _div5(v, (g * l2[0], g * l2[1]))
+            if rho1 is None or rho2 is None:
+                continue
+            nprod = (_norm5(u) * _norm5(v)) ** ((beta - 1) / 2)
+            t1, t2 = _tau5(rho1), _tau5(rho2)
+            sums = _emb5(u), _emb5(v)
+            if tr <= H:
+                term = t1 * t2 * nprod
+                for xj, zj, sj in zip(*sums, s):
+                    term /= (xj + zj) ** (sj + beta - 1)
+                total += term
+            if tr >= H:
+                term = t1 * t2 * (_norm5(rho1) * _norm5(rho2)) ** theta * nprod
+                for xj, zj, sj in zip(*sums, s):
+                    term /= (xj + zj) ** (sj.real + beta - 1)
+                shell1 += term if tr <= 2 * H else 0.0
+                shell2 += term if tr >= 2 * H else 0.0
+    ratio = 0.75 if shell1 == 0 else min(0.75, shell2 / shell1)
+    return total, (shell1 if shell1 else shell2) / (1 - ratio)
+
+
+@pytest.mark.parametrize("l1,l2,g,q,H,s", [
+    ((1, 0), (1, 0), 1, (1, 0), 20.0, [1.5 + 0.5j, 2.0]),
+    ((1, 0), (1, 0), 1, (1, 0), 30.0, [1.5 + 0.5j, 2.0]),
+    # 27 + 42 omega, trace 4H, sits in the last row of the box; at this s
+    # the shell ratio stays below its cap, so the tail reads shell [2H, 4H]
+    ((1, 0), (1, 0), 1, (1, 0), 24.0, [3.0, 3.5]),
+    ((1, 1), (2, 0), 1, (2, 1), 20.0, [1.5 + 0.5j, 2.0]),
+    ((1, 0), (1, 1), 2, (2, 0), 24.0, [1.5 + 0.5j, 2.0]),
+])
+def test_dirichlet_matches_integer_oracle_K5(l1, l2, g, q, H, s):
+    # l1 = 1 + omega is the totally positive unit eps^2, q = 2 + omega >> 0
+    dv = divisor_system(K5)
+    el = lambda r: K5.element(*r)
+    rec = dirichlet_D(dv, dv, el(l1), el(l2), K5.ideal(g), el(q), s, 2, trace_height=H)
+    value, tail = _dirichlet_oracle_K5(l1, l2, g, q, s, 2, H, dv.theta)
+    assert value != 0 and tail > 0
+    assert rec["value"] == pytest.approx(value, rel=1e-12)
+    assert rec["tail_bound"] == pytest.approx(tail, rel=1e-12)
 
 
 def test_dirichlet_scalar_example():
@@ -155,6 +267,29 @@ def test_dirichlet_domain_checks():
     r = dirichlet_D(dv, dv, Q.one(), Q.one(), Q.unit_ideal(), Q.one(), [40.0], 2, trace_height=60.0)
     lead = _tau(2) * _tau(1) * math.sqrt(2) / 3 ** (40 + 1)
     assert r["value"] == pytest.approx(lead, rel=1e-6)
+
+
+def test_dirichlet_refuses_shifts_not_totally_positive():
+    # with l1 = l2 = -1 every r1 >= 1 has r2 = r1 + 1 > 0, so a zero value
+    # with a zero tail bound would be false
+    dv = divisor_system(Q)
+    minus = -Q.one()
+    for l1, l2 in ((minus, minus), (minus, Q.one()), (Q.one(), minus)):
+        with pytest.raises(ValueError, match="shifts must be totally positive"):
+            dirichlet_D(dv, dv, l1, l2, Q.unit_ideal(), Q.one(), [1.5], 2, trace_height=40.0)
+    omega = K5.element(0, 1)  # sigma_2(omega) < 0
+    with pytest.raises(ValueError, match="shifts must be totally positive"):
+        dirichlet_D(divisor_system(K5), divisor_system(K5), omega, K5.one(), K5.unit_ideal(),
+                    K5.one(), [1.5, 1.5], 2, trace_height=20.0)
+
+
+@pytest.mark.parametrize("K,beta", [(K5, 134), (Q, 200), (Q, -1000)])
+def test_dirichlet_refuses_beta_out_of_float_range(K, beta):
+    # the terms overflow (or underflow to a zero divisor) in floats
+    dv = divisor_system(K)
+    with pytest.raises(ValueError, match=f"beta = {beta} "):
+        dirichlet_D(dv, dv, K.one(), K.one(), K.unit_ideal(), K.one(), [1.5] * K.d, beta,
+                    trace_height=20.0)
 
 
 def test_fd_reduce():

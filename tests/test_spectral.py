@@ -1,5 +1,6 @@
 """Tests for eigenvalue systems, oldform bases, and the Kuznetsov side."""
 
+import cmath
 import math
 import random
 import tracemalloc
@@ -551,6 +552,29 @@ def test_kuznetsov_partial_sums_cauchy():
     rec1 = kuznetsov_geometric_side(r1, r1, Q.unit_ideal(), k, box=20.0)
     rec2 = kuznetsov_geometric_side(r1, r1, Q.unit_ideal(), k, box=40.0)
     assert abs(rec1["value"] - rec2["value"]) <= rec1["tail_majorant"]
+
+
+def _kloosterman_classical(m, n, c):
+    """S(m, n; c): e((m x + n xbar)/|c|) summed over the x mod |c| prime to c."""
+    c = abs(c)
+    return sum(cmath.exp(2j * math.pi * (m * x + n * pow(x, -1, c)) / c)
+               for x in range(c) if math.gcd(x, c) == 1)
+
+
+@pytest.mark.parametrize("m,n,B", [(1, 1, 6), (2, 3, 5)])
+def test_kuznetsov_off_diagonal_classical_form_Q(m, n, B):
+    # the classical off-diagonal term over Q: the sum over 0 < |c| <= B and
+    # u = +-1 of S(m, un; c)/|c| kcheck(umn/c^2), S from residues and kcheck
+    # by mpmath quadrature; c and -c give equal terms
+    total = 0j
+    for c in range(1, B + 1):
+        for u in (1, -1):
+            total += 2 * _kloosterman_classical(m, u * n, c) / c * _kcheck_oracle(1.0, u * m * n / c**2)
+    rec = kuznetsov_geometric_side(Q.element(m), Q.element(n), Q.unit_ideal(),
+                                   [KTestGaussian(1.0)], box=float(B))
+    assert rec["terms"] == 4 * B
+    assert abs(total) > 0.1
+    assert rec["off_diagonal"] == pytest.approx(total, abs=1e-8)
 
 
 def _term_by_term(ks, r1, r2, box):
