@@ -15,18 +15,25 @@ Phases are computed as exact integer numerators over one denominator (the
 trace pairing is linear in the residue coordinates), so the only floating
 point is the final complex exponential.  All sums of one modulus go through
 one phase kernel: a (pairs x residues) array of numerators, one exponential
-and one row-wise sum, each row bit-identical to a one-pair call.  The
-sweep makes one pass per modulus: its ideal, residue table, (c*delta)^{-1},
-tau and the gcds with each r are made once and shared by all its pairs.
-Which classes are units comes from fields.unit_mask, the rule the
-characters use too, which also refuses a modulus of norm above
-fields.MAX_BOX_POINTS; each table is kept in a bounded LRU cache.
+and one row-wise sum, each row bit-identical to a one-pair call.
+
+A modulus's residue table lists the units x of o/(c) and their inverses as
+coordinate arrays.  Tables are built many moduli at a time: the units of a
+group of ideals (fields.unit_mask, the rule the characters use too, which
+also refuses a modulus of norm above fields.MAX_BOX_POINTS) are laid end to
+end, one masked square-and-multiply x -> x^(phi - 1) inverts them all, and
+the result is cut back into one table per ideal.  One modulus is the group
+of one.  The norms in a group sum to at most GROUP_RESIDUES (a larger
+modulus is a group alone), and the tables are kept in a cache keyed by
+ideal and bounded by TABLE_CACHE_SIZE.  The sweep makes its tables group
+by group and then one pass per modulus: its (c*delta)^{-1}, tau and the
+gcds with each r are made once and shared by all its pairs.
 """
 
 from __future__ import annotations
 
-import functools
 import math
+from collections import OrderedDict
 from dataclasses import dataclass
 
 import numpy as np
@@ -59,51 +66,17 @@ class KloostermanQuery:
 
 
 class _ModulusTable:
-    """Invertible residues mod (c) with inverses, as coordinate arrays."""
+    """Invertible residues mod (c), i-major, and their inverses, as
+    coordinate arrays; made by _build_tables."""
 
-    def __init__(self, cI: Ideal):
-        K = cI.field
-        self.field = K
+    __slots__ = ("field", "ideal", "xi", "xj", "phi", "inv_i", "inv_j")
+
+    def __init__(self, cI: Ideal, xi, xj, inv_i, inv_j):
+        self.field = cI.field
         self.ideal = cI
-        self.a = cI.a
-        self.b = cI.b
-        self.c2 = cI.c
-        # the unit mask is in rows by j; its transpose lists units i-major
-        mask = np.frombuffer(unit_mask(cI), np.uint8).reshape(cI.c, cI.a)
-        self.xi, self.xj = np.nonzero(mask.T)
-        self.phi = len(self.xi)
-        self.inv_i, self.inv_j = self._inverses()
-
-    def _mul(self, ai, aj, bi, bj):
-        """Coordinatewise product reduced into the HNF cell; omega^2 = t*omega - n."""
-        t, n = self.field.t_omega, self.field.n_omega
-        ajbj = aj * bj
-        ci = ai * bi - n * ajbj
-        cj = ai * bj + aj * bi + t * ajbj
-        # reduce: j mod c2 with borrow b, then i mod a
-        k = cj // self.c2
-        cj = cj - k * self.c2
-        ci = (ci - k * self.b) % self.a
-        return ci, cj
-
-    def _inverses(self):
-        e = self.phi - 1
-        ri = np.zeros_like(self.xi)
-        rj = np.zeros_like(self.xj)
-        one = self.ideal.reduce(self.field.one())
-        ri += one.x
-        rj += one.y
-        bi, bj = self.xi.copy(), self.xj.copy()
-        while e:
-            if e & 1:
-                ri, rj = self._mul(ri, rj, bi, bj)
-            bi, bj = self._mul(bi, bj, bi, bj)
-            e >>= 1
-        # verify closure: x * x^{-1} = 1
-        ci, cj = self._mul(self.xi, self.xj, ri, rj)
-        if not (np.all(ci == one.x) and np.all(cj == one.y)):
-            raise RuntimeError("inversion table failed to close")
-        return ri, rj
+        self.xi, self.xj = xi, xj
+        self.phi = len(xi)
+        self.inv_i, self.inv_j = inv_i, inv_j
 
     def index_of(self, x: RingElement) -> int:
         xr = self.ideal.reduce(x)
@@ -117,10 +90,117 @@ class _ModulusTable:
         return RingElement(self.field, int(self.inv_i[k]), int(self.inv_j[k]))
 
 
-@functools.lru_cache(maxsize=1024)
-def _table(cI: Ideal) -> _ModulusTable:
-    """The table of (c), built once per (c)."""
-    return _ModulusTable(cI)
+# residues inverted together: a group of moduli whose norms sum to at most
+# GROUP_RESIDUES (a modulus of larger norm alone) shares one array pass
+GROUP_RESIDUES = 1 << 14
+# the bound of the table cache, which keeps the most recently used tables
+TABLE_CACHE_SIZE = 1024
+_TABLES: OrderedDict[Ideal, _ModulusTable] = OrderedDict()
+
+
+def _groups(ideals):
+    """Consecutive runs of the ideals whose norms sum to at most
+    GROUP_RESIDUES; an ideal of larger norm makes a run alone."""
+    group, size = [], 0
+    for I in ideals:
+        n = I.norm()
+        if group and size + n > GROUP_RESIDUES:
+            yield group
+            group, size = [], 0
+        group.append(I)
+        size += n
+    if group:
+        yield group
+
+
+def _build_tables(ideals) -> list[_ModulusTable]:
+    """The tables of integral ideals of one field, from one array pass.
+
+    The units of every ideal (fields.unit_mask, which refuses an oversize
+    ring before any class is made) are laid end to end.  Each residue x
+    carries its ideal's HNF cell (a, b, c) and the exponent e = phi - 1, so
+    x^-1 = x^e comes from one square-and-multiply over all of them, from
+    the top bit of the largest e down: at bit k every power r is squared,
+    and r becomes r*x where e has bit k (r stays 1 through the leading zero
+    bits of a smaller e).  The inverses are checked by x * x^-1 = 1 once,
+    then cut back into one table per ideal.
+    """
+    K = ideals[0].field
+    t, n = K.t_omega, K.n_omega
+    units = []
+    for I in ideals:
+        # the unit mask is in rows by j; its transpose lists units i-major
+        mask = np.frombuffer(unit_mask(I), np.uint8).reshape(I.c, I.a)
+        units.append(np.nonzero(mask.T))
+    phis = [len(xi) for xi, _ in units]
+    xi = np.concatenate([u[0] for u in units])
+    xj = np.concatenate([u[1] for u in units])
+    # a column the whole group shares stays a scalar (numpy divides by one
+    # fastest); cells and exponents are below MAX_BOX_POINTS, so int32
+    cells = [(I.a, I.b, I.c, phi - 1) for I, phi in zip(ideals, phis)]
+    a, b, c, e = (
+        np.int64(v[0]) if len(set(v)) == 1 else np.repeat(np.array(v, np.int32), phis)
+        for v in zip(*cells)
+    )
+
+    def mul(ui, uj, vi, vj):
+        """Products reduced into each residue's HNF cell; omega^2 = t*omega - n.
+        In place where it can be, so that a group makes few temporaries."""
+        uvj = uj * vj
+        pi = ui * vi
+        pi -= n * uvj
+        pj = ui * vj
+        pj += uj * vi
+        uvj *= t
+        pj += uvj
+        # j mod c with borrow b, then i mod a
+        k = pj // c
+        pi -= k * b
+        np.remainder(pi, a, out=pi)
+        k *= c
+        pj -= k
+        return pi, pj
+
+    ri, rj = np.ones_like(xi) % a, np.zeros_like(xj)
+    top = int(e.max()).bit_length() - 1
+    for k in range(top, -1, -1):
+        if k < top:
+            ri, rj = mul(ri, rj, ri, rj)
+        take = (e >> k) & 1 == 1
+        if take.any():
+            pi, pj = mul(ri, rj, xi, xj)
+            np.copyto(ri, pi, where=take)
+            np.copyto(rj, pj, where=take)
+    ci, cj = mul(xi, xj, ri, rj)
+    if not ((ci == 1 % a).all() and not cj.any()):
+        raise RuntimeError("inversion table failed to close")
+    # copies, so that a cached table does not hold its group's arrays
+    ends = np.cumsum(phis).tolist()
+    return [
+        _ModulusTable(I, ui, uj, ri[s:f].copy(), rj[s:f].copy())
+        for I, (ui, uj), s, f in zip(ideals, units, [0] + ends, ends)
+    ]
+
+
+def _tables(ideals) -> list[_ModulusTable]:
+    """The tables of integral ideals of one field, in order.
+
+    The tables not in the cache are built by _build_tables, group by group
+    (_groups), and enter the cache only once every group is built, so a
+    refused ideal leaves the cache as it was.  The cache keeps the
+    TABLE_CACHE_SIZE most recently used tables.
+    """
+    tabs = [_TABLES.get(I) for I in ideals]
+    missing = dict.fromkeys(I for I, tab in zip(ideals, tabs) if tab is None)
+    built = {}
+    for group in _groups(missing):
+        built.update(zip(group, _build_tables(group)))
+    _TABLES.update(built)
+    for I in ideals:
+        _TABLES.move_to_end(I)
+    while len(_TABLES) > TABLE_CACHE_SIZE:
+        _TABLES.popitem(last=False)
+    return [built[I] if tab is None else tab for I, tab in zip(ideals, tabs)]
 
 
 def _trace_pair(w: RingElement) -> tuple[tuple[int, int], tuple[int, int]]:
@@ -162,6 +242,8 @@ def _phase_sums(tab: _ModulusTable, pairs) -> list[complex]:
 def kloosterman_sums(queries: list[KloostermanQuery]) -> list[complex]:
     """S(r1, r2; c) for queries that share one modulus c, from one table and
     one phase array; S = 1 for (c) = (1)."""
+    if not queries:
+        return []
     c = queries[0].c
     if any(q.c != c for q in queries):
         raise ValueError("queries must share one modulus")
@@ -169,7 +251,8 @@ def kloosterman_sums(queries: list[KloostermanQuery]) -> list[complex]:
     if cI.norm() == 1:
         return [1.0 + 0j] * len(queries)
     w = (c * c.field.delta).inverse()
-    return _phase_sums(_table(cI), [(q.r1 * w, q.r2 * w) for q in queries])
+    (tab,) = _tables([cI])
+    return _phase_sums(tab, [(q.r1 * w, q.r2 * w) for q in queries])
 
 
 def kloosterman_sum(query: KloostermanQuery) -> complex:
@@ -191,30 +274,31 @@ def kloosterman_sum_crt(query: KloostermanQuery, c1: RingElement, c2: RingElemen
     if I1 * I2 != Ideal.principal(query.c):
         raise ValueError("c1*c2 must generate (c)")
     out = 1.0 + 0j
-    for cf, other, I in ((c1, c2, I1), (c2, c1, I2)):
-        if I.norm() == 1:
-            continue
-        tab = _table(I)
+    # a factor of norm 1 contributes 1; the others' tables come in one batch
+    factors = [(cf, other, I) for cf, other, I in ((c1, c2, I1), (c2, c1, I2)) if I.norm() != 1]
+    tabs = _tables([I for _, _, I in factors])
+    for (cf, other, _), tab in zip(factors, tabs):
         obar = tab.inverse_element(other)
         sub = KloostermanQuery(query.r1 * obar * obar, query.r2, cf)
         out *= kloosterman_sum(sub)
     return out
 
 
-def _weil_records(cI: Ideal, c: RingElement, rs, pairs):
+def _weil_records(tab: _ModulusTable, c: RingElement, rs, pairs):
     """Weil-margin records of S(rs[i], rs[j]; c) for each (i, j) in pairs:
 
         margin = |S| / (tau((c)) * sqrt(N gcd((r1),(r2),(c))) * sqrt(N (c))).
 
     The table, w = (c*delta)^{-1}, each r*w, tau and each (c) + (r) are made
-    once; a record costs one ideal gcd and the division.
+    once; a record costs one ideal gcd and the division.  tab is the
+    table of (c).
     """
+    cI = tab.ideal
     nc = int(cI.norm())
     if nc == 1:
         for _ in pairs:
             yield {"S": 1.0 + 0j, "abs_S": 1.0, "tau": 1, "gcd_norm": 1, "c_norm": 1, "margin": 1.0}
         return
-    tab = _table(cI)
     w = (c * c.field.delta).inverse()
     rw = [r * w for r in rs]
     _, _, tau = arith_functions(cI)
@@ -235,8 +319,8 @@ def _weil_records(cI: Ideal, c: RingElement, rs, pairs):
 
 def weil_margin(query: KloostermanQuery) -> dict:
     """|S| / (tau((c)) * sqrt(N gcd((r1),(r2),(c))) * sqrt(N (c))) with parts."""
-    cI = Ideal.principal(query.c)
-    return next(_weil_records(cI, query.c, [query.r1, query.r2], [(0, 1)]))
+    (tab,) = _tables([Ideal.principal(query.c)])
+    return next(_weil_records(tab, query.c, [query.r1, query.r2], [(0, 1)]))
 
 
 def weil_sweep(K: FieldDesc, cmax: int, r_values=(1, 2, 3)):
@@ -244,15 +328,16 @@ def weil_sweep(K: FieldDesc, cmax: int, r_values=(1, 2, 3)):
 
     Yields dicts (one per (c, r1, r2), r1-major), one modulus at a time:
     the modulus's exact work is shared by its pairs and their sums come
-    from one phase array.
+    from one phase array.  The residue tables of each group of moduli
+    (_groups) are made together and handed to the records.
     """
     rs = [RingElement(K, r) for r in r_values]
     pairs = [(i, j) for i in range(len(rs)) for j in range(len(rs))]
-    for cI in ideals_of_norm_up_to(K, cmax):
-        if cI.norm() == 1:
-            continue
-        c = principal_generator(cI)
-        for (i, j), rec in zip(pairs, _weil_records(cI, c, rs, pairs)):
-            rec["c"] = c
-            rec["r1"], rec["r2"] = rs[i], rs[j]
-            yield rec
+    moduli = [cI for cI in ideals_of_norm_up_to(K, cmax) if cI.norm() != 1]
+    for group in _groups(moduli):
+        for tab in _tables(group):
+            c = principal_generator(tab.ideal)
+            for (i, j), rec in zip(pairs, _weil_records(tab, c, rs, pairs)):
+                rec["c"] = c
+                rec["r1"], rec["r2"] = rs[i], rs[j]
+                yield rec

@@ -435,17 +435,18 @@ def kuznetsov_geometric_side(
     per distinct test function takes the first-seen embeddings of every
     place that has it, and each place reads its own back by its own keys;
     ktilde too is computed once per distinct test function.  So an input
-    the transforms refuse fails before any Kloosterman sum.  The second pass
-    computes the Kloosterman sums of each c and adds S / N(c) times the
-    product of the term's transforms in place order, term after term, as a
-    term-by-term walk would.
+    the transforms refuse fails before any Kloosterman sum.  Then the
+    residue tables of the distinct moduli are built in one batch, and the
+    second pass computes the Kloosterman sums of each c and adds S / N(c)
+    times the product of the term's transforms in place order, term after
+    term, as a term-by-term walk would.
 
     The majorant takes |kcheck(t)| <= A Z^2 min(1, sqrt|t|) with A =
     KERNEL_BOUND_A; tail_target is the tail bound asked of every transform
     and of ktilde.  The result's "transforms" counts the distinct t per
     place.
     """
-    from .kloosterman import KloostermanQuery, kloosterman_sums
+    from .kloosterman import TABLE_CACHE_SIZE, KloostermanQuery, _tables, kloosterman_sums
 
     K = r1.field
     if len(k) != K.d:
@@ -492,6 +493,10 @@ def kuznetsov_geometric_side(
         recs = iter(bessel_transforms_many(kj, [t for j in js for t in first[j].values()], tail_target))
         for j in js:
             kcheck[j] = {key: next(recs)["value"] for key in first[j]}
+    # the residue tables of the distinct moduli in one batch, no more than
+    # the cache keeps, so the sums below read them from it
+    ideals = dict.fromkeys(Ideal.principal(c) for c, _ in moduli)
+    _tables([I for I in ideals if I.norm() > 1][:TABLE_CACHE_SIZE])
     total = 0.0 + 0j
     for c, unit_keys in moduli:
         nc = abs(float(c.norm()))

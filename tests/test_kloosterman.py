@@ -4,6 +4,7 @@ import cmath
 import math
 import random
 
+import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
@@ -17,8 +18,11 @@ from totreal.fields import (
     principal_generator,
 )
 from totreal.kloosterman import (
+    TABLE_CACHE_SIZE,
     KloostermanQuery,
-    _table,
+    _TABLES,
+    _groups,
+    _tables,
     kloosterman_sum,
     kloosterman_sum_crt,
     kloosterman_sums,
@@ -158,31 +162,37 @@ def test_sweep_margins_small():
         kloosterman_sums([qs[0], KloostermanQuery(K5.one(), K5.one(), K5.element(2))])
 
 
+def test_no_queries():
+    assert kloosterman_sums([]) == []
+
+
 def test_table_cache_bounded_and_checks_bound():
     # a modulus of norm above the ring limit is refused by unit_mask before
     # any class is made, and no table is cached for it
     c = Q.element(1000003)
     q = KloostermanQuery(Q.element(1), Q.element(1), c)
-    held = _table.cache_info().currsize
+    held = list(_TABLES)
     with pytest.raises(ValueError, match="above the limit of 1000000"):
         kloosterman_sum(q)
     with pytest.raises(ValueError, match="above the limit of 1000000"):
         kloosterman_sum_crt(q, c, Q.element(1))
-    assert _table.cache_info().currsize == held
-    maxsize = _table.cache_info().maxsize
-    for n in range(2, maxsize + 40):
-        _table(Q.ideal(n))
-    assert _table.cache_info().currsize <= maxsize
+    assert list(_TABLES) == held
+    # one batch of more tables than the cache holds
+    ideals = [Q.ideal(n) for n in range(2, TABLE_CACHE_SIZE + 40)]
+    assert [tab.ideal for tab in _tables(ideals)] == ideals
+    assert len(_TABLES) <= TABLE_CACHE_SIZE
 
 
 def test_table_inverses():
-    assert {int(x.a): int(_table(Q.ideal(5)).inverse_element(x).a)
+    (tab,) = _tables([Q.ideal(5)])
+    assert {int(x.a): int(tab.inverse_element(x).a)
             for x in ResidueSystem(Q.ideal(5)).units} == {1: 1, 2: 3, 3: 2, 4: 4}
     # over Q(sqrt 5) mod (2) the inverse of a unit is a unit
     c = K5.ideal(2)
     units = ResidueSystem(c).units
+    (tab,) = _tables([c])
     for x in units:
-        inv = _table(c).inverse_element(x)
+        inv = tab.inverse_element(x)
         assert inv in units and c.reduce(x * inv) == K5.one()
 
 
@@ -247,8 +257,52 @@ def test_unit_rule_against_gcd(c):
             else:
                 x = K.element(i + 5 * c.a)
             assert rs.is_unit(x) == ((i, j) in units)
-    tab = _table(c)
+    (tab,) = _tables([c])
     assert list(zip(tab.xi.tolist(), tab.xj.tolist())) == by_i
+
+
+def test_batched_inverses_multiply_back():
+    # every modulus of norm <= 300 in one call, which inverts them in more
+    # than one group; each unit times its inverse, in exact field arithmetic,
+    # is 1 mod c, and the inverse is reduced into the HNF cell of c
+    for K in PROP_FIELDS.values():
+        ideals = [c for c in ideals_of_norm_up_to(K, 300) if c.norm() > 1]
+        assert len(list(_groups(ideals))) >= 2
+        _TABLES.clear()
+        for c, tab in zip(ideals, _tables(ideals), strict=True):
+            assert tab.ideal == c and tab.phi == arith_functions(c)[1]
+            for xi, xj, yi, yj in zip(tab.xi.tolist(), tab.xj.tolist(),
+                                      tab.inv_i.tolist(), tab.inv_j.tolist()):
+                x, inv = K.element(xi, xj), K.element(yi, yj)
+                assert c.reduce(inv) == inv and c.reduce(x * inv) == K.one(), (c, x)
+
+
+def test_batched_tables_equal_tables_built_alone():
+    # moduli of every prime type in a shuffled order, whose norms fill more
+    # than one group, give the arrays each builds alone
+    rng = random.Random(3)
+    for K in PROP_FIELDS.values():
+        mixed = [c for c in ideals_of_norm_up_to(K, 300) if c.norm() > 1]
+        rng.shuffle(mixed)
+        assert len(list(_groups(mixed))) >= 2
+        _TABLES.clear()
+        together = _tables(mixed)
+        for c, tab in zip(mixed, together, strict=True):
+            _TABLES.clear()
+            (alone,) = _tables([c])
+            assert alone is not tab
+            for name in ("xi", "xj", "inv_i", "inv_j"):
+                assert np.array_equal(getattr(tab, name), getattr(alone, name)), (c, name)
+
+
+def test_oversize_modulus_in_a_batch_caches_nothing():
+    # the modulus above the ring limit comes after one group that builds:
+    # the call raises and no table of the batch enters the cache
+    _TABLES.clear()
+    (held,) = _tables([Q.ideal(4)])
+    with pytest.raises(ValueError, match="above the limit of 1000000"):
+        _tables([Q.ideal(7), Q.ideal(1000003), Q.ideal(11)])
+    assert list(_TABLES.items()) == [(Q.ideal(4), held)]
 
 
 def _small_element(K, v):
