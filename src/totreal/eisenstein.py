@@ -379,32 +379,6 @@ def constant_term_H_numeric(c: Ideal, delta: float, prime_bound: int = 3000) -> 
 # partial Hecke L-values and the newvector Fourier magnitude
 
 
-def _kronecker(a: int, n: int) -> int:
-    """Kronecker symbol (a/n)."""
-    if n == 0:
-        return 1 if a in (1, -1) else 0
-    if n < 0:
-        return (-1 if a < 0 else 1) * _kronecker(a, -n)
-    out = 1
-    while n % 2 == 0:
-        n //= 2
-        if a % 2 == 0:
-            return 0
-        if a % 8 in (3, 5):
-            out = -out
-    a %= n
-    while a:
-        while a % 2 == 0:
-            a //= 2
-            if n % 8 in (3, 5):
-                out = -out
-        a, n = n, a
-        if a % 4 == 3 and n % 4 == 3:
-            out = -out
-        a %= n
-    return out if n == 1 else 0
-
-
 def dedekind_zeta(K: FieldDesc, s: complex) -> complex:
     """zeta_K(s) (s != 1) via zeta(s) * L(s, chi_{D_K}); Hurwitz-based for
     the Dirichlet factor, accurate on Re s = 1."""
@@ -416,8 +390,11 @@ def dedekind_zeta(K: FieldDesc, s: complex) -> complex:
     q = abs(K.disc)
     L = 0j
     for a in range(1, q + 1):
-        ch = _kronecker(K.disc, a)
-        if ch:
+        # chi_D(a) from the factors of (a): 0 at a ramified prime, otherwise
+        # -1 to the sum of the exponents of the inert primes
+        factors = factor_ideal(K.ideal(a))
+        if all(P.e == 1 for P, _ in factors):
+            ch = (-1) ** sum(k for P, k in factors if P.f == 2)
             L += ch * complex(mp.zeta(s, Fraction(a, q)))
     L *= q ** (-complex(s))
     return z * L

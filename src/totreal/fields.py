@@ -800,11 +800,7 @@ def divisors(I: Ideal) -> list[Ideal]:
     return out
 
 
-def enumerate_in_box(
-    I: Ideal,
-    box: Sequence[tuple[Rat, Rat]],
-    totally_positive: bool = False,
-) -> list[RingElement]:
+def enumerate_in_box(I: Ideal, box: Sequence[tuple[Rat, Rat]]) -> list[RingElement]:
     """All elements of the ideal lattice whose embedding vector lies in box.
 
     Box bounds are rationals (or floats, taken at their exact binary
@@ -825,8 +821,6 @@ def enumerate_in_box(
     bounds = [(_ratio(lo), _ratio(hi)) for lo, hi in box]
     if any(hn * ld < ln * hd for (ln, ld), (hn, hd) in bounds):
         return []
-    if totally_positive:
-        bounds = [((max(ln, 0), ld), hi) for (ln, ld), hi in bounds]
     # points / MAX_BOX_POINTS = volume / (N(I) sqrt(disc) MAX_BOX_POINTS),
     # compared exactly in squares
     volume = math.prod(max(Fraction(hn, hd) - Fraction(ln, ld), 0) for (ln, ld), (hn, hd) in bounds)
@@ -845,11 +839,7 @@ def enumerate_in_box(
         (ln, ld), (hn, hd) = bounds[0]
         k0 = -((-ln * den) // (ld * a))
         k1 = (hn * den) // (hd * a)
-        return [
-            RingElement(K, k * a, 0, den)
-            for k in range(k0, k1 + 1)
-            if k or not totally_positive
-        ]
+        return [RingElement(K, k * a, 0, den) for k in range(k0, k1 + 1)]
     # the element (m*a + n*b + n*c*omega)/den has sigma_j = (P + m*A +- R*sqrt D)/M
     # with M = 2*den, A = 2*a, P = 2*n*b + t*n*c, R = s*n*c (see _sqrt_form)
     D, t, s = K.D, K.t_omega, K.s_omega
@@ -877,9 +867,7 @@ def enumerate_in_box(
             pts.append((m * a + n * b, n * c))
     # all points share den, so (a, b) order is the order of the numerators
     pts.sort()
-    return [
-        RingElement(K, x, y, den) for x, y in pts if (x or y) or not totally_positive
-    ]
+    return [RingElement(K, x, y, den) for x, y in pts]
 
 
 def unit_mask(c: Ideal) -> bytearray:

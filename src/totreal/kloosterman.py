@@ -13,9 +13,12 @@ realness, or the multiplicative structure; every downstream use is through
 
 Phases are computed as exact integer numerators over one denominator (the
 trace pairing is linear in the residue coordinates), so the only floating
-point is the final complex exponential.  All sums of one modulus go through
-one phase kernel: a (pairs x residues) array of numerators, one exponential
-and one row-wise sum, each row bit-identical to a one-pair call.
+point is the final complex exponential.  All sums of one modulus c go
+through one phase kernel: a (pairs x residues) array of numerators, one
+exponential and one row-wise sum, each row bit-identical to a one-pair call.
+kloosterman_sums takes queries over any moduli and returns S in query
+order, one phase array per distinct c and the tables of all its moduli
+from one batch.
 
 A modulus's residue table lists the units x of o/(c) and their inverses as
 coordinate arrays.  Tables are built many moduli at a time: the units of a
@@ -25,9 +28,10 @@ end, one masked square-and-multiply x -> x^(phi - 1) inverts them all, and
 the result is cut back into one table per ideal.  One modulus is the group
 of one.  The norms in a group sum to at most GROUP_RESIDUES (a larger
 modulus is a group alone), and the tables are kept in a cache keyed by
-ideal and bounded by TABLE_CACHE_SIZE.  The sweep makes its tables group
-by group and then one pass per modulus: its (c*delta)^{-1}, tau and the
-gcds with each r are made once and shared by all its pairs.
+ideal and bounded by TABLE_CACHE_SIZE; the cache is private to this
+module, whose callers pass queries, never tables.  The sweep makes its
+tables group by group and then one pass per modulus: its (c*delta)^{-1},
+tau and the gcds with each r are made once and shared by all its pairs.
 """
 
 from __future__ import annotations
@@ -99,12 +103,12 @@ _TABLES: OrderedDict[Ideal, _ModulusTable] = OrderedDict()
 
 
 def _groups(ideals):
-    """Consecutive runs of the ideals whose norms sum to at most
-    GROUP_RESIDUES; an ideal of larger norm makes a run alone."""
+    """Consecutive runs of the ideals of one field whose norms sum to at
+    most GROUP_RESIDUES; an ideal of larger norm makes a run alone."""
     group, size = [], 0
     for I in ideals:
         n = I.norm()
-        if group and size + n > GROUP_RESIDUES:
+        if group and (size + n > GROUP_RESIDUES or I.field.D != group[0].field.D):
             yield group
             group, size = [], 0
         group.append(I)
@@ -240,19 +244,32 @@ def _phase_sums(tab: _ModulusTable, pairs) -> list[complex]:
 
 
 def kloosterman_sums(queries: list[KloostermanQuery]) -> list[complex]:
-    """S(r1, r2; c) for queries that share one modulus c, from one table and
-    one phase array; S = 1 for (c) = (1)."""
-    if not queries:
-        return []
-    c = queries[0].c
-    if any(q.c != c for q in queries):
-        raise ValueError("queries must share one modulus")
-    cI = Ideal.principal(c)
-    if cI.norm() == 1:
-        return [1.0 + 0j] * len(queries)
-    w = (c * c.field.delta).inverse()
-    (tab,) = _tables([cI])
-    return _phase_sums(tab, [(q.r1 * w, q.r2 * w) for q in queries])
+    """S(r1, r2; c) for each query, in query order, over any moduli.
+
+    Each distinct c has its ideal made once and one phase array whose rows
+    are its queries in order.  The generators of one ideal share its table;
+    the tables come from _tables, TABLE_CACHE_SIZE ideals a call, so a call
+    holds at most twice the cache's tables, and a batch of at most that
+    many ideals with a refused modulus leaves the cache as it was.  S = 1
+    for (c) = (1).
+    """
+    rows: dict[RingElement, list[int]] = {}
+    for n, q in enumerate(queries):
+        rows.setdefault(q.c, []).append(n)
+    generators: dict[Ideal, list[RingElement]] = {}
+    for c in rows:
+        generators.setdefault(Ideal.principal(c), []).append(c)
+    ideals = [cI for cI in generators if cI.norm() != 1]
+    out = [1.0 + 0j] * len(queries)
+    for lo in range(0, len(ideals), TABLE_CACHE_SIZE):
+        for tab in _tables(ideals[lo : lo + TABLE_CACHE_SIZE]):
+            for c in generators[tab.ideal]:
+                w = (c * c.field.delta).inverse()
+                ns = rows[c]
+                sums = _phase_sums(tab, [(queries[n].r1 * w, queries[n].r2 * w) for n in ns])
+                for n, S in zip(ns, sums):
+                    out[n] = S
+    return out
 
 
 def kloosterman_sum(query: KloostermanQuery) -> complex:

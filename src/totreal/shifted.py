@@ -109,7 +109,7 @@ def _walk(l1, l2, y, q, bounds, totally_positive=False):
         lo, hi = lo / e, hi / e
         box.append((lo - abs(lo) * 2**-30, hi + abs(hi) * 2**-30))
     l2_inv = l2.inverse()
-    for r1 in enumerate_in_box(y, box, totally_positive):
+    for r1 in enumerate_in_box(y, box):
         r2 = (l1 * r1 - q) * l2_inv
         if r1.is_zero() or r2.is_zero() or not y.contains(r2):
             continue

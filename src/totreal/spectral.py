@@ -3,12 +3,13 @@ transforms, and the geometric side of the trace formula.
 
 Eigenvalue systems are multiplicative assignments built from per-prime
 Satake parameters: Eisenstein-derived (alpha_p = chi(p)), the divisor
-system (alpha_p = 1), or synthetic seeded systems satisfying the Hecke
-recursion and the Ramanujan-type bound |lambda(p)| <= 2 Np^theta.  One
-rule, lambda(p^k) = sum over i <= k of alpha_p^(2i - k), gives every
-eigenvalue, eisenstein's lambda_{chi,chi^{-1}} included.  The cuspidal
-spectrum itself is out of reach; synthetic systems exercise all formulas
-that depend only on the Hecke relations.
+system among them as that of the trivial character (alpha_p = 1), or
+synthetic seeded systems satisfying the Hecke recursion and the
+Ramanujan-type bound |lambda(p)| <= 2 Np^theta.  One rule, lambda(p^k) =
+sum over i <= k of alpha_p^(2i - k), gives every eigenvalue, eisenstein's
+lambda_{chi,chi^{-1}} included.  The cuspidal spectrum itself is out of
+reach; synthetic systems exercise all formulas that depend only on the
+Hecke relations.
 
 Imports: the eigenvalue systems and the shifted sums built on them run on
 exact arithmetic, so numpy, scipy.special, quadrature, bessel_kernels and
@@ -27,7 +28,7 @@ import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .characters import HeckeCharacter
+from .characters import HeckeCharacter, unramified_character
 from .fields import (
     FieldDesc,
     Ideal,
@@ -68,16 +69,12 @@ class EigenvalueSystem:
     def __init__(
         self,
         K: FieldDesc,
-        source: str = "synthetic",
         seed: int = 0,
         chi: Optional[HeckeCharacter] = None,
         theta: float = RAMANUJAN_THETA,
         exceptional: Sequence[int] = (),
     ):
-        if source not in ("synthetic", "divisor"):
-            raise ValueError(f"unknown source {source!r}")
         self.field = K
-        self.source = source
         self.seed = seed
         self.chi = chi
         self.theta = theta
@@ -89,8 +86,6 @@ class EigenvalueSystem:
         """Satake parameter at the prime P."""
         if self.chi is not None:
             return self.chi.eval_on_ideal(P.ideal)
-        if self.source == "divisor":
-            return 1.0 + 0j
         if P.p in self.exceptional:
             return complex(P.norm() ** self.theta)
         key = f"{self.seed}:{self.field.D}:{P.p}:{P.ideal.key()}"
@@ -118,8 +113,9 @@ class EigenvalueSystem:
 
 
 def divisor_system(K: FieldDesc) -> EigenvalueSystem:
-    """The tau-type system lambda(p^k) = k + 1 (Eisenstein at s = 0)."""
-    return EigenvalueSystem(K, source="divisor")
+    """The tau-type system lambda(p^k) = k + 1 (Eisenstein at s = 0): the
+    system of the trivial unramified character, alpha_P = 1."""
+    return EigenvalueSystem(K, chi=unramified_character(K, [0.0] * K.d))
 
 
 @functools.lru_cache(maxsize=256)
@@ -428,25 +424,24 @@ def kuznetsov_geometric_side(
     sum, with the modulus sum truncated to the embedding box
     [-box, box]^d and a reported Weil-bound tail majorant.
 
-    Two passes over the box, with the transforms between them.  The first
-    keeps the nonzero moduli c and, for each term (c, unit), the per-place
-    keys of the embeddings of w = u r1 r2 / (gamma c^2), together with the
-    first embedding seen for each key.  Then one bessel_transforms_many call
-    per distinct test function takes the first-seen embeddings of every
-    place that has it, and each place reads its own back by its own keys;
-    ktilde too is computed once per distinct test function.  So an input
-    the transforms refuse fails before any Kloosterman sum.  Then the
-    residue tables of the distinct moduli are built in one batch, and the
-    second pass computes the Kloosterman sums of each c and adds S / N(c)
-    times the product of the term's transforms in place order, term after
-    term, as a term-by-term walk would.
+    One pass over the box, the transforms, then the sums.  The pass lists
+    one term per nonzero modulus c and unit u: N(c), the per-place keys of
+    the embeddings of w = u r1 r2 / (gamma c^2) and the Kloosterman query
+    S(r1, u r2; c), and keeps the first embedding seen for each key.  Then
+    one bessel_transforms_many call per distinct test function takes the
+    first-seen embeddings of every place that has it, and each place reads
+    its own back by its own keys; ktilde too is computed once per distinct
+    test function.  So an input the transforms refuse fails before any
+    Kloosterman sum.  Then one kloosterman_sums call gives every S, and the
+    total adds S / N(c) times the product of the term's transforms in place
+    order, term after term, as a term-by-term walk would.
 
     The majorant takes |kcheck(t)| <= A Z^2 min(1, sqrt|t|) with A =
     KERNEL_BOUND_A; tail_target is the tail bound asked of every transform
     and of ktilde.  The result's "transforms" counts the distinct t per
     place.
     """
-    from .kloosterman import TABLE_CACHE_SIZE, KloostermanQuery, _tables, kloosterman_sums
+    from .kloosterman import KloostermanQuery, kloosterman_sums
 
     K = r1.field
     if len(k) != K.d:
@@ -472,40 +467,32 @@ def kuznetsov_geometric_side(
     units = K.units_mod_squares()
     u_r2 = [u * r2 for u in units]
     numerators = [r1 * ur2 for ur2 in u_r2]
-    moduli = []
+    terms = []
     first: list[dict] = [{} for _ in range(K.d)]  # key -> first embedding, per place
     for c in enumerate_in_box(level, [(-box, box)] * K.d):
         if c.is_zero():
             continue
+        nc = abs(float(c.norm()))
         denominator = gamma * c * c
-        unit_keys = []
-        for numerator in numerators:
-            w = numerator / denominator
+        for numerator, ur2 in zip(numerators, u_r2):
             keys = []
-            for j, emb in enumerate(w.embeddings()):
-                key = round(math.copysign(1, emb) * abs(emb), 18)
+            for j, emb in enumerate((numerator / denominator).embeddings()):
+                key = round(emb, 18)
                 first[j].setdefault(key, emb)
                 keys.append(key)
-            unit_keys.append(keys)
-        moduli.append((c, unit_keys))
+            terms.append((nc, keys, KloostermanQuery(r1, ur2, c)))
     kcheck: list[dict] = [{} for _ in range(K.d)]
     for kj, js in places.items():
         recs = iter(bessel_transforms_many(kj, [t for j in js for t in first[j].values()], tail_target))
         for j in js:
             kcheck[j] = {key: next(recs)["value"] for key in first[j]}
-    # the residue tables of the distinct moduli in one batch, no more than
-    # the cache keeps, so the sums below read them from it
-    ideals = dict.fromkeys(Ideal.principal(c) for c, _ in moduli)
-    _tables([I for I in ideals if I.norm() > 1][:TABLE_CACHE_SIZE])
     total = 0.0 + 0j
-    for c, unit_keys in moduli:
-        nc = abs(float(c.norm()))
-        sums = kloosterman_sums([KloostermanQuery(r1, ur2, c) for ur2 in u_r2])
-        for S, keys in zip(sums, unit_keys):
-            prod = 1.0
-            for values, key in zip(kcheck, keys):
-                prod *= values[key]
-            total += S / nc * prod
+    sums = kloosterman_sums([query for _, _, query in terms])
+    for (nc, keys, _), S in zip(terms, sums):
+        prod = 1.0
+        for values, key in zip(kcheck, keys):
+            prod *= values[key]
+        total += S / nc * prod
     # tail majorant: Weil + |kcheck| <= A Z^2 min(1, sqrt) beyond the box
     NB = box**K.d / 2  # crude norm reached inside the box
     wnorm = abs(float((Ideal.principal(r1 * r2)).norm() / gamma.norm()))
@@ -526,7 +513,7 @@ def kuznetsov_geometric_side(
         "value": value,
         "diagonal": diag,
         "off_diagonal": total,
-        "terms": len(moduli) * len(units),
+        "terms": len(terms),
         "transforms": [len(seen) for seen in first],
         "box": box,
         "tail_majorant": tail,

@@ -354,15 +354,17 @@ def gram_matrix(qs: Sequence[int], nu: complex, tol: float = 1e-6) -> np.ndarray
 # the A-norm quadrature utility
 
 
+# The log grid of a_norm (u = log y on [-20, 8], step 0.01) and the step of
+# its central finite differences.
+_A_NORM_GRID = (-20.0, 8.0, 0.01)
+_FD_STEP = 1e-3
+
+
 def a_norm(
     W: Callable,
     mu: int,
     d: int = 1,
     derivative_supplier: Optional[Callable[[tuple[int, ...]], Callable]] = None,
-    fd_step: float = 1e-3,
-    u_lo: float = -20.0,
-    u_hi: float = 8.0,
-    h: float = 0.01,
 ) -> float:
     """The A^mu norm of W on (R^x)^d per the Sobolev-type definition:
     sum over mu_1+..+mu_d <= mu and kappa_j <= mu_j of the weighted L^2
@@ -370,11 +372,11 @@ def a_norm(
     the positive axis of each place.
 
     Derivatives come from the supplier when given, else from central
-    finite differences with the documented step.  d <= 2.
+    finite differences of step _FD_STEP.  d <= 2.
     """
     if d not in (1, 2):
         raise ValueError("a_norm implemented for d <= 2")
-    ys, wts = log_axis_grid(u_lo, u_hi, h)
+    ys, wts = log_axis_grid(*_A_NORM_GRID)
 
     def deriv(kappa: tuple[int, ...]) -> Callable:
         if derivative_supplier is not None:
@@ -382,10 +384,10 @@ def a_norm(
             if g is not None:
                 return g
         if d == 1:
-            return central_difference(lambda y: W(y), kappa[0], fd_step)
+            return central_difference(lambda y: W(y), kappa[0], _FD_STEP)
         fy = lambda y1, y2: W(y1, y2)
-        g1 = lambda y2: central_difference(lambda y1: fy(y1, y2), kappa[0], fd_step)
-        return lambda y1, y2: central_difference(lambda t2: g1(t2)(y1), kappa[1], fd_step)(y2)
+        g1 = lambda y2: central_difference(lambda y1: fy(y1, y2), kappa[0], _FD_STEP)
+        return lambda y1, y2: central_difference(lambda t2: g1(t2)(y1), kappa[1], _FD_STEP)(y2)
 
     total = 0.0
     for mus in _compositions(mu, d):

@@ -20,6 +20,7 @@ from totreal.eisenstein import (
     coset_index,
     dedekind_zeta,
     eis_hecke_eigenvalue,
+    hecke_l_value,
     local_dimension,
     local_inner_product,
     local_vector_norm_sq,
@@ -238,12 +239,10 @@ def test_dedekind_zeta():
     # series with its n^{-1} tail window
     assert dedekind_zeta(Q, 2.0) == pytest.approx(math.pi**2 / 6, rel=1e-10)
     z5 = dedekind_zeta(K5, 2.0)
-    from totreal.eisenstein import _kronecker
-
     N = 20000
     div = [0] * (N + 1)
     for d in range(1, N + 1):
-        c = _kronecker(5, d)
+        c = [0, 1, -1, -1, 1][d % 5]  # (5/d) = (d/5), the Legendre symbol mod 5
         if c == 0:
             continue
         for m in range(d, N + 1, d):
@@ -258,6 +257,23 @@ def test_dedekind_zeta():
         for P in K5.primes_above(p):
             euler /= 1 - P.norm() ** -2.0
     assert z5 == pytest.approx(euler, rel=1e-3)
+
+
+def test_hecke_l_value_euler_route():
+    # every primitive character mod 5, 7, 8 and 12 over Q takes the
+    # truncated Euler product; L(1, chi) = -(1/q) sum over a of chi(a)
+    # psi(a/q), by mpmath's digamma, for nontrivial chi
+    for q in (5, 7, 8, 12):
+        for fin in characters_mod(Q.ideal(q)):
+            if fin.conductor() != Q.ideal(q):
+                continue
+            sign = 0 if fin.value_exponent(-Q.one()) == 0 else 1
+            chi = HeckeCharacter(Q, fin, [0.0], [sign])
+            exact = -sum(fin(Q.element(a)) * complex(mp.digamma(Fraction(a, q)))
+                         for a in range(1, q + 1)) / q
+            r = hecke_l_value(chi)
+            assert r["route"] == "euler"
+            assert abs(r["value"] - exact) < 1e-3, (q, fin.exponents)
 
 
 def test_newvector_magnitude():

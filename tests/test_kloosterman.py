@@ -158,8 +158,9 @@ def test_sweep_margins_small():
     c = K5.element(3, 2)
     qs = [KloostermanQuery(K5.one(), u * K5.element(2), c) for u in K5.units_mod_squares()]
     assert kloosterman_sums(qs) == [kloosterman_sum(q) for q in qs]
-    with pytest.raises(ValueError):
-        kloosterman_sums([qs[0], KloostermanQuery(K5.one(), K5.one(), K5.element(2))])
+    # queries over two moduli: each sum is the one-query call's
+    mixed = [qs[0], KloostermanQuery(K5.one(), K5.one(), K5.element(2)), qs[1]]
+    assert kloosterman_sums(mixed) == [kloosterman_sum(q) for q in mixed]
 
 
 def test_no_queries():
@@ -181,6 +182,15 @@ def test_table_cache_bounded_and_checks_bound():
     ideals = [Q.ideal(n) for n in range(2, TABLE_CACHE_SIZE + 40)]
     assert [tab.ideal for tab in _tables(ideals)] == ideals
     assert len(_TABLES) <= TABLE_CACHE_SIZE
+    # and one batch of queries over more moduli than that, reversed so that
+    # every table is built again
+    _TABLES.clear()
+    qs = [KloostermanQuery(Q.one(), Q.element(2), Q.element(n))
+          for n in reversed(range(2, TABLE_CACHE_SIZE + 40))]
+    sums = kloosterman_sums(qs)
+    assert len(_TABLES) <= TABLE_CACHE_SIZE
+    assert sums == [kloosterman_sum(q) for q in qs]
+    assert sums[-40] == pytest.approx(classical_S(1, 2, 41), abs=1e-12)
 
 
 def test_table_inverses():
@@ -324,11 +334,29 @@ def test_crt_against_direct(D, v):
     assert abs(kloosterman_sum(q) - kloosterman_sum_crt(q, c1, c2)) < 1e-9
 
 
+def _brute_inverses(cI):
+    """The units x of o/(c), j-major, and x -> x^-1: pow over Q, a search by
+    exact products otherwise."""
+    K = cI.field
+    if K.d == 1:
+        units = [K.element(i) for i in range(cI.a) if math.gcd(i, cI.a) == 1]
+        return units, {x: K.element(pow(x.x, -1, cI.a)) for x in units}
+    units = [K.element(i, j) for i, j in _brute_units(cI)[0]]
+    return units, {x: next(y for y in units if cI.reduce(x * y) == K.one()) for x in units}
+
+
+def _brute_phase_sum(units, inv, r1, r2, w):
+    """The sum over the units x of exp(2 pi i Tr((r1 x + r2 x^-1) w)), by
+    cmath on exact traces."""
+    return sum(cmath.exp(2j * cmath.pi * float(((r1 * x + r2 * inv[x]) * w).trace() % 1))
+               for x in units)
+
+
 def _brute_sweep(K, cmax, r_values):
     """(c, r1, r2) -> (S, gcd_norm) for every modulus of norm <= cmax, by
-    plain enumeration of o/(c): inverses by search (pow over Q), phases by
-    cmath on exact traces, and N((c) + (r1, r2)) as N(c) over the size of
-    the image of gcd(r1, r2) * o in o/(c)."""
+    plain enumeration of o/(c) (_brute_inverses, _brute_phase_sum), and
+    N((c) + (r1, r2)) as N(c) over the size of the image of gcd(r1, r2) * o
+    in o/(c)."""
     out = {}
     for cI in ideals_of_norm_up_to(K, cmax):
         if cI.norm() == 1:
@@ -336,17 +364,11 @@ def _brute_sweep(K, cmax, r_values):
         c = principal_generator(cI)
         residues = [K.element(i, j) if K.d == 2 else K.element(i)
                     for j in range(cI.c) for i in range(cI.a)]
-        if K.d == 1:
-            units = [x for x in residues if math.gcd(x.x, cI.a) == 1]
-            inv = {x: K.element(pow(x.x, -1, cI.a)) for x in units}
-        else:
-            units = [K.element(i, j) for i, j in _brute_units(cI)[0]]
-            inv = {x: next(y for y in units if cI.reduce(x * y) == K.one()) for x in units}
+        units, inv = _brute_inverses(cI)
         w = (c * K.delta).inverse()
         for r1 in r_values:
             for r2 in r_values:
-                S = sum(cmath.exp(2j * cmath.pi * float(((r1 * x + r2 * inv[x]) * w).trace() % 1))
-                        for x in units)
+                S = _brute_phase_sum(units, inv, r1, r2, w)
                 g = math.gcd(r1, r2)
                 image = {(y.x, y.y) for y in (cI.reduce(g * x) for x in residues)}
                 out[c, r1, r2] = (S, len(residues) // len(image))
@@ -369,3 +391,48 @@ def test_sweep_against_brute_force(D, cmax):
         assert rec["gcd_norm"] == gn
         if D == 1:
             assert gn == math.gcd(rec["c"].x, r1, r2)
+
+
+def test_sums_over_mixed_moduli():
+    # a shuffled batch over both fields: (1) by two generators, a modulus
+    # asked three times, and c next to c*eps (one ideal, two generators);
+    # each S against a plain residue sum, and bit for bit the one-query call.
+    # Each field leads once, so neither field's tables are built by the other's
+    # arithmetic
+    rng = random.Random(11)
+    eps = K5.eps
+    moduli = [K5.one(), eps, K5.element(3, 2), K5.element(3, 2), K5.element(3, 2),
+              K5.element(2), K5.element(2) * eps, K5.sqrtD(), K5.sqrtD() * eps,
+              K5.element(7, 1), Q.one(), Q.element(9), Q.element(-9), Q.element(20)]
+    qs = []
+    for c in moduli:
+        K = c.field
+        r1, r2 = (K.element(rng.randint(-4, 4), rng.randint(-2, 2) if K.d == 2 else 0)
+                  for _ in range(2))
+        qs.append(KloostermanQuery(r1, r2, c))
+    rng.shuffle(qs)
+    for lead in (Q, K5):
+        batch = sorted(qs, key=lambda q: q.c.field is not lead)
+        _TABLES.clear()
+        sums = kloosterman_sums(batch)
+        assert sums == [kloosterman_sum(q) for q in batch]
+        for q, S in zip(batch, sums):
+            cI = Ideal.principal(q.c)
+            if cI.norm() == 1:
+                assert S == 1
+                continue
+            units, inv = _brute_inverses(cI)
+            brute = _brute_phase_sum(units, inv, q.r1, q.r2, (q.c * q.c.field.delta).inverse())
+            assert abs(S - brute) < 1e-12, q
+
+
+def test_oversize_modulus_in_a_query_batch_caches_nothing():
+    # the tables of the other moduli are built before the refused one, but
+    # none of them enters the cache
+    _TABLES.clear()
+    (held,) = _tables([Q.ideal(4)])
+    qs = [KloostermanQuery(Q.one(), Q.element(2), Q.element(c)) for c in (7, 1000003, 11)]
+    qs.append(KloostermanQuery(K5.one(), K5.one(), K5.element(3, 2)))
+    with pytest.raises(ValueError, match="above the limit of 1000000"):
+        kloosterman_sums(qs)
+    assert list(_TABLES.items()) == [(Q.ideal(4), held)]

@@ -223,7 +223,7 @@ def test_a_norm_examples():
     sup = lambda kappa: None  # force finite differences
     prev = 0.0
     for mu in (0, 1, 2):
-        v = a_norm(f, mu, derivative_supplier=sup, fd_step=1e-3)
+        v = a_norm(f, mu, derivative_supplier=sup)
         assert v >= prev - 1e-9
         prev = v
     assert math.isfinite(prev)
