@@ -308,7 +308,7 @@ def characters_mod(q: Ideal) -> list[FiniteCharacter]:
 
 class HeckeCharacter:
     """chi = chi_fin * prod_j sgn(y_j)^{m_j} |y_j|^{i t_j} on ideals of an
-    h = 1 field, evaluated through a generator.
+    h = 1 field, evaluated through a generator (a trivial chi on any field).
 
     Unit triviality (on -1 and the fundamental unit) is verified at
     construction to 1e-10 so that values on ideals are well defined.
@@ -371,10 +371,13 @@ class HeckeCharacter:
 
     def eval_on_ideal(self, a: Ideal) -> complex:
         """chi(a) for an integral ideal a; zero when a is not coprime to the
-        modulus."""
+        modulus.  A trivial character is 1 on the other ideals without a
+        generator, so it serves a field of any class number."""
         q = self.modulus
         if a.is_integral() and q.norm() > 1 and not (a + q).norm() == 1:
             return 0.0
+        if self.is_trivial():
+            return 1.0 + 0j
         g = principal_generator(a)
         val = self.infinity_value(g)
         if self.finite is not None:

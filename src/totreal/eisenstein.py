@@ -388,14 +388,20 @@ def dedekind_zeta(K: FieldDesc, s: complex) -> complex:
     if K.d == 1:
         return z
     q = abs(K.disc)
+    # chi_D(a) for a <= q, multiplicative: chi_D(p) is 1 when p splits, -1
+    # when p is inert and 0 when p ramifies, a factor for each p^k | a
+    chi = [1] * (q + 1)
+    for p in primes_up_to(q):
+        P = K.primes_above(p)[0]
+        chi_p = 0 if P.e == 2 else -1 if P.f == 2 else 1
+        pk = p
+        while pk <= q:
+            chi[pk::pk] = [x * chi_p for x in chi[pk::pk]]
+            pk *= p
     L = 0j
     for a in range(1, q + 1):
-        # chi_D(a) from the factors of (a): 0 at a ramified prime, otherwise
-        # -1 to the sum of the exponents of the inert primes
-        factors = factor_ideal(K.ideal(a))
-        if all(P.e == 1 for P, _ in factors):
-            ch = (-1) ** sum(k for P, k in factors if P.f == 2)
-            L += ch * complex(mp.zeta(s, Fraction(a, q)))
+        if chi[a]:
+            L += chi[a] * complex(mp.zeta(s, Fraction(a, q)))
     L *= q ** (-complex(s))
     return z * L
 

@@ -16,9 +16,9 @@ trace pairing is linear in the residue coordinates), so the only floating
 point is the final complex exponential.  All sums of one modulus c go
 through one phase kernel: a (pairs x residues) array of numerators, one
 exponential and one row-wise sum, each row bit-identical to a one-pair call.
-kloosterman_sums takes queries over any moduli and returns S in query
-order, one phase array per distinct c and the tables of all its moduli
-from one batch.
+kloosterman_sums takes queries over any moduli of one field and returns S
+in query order, one phase array per distinct c, its tables built run by
+run.
 
 A modulus's residue table lists the units x of o/(c) and their inverses as
 coordinate arrays.  Tables are built many moduli at a time: the units of a
@@ -103,12 +103,12 @@ _TABLES: OrderedDict[Ideal, _ModulusTable] = OrderedDict()
 
 
 def _groups(ideals):
-    """Consecutive runs of the ideals of one field whose norms sum to at
-    most GROUP_RESIDUES; an ideal of larger norm makes a run alone."""
+    """Consecutive runs of the ideals whose norms sum to at most
+    GROUP_RESIDUES; an ideal of larger norm makes a run alone."""
     group, size = [], 0
     for I in ideals:
         n = I.norm()
-        if group and (size + n > GROUP_RESIDUES or I.field.D != group[0].field.D):
+        if group and size + n > GROUP_RESIDUES:
             yield group
             group, size = [], 0
         group.append(I)
@@ -244,25 +244,26 @@ def _phase_sums(tab: _ModulusTable, pairs) -> list[complex]:
 
 
 def kloosterman_sums(queries: list[KloostermanQuery]) -> list[complex]:
-    """S(r1, r2; c) for each query, in query order, over any moduli.
+    """S(r1, r2; c) for each query, in query order, over any moduli of one
+    field.
 
     Each distinct c has its ideal made once and one phase array whose rows
     are its queries in order.  The generators of one ideal share its table;
-    the tables come from _tables, TABLE_CACHE_SIZE ideals a call, so a call
-    holds at most twice the cache's tables, and a batch of at most that
-    many ideals with a refused modulus leaves the cache as it was.  S = 1
-    for (c) = (1).
+    the tables come from _tables run by run (_groups), so a call holds the
+    cache and one run.  A refused modulus raises, and its run caches
+    nothing.  S = 1 for (c) = (1).
     """
+    if len({q.c.field.D for q in queries}) > 1:
+        raise ValueError("queries must share one field")
     rows: dict[RingElement, list[int]] = {}
     for n, q in enumerate(queries):
         rows.setdefault(q.c, []).append(n)
     generators: dict[Ideal, list[RingElement]] = {}
     for c in rows:
         generators.setdefault(Ideal.principal(c), []).append(c)
-    ideals = [cI for cI in generators if cI.norm() != 1]
     out = [1.0 + 0j] * len(queries)
-    for lo in range(0, len(ideals), TABLE_CACHE_SIZE):
-        for tab in _tables(ideals[lo : lo + TABLE_CACHE_SIZE]):
+    for group in _groups(cI for cI in generators if cI.norm() != 1):
+        for tab in _tables(group):
             for c in generators[tab.ideal]:
                 w = (c * c.field.delta).inverse()
                 ns = rows[c]

@@ -257,6 +257,10 @@ def test_dedekind_zeta():
         for P in K5.primes_above(p):
             euler /= 1 - P.norm() ** -2.0
     assert z5 == pytest.approx(euler, rel=1e-3)
+    # |disc| = 3164, where (a) for a near |disc| has norm above the ideal
+    # factoring limit; the value from the Kronecker symbol (d/a), d = 3164
+    K791 = make_field(791, allow_class_number=True)
+    assert dedekind_zeta(K791, 2.0) == pytest.approx(1.5237510204667726, rel=1e-13)
 
 
 def test_hecke_l_value_euler_route():

@@ -394,29 +394,27 @@ def test_sweep_against_brute_force(D, cmax):
 
 
 def test_sums_over_mixed_moduli():
-    # a shuffled batch over both fields: (1) by two generators, a modulus
-    # asked three times, and c next to c*eps (one ideal, two generators);
-    # each S against a plain residue sum, and bit for bit the one-query call.
-    # Each field leads once, so neither field's tables are built by the other's
-    # arithmetic
+    # a shuffled batch per field: (1) by two generators, a modulus asked
+    # three times, and c next to c*eps (one ideal, two generators); each S
+    # against a plain residue sum, and bit for bit the one-query call
     rng = random.Random(11)
     eps = K5.eps
-    moduli = [K5.one(), eps, K5.element(3, 2), K5.element(3, 2), K5.element(3, 2),
-              K5.element(2), K5.element(2) * eps, K5.sqrtD(), K5.sqrtD() * eps,
-              K5.element(7, 1), Q.one(), Q.element(9), Q.element(-9), Q.element(20)]
-    qs = []
-    for c in moduli:
-        K = c.field
-        r1, r2 = (K.element(rng.randint(-4, 4), rng.randint(-2, 2) if K.d == 2 else 0)
-                  for _ in range(2))
-        qs.append(KloostermanQuery(r1, r2, c))
-    rng.shuffle(qs)
-    for lead in (Q, K5):
-        batch = sorted(qs, key=lambda q: q.c.field is not lead)
+    for moduli in ([K5.one(), eps, K5.element(3, 2), K5.element(3, 2), K5.element(3, 2),
+                    K5.element(2), K5.element(2) * eps, K5.sqrtD(), K5.sqrtD() * eps,
+                    K5.element(7, 1)],
+                   [Q.one(), -Q.one(), Q.element(9), Q.element(-9), Q.element(20),
+                    Q.element(20), Q.element(20)]):
+        qs = []
+        for c in moduli:
+            K = c.field
+            r1, r2 = (K.element(rng.randint(-4, 4), rng.randint(-2, 2) if K.d == 2 else 0)
+                      for _ in range(2))
+            qs.append(KloostermanQuery(r1, r2, c))
+        rng.shuffle(qs)
         _TABLES.clear()
-        sums = kloosterman_sums(batch)
-        assert sums == [kloosterman_sum(q) for q in batch]
-        for q, S in zip(batch, sums):
+        sums = kloosterman_sums(qs)
+        assert sums == [kloosterman_sum(q) for q in qs]
+        for q, S in zip(qs, sums):
             cI = Ideal.principal(q.c)
             if cI.norm() == 1:
                 assert S == 1
@@ -424,15 +422,26 @@ def test_sums_over_mixed_moduli():
             units, inv = _brute_inverses(cI)
             brute = _brute_phase_sum(units, inv, q.r1, q.r2, (q.c * q.c.field.delta).inverse())
             assert abs(S - brute) < 1e-12, q
+    # the tables of one run are built with one field's arithmetic
+    with pytest.raises(ValueError, match="one field"):
+        kloosterman_sums([KloostermanQuery(Q.one(), Q.one(), Q.element(9)),
+                          KloostermanQuery(K5.one(), K5.one(), K5.element(3, 2))])
 
 
 def test_oversize_modulus_in_a_query_batch_caches_nothing():
-    # the tables of the other moduli are built before the refused one, but
-    # none of them enters the cache
+    # the tables are built run by run: a batch whose first run holds the
+    # refused modulus raises and leaves the cache as it was; after a run
+    # that builds, that run's tables are kept and nothing from the refused
+    # run on enters the cache
     _TABLES.clear()
     (held,) = _tables([Q.ideal(4)])
-    qs = [KloostermanQuery(Q.one(), Q.element(2), Q.element(c)) for c in (7, 1000003, 11)]
-    qs.append(KloostermanQuery(K5.one(), K5.one(), K5.element(3, 2)))
+
+    def batch(*moduli):
+        return [KloostermanQuery(Q.one(), Q.element(2), Q.element(c)) for c in moduli]
+
     with pytest.raises(ValueError, match="above the limit of 1000000"):
-        kloosterman_sums(qs)
+        kloosterman_sums(batch(1000003, 7, 11))
     assert list(_TABLES.items()) == [(Q.ideal(4), held)]
+    with pytest.raises(ValueError, match="above the limit of 1000000"):
+        kloosterman_sums(batch(7, 1000003, 11))
+    assert list(_TABLES) == [Q.ideal(4), Q.ideal(7)]

@@ -132,6 +132,19 @@ def test_shifted_inner_worked_value():
     assert c == pytest.approx(a, abs=1e-10)
 
 
+def test_divisor_system_any_class_number():
+    # Q(sqrt 10) has h = 2 and (2, sqrt 10) is not principal: the trivial
+    # character needs no generator, and lambda(P^k) = k + 1 at every prime
+    K10 = make_field(10, allow_class_number=True)
+    dv = divisor_system(K10)
+    for p in (2, 3, 5, 7, 13):
+        for P in K10.primes_above(p):
+            m = K10.unit_ideal()
+            for k in range(4):
+                assert dv.lambda_value(m) == k + 1
+                m = m * P.ideal
+
+
 def test_theta_divergence_guard():
     sys_ = EigenvalueSystem(Q, seed=0, theta=0.6)
     with pytest.raises(ValueError):
