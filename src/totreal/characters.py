@@ -5,7 +5,10 @@ over the exponent L of the group (value_exponent returns it as a Fraction
 mod 1); complex numbers appear only at evaluation time, so orthogonality
 relations can be tested essentially exactly.  The multiplicative group (o/q)^x is
 decomposed into cyclic factors via the Smith normal form of its relation
-lattice on a small generating set.
+lattice on a small generating set.  The class i + j*omega of o/q is
+numbered j*q.a + i, as in fields.unit_mask; the discrete logs are one list
+indexed by that number, and a character is evaluated from the exponent
+vector found there.
 """
 
 from __future__ import annotations
@@ -14,15 +17,17 @@ import cmath
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import compress
 from typing import Optional, Sequence
 
 from .fields import (
+    MAX_BOX_POINTS,
     FieldDesc,
     Ideal,
     RingElement,
-    ResidueSystem,
     factor_ideal,
     principal_generator,
+    unit_mask,
 )
 
 
@@ -120,33 +125,34 @@ def _smith_normal_form(M: list[list[int]]) -> tuple[list[int], list[list[int]]]:
 
 
 class UnitGroupStructure:
-    """Cyclic decomposition of (o/q)^x with discrete logarithms."""
+    """Cyclic decomposition of (o/q)^x with discrete logarithms.
 
-    def __init__(self, rs: ResidueSystem):
-        self.rs = rs
-        self.field = rs.field
-        units = rs.units
-        self.order = rs.phi
+    The class i + j*omega of o/q (0 <= i < q.a, 0 <= j < q.c) has number
+    j*q.a + i, the index of fields.unit_mask; dlogs[k] is the exponent
+    vector of class k on the cyclic factors of orders `orders`, None when k
+    is not a unit."""
+
+    def __init__(self, q: Ideal):
+        if not q.is_integral() or q.norm() == 0:
+            raise ValueError("modulus must be a nonzero integral ideal")
+        self.modulus = q
+        K = self.field = q.field
+        a = q.a
+        mask = unit_mask(q)
+        self.order = mask.count(1)
         # conductor of each character, keyed by its exponent vector, and the
-        # units = 1 mod each divisor g of the modulus (the kernel of reduction
-        # mod g) that a conductor descent has asked for
+        # exponent vectors of the units = 1 mod each divisor g of the modulus
+        # (the kernel of reduction mod g) that a conductor descent has asked for
         self._conductors: dict[tuple, Ideal] = {}
-        self._kernels: dict[Ideal, list[RingElement]] = {}
-        if rs.phi == 1:
-            self.orders: list[int] = []
-            self.exponent = 1
-            self._dlog: dict[tuple, tuple] = {u.coords(): () for u in units}
-            return
-        one = rs.reduce(rs.field.one())
-        # greedy generating set in deterministic element order
+        self._kernels: dict[Ideal, list[tuple]] = {}
+        # greedy generating set in class order
         gens: list[RingElement] = []
-        reached = {one.coords(): []}
+        reached = {self.index(K.one()): []}
         relations: list[list[int]] = []
-        for cand in units:
-            if cand.coords() in reached:
+        for cand in compress(range(len(mask)), mask):
+            if cand in reached:
                 continue
-            gens.append(cand)
-            r = len(gens)
+            gens.append(RingElement(K, cand % a, cand // a))
             for k in reached:
                 reached[k] = reached[k] + [0]
             for rel in relations:
@@ -156,14 +162,13 @@ class UnitGroupStructure:
             while frontier:
                 new_frontier = []
                 for key, vec in frontier:
-                    x = RingElement(self.field, *key)
+                    x = RingElement(K, key % a, key // a)
                     for i, g in enumerate(gens):
-                        y = rs.mul(x, g)
-                        yk = y.coords()
+                        yk = self.index(x * g)
                         nv = list(vec)
                         nv[i] += 1
                         if yk in reached:
-                            rel = [a - b for a, b in zip(nv, reached[yk])]
+                            rel = [u - v for u, v in zip(nv, reached[yk])]
                             if any(rel):
                                 relations.append(rel)
                         else:
@@ -178,27 +183,19 @@ class UnitGroupStructure:
         r = len(gens)
         # transform dlog vectors: w = v * V mod d
         keep = [i for i in range(r) if d[i] != 1]
-        self.orders = [d[i] for i in keep]
+        self.orders: list[int] = [d[i] for i in keep]
         assert all(x > 0 for x in self.orders), "unit group relations of full rank"
+        assert math.prod(self.orders) == self.order
         # exponent of the group: every character value is e(k / exponent)
         self.exponent = math.lcm(*self.orders)
-        self._dlog = {}
+        self.dlogs: list[Optional[tuple]] = [None] * len(mask)
         for key, vec in reached.items():
-            w = []
-            for i in keep:
-                s = sum(vec[k] * V[k][i] for k in range(r))
-                w.append(s % d[i])
-            self._dlog[key] = tuple(w)
-        check = 1
-        for x in self.orders:
-            check *= x
-        assert check == self.order
+            self.dlogs[key] = tuple(sum(vec[k] * V[k][i] for k in range(r)) % d[i] for i in keep)
 
-    def dlog(self, x: RingElement) -> tuple:
-        key = self.rs.reduce(x).coords()
-        if key not in self._dlog:
-            raise ValueError(f"{x} is not a unit modulo {self.rs.modulus}")
-        return self._dlog[key]
+    def index(self, x: RingElement) -> int:
+        """The class number j*q.a + i of the integral element x mod q."""
+        y = self.modulus.reduce(x)
+        return y.y * self.modulus.a + y.x
 
 
 @dataclass(frozen=True)
@@ -210,28 +207,34 @@ class FiniteCharacter:
 
     @property
     def modulus(self) -> Ideal:
-        return self.structure.rs.modulus
+        return self.structure.modulus
 
-    def _exponent_num(self, x: RingElement) -> Optional[int]:
-        """k in [0, exponent) with chi(x) = e(k / exponent), or None when
-        chi(x) = 0."""
-        st = self.structure
-        w = st._dlog.get(st.rs.reduce(x).coords())
+    def _exponent_num(self, w: Optional[tuple]) -> Optional[int]:
+        """k in [0, exponent) with chi = e(k / exponent) on the unit of
+        exponent vector w, or None for w = None (chi = 0 off the units)."""
         if w is None:
             return None
+        st = self.structure
         L = st.exponent
         return sum(t * wi * (L // n) for t, wi, n in zip(self.exponents, w, st.orders)) % L
 
     def value_exponent(self, x: RingElement) -> Optional[Fraction]:
         """Exact exponent e in [0, 1) with chi(x) = e(e), or None when chi(x) = 0."""
-        k = self._exponent_num(x)
-        return None if k is None else Fraction(k, self.structure.exponent)
+        st = self.structure
+        k = self._exponent_num(st.dlogs[st.index(x)])
+        return None if k is None else Fraction(k, st.exponent)
 
-    def __call__(self, x: RingElement) -> complex:
-        k = self._exponent_num(x)
+    def value_at(self, w: Optional[tuple]) -> complex:
+        """chi on the unit of exponent vector w (an entry of structure.dlogs);
+        0.0 for w = None."""
+        k = self._exponent_num(w)
         if k is None:
             return 0.0
         return cmath.exp(2j * cmath.pi * (k / self.structure.exponent))
+
+    def __call__(self, x: RingElement) -> complex:
+        st = self.structure
+        return self.value_at(st.dlogs[st.index(x)])
 
     def is_trivial(self) -> bool:
         return all(t == 0 for t in self.exponents)
@@ -269,14 +272,18 @@ class FiniteCharacter:
         is trivial on the units = 1 mod q'/P (listed once per divisor)."""
         st = self.structure
         if self.exponents not in st._conductors:
-            one = st.field.one()
-            f = self.modulus
+            K, f = st.field, self.modulus
+            a = f.a
             for P, e in factor_ideal(f):
                 for _ in range(e):
                     g = f * P.ideal.inverse()
                     if g not in st._kernels:
-                        st._kernels[g] = [u for u in st.rs.units if g.contains(u - one)]
-                    if any(self._exponent_num(u) for u in st._kernels[g]):
+                        # the units u = i + j*omega (class k = j*a + i) with u = 1 mod g
+                        st._kernels[g] = [
+                            w for k, w in enumerate(st.dlogs)
+                            if w is not None and g.contains(RingElement(K, k % a - 1, k // a))
+                        ]
+                    if any(self._exponent_num(w) for w in st._kernels[g]):
                         break
                     f = g
             st._conductors[self.exponents] = f
@@ -288,8 +295,7 @@ class FiniteCharacter:
 
 def characters_mod(q: Ideal) -> list[FiniteCharacter]:
     """All phi(q) characters of (o/q)^x, trivial character first."""
-    rs = ResidueSystem(q)
-    st = UnitGroupStructure(rs)
+    st = UnitGroupStructure(q)
     chars = []
     idx = [0] * len(st.orders)
     while True:
@@ -436,12 +442,16 @@ def enumerate_eisenstein_pairs(c: Ideal, X: float, resolution: float = 1.0) -> d
     every branch carries a free diagonal direction reported as grid points
     at the given resolution.  A branch is admissible when its antidiagonal
     offset satisfies |s_1 - s_2| <= X; the diagonal parameter is sampled
-    over |y| <= X.
+    over |y| <= X.  More than MAX_BOX_POINTS branches, or a grid of 2X /
+    resolution beyond the float range, are refused with ValueError before
+    any branch is listed.
     """
     if not (math.isfinite(X) and X >= 0):
         raise ValueError(f"X must be finite and >= 0, got {X}")
     if not (math.isfinite(resolution) and resolution > 0):
         raise ValueError(f"resolution must be finite and > 0, got {resolution}")
+    if not math.isfinite(2 * X / resolution):
+        raise ValueError(f"2X/resolution = 2*{X}/{resolution} is beyond the float range")
     if not c.is_integral():
         raise ValueError("level must be integral")
     K = c.field
@@ -452,16 +462,16 @@ def enumerate_eisenstein_pairs(c: Ideal, X: float, resolution: float = 1.0) -> d
             c1 = c1 * P.ideal
     finite_chars = characters_mod(c1)
     grid_points = max(1, int(math.floor(2 * X / resolution)) + 1)
-    branches = []
-    lat = unramified_exponent_lattice(K)
+    # the branches k_min <= k <= k_max of each admissible finite index, with
+    # offset base + k * spacing (one branch, offset 0.0, over Q)
+    spacing = unramified_exponent_lattice(K)["spacing"] or 0.0
+    runs = []
     for i, xi in enumerate(finite_chars):
-        if K.d == 1:
-            if xi((-K.one())) == 0 or xi.value_exponent(-K.one()) != 0:
-                continue
-            branches.append({"finite_index": i, "offset": 0.0})
-            continue
         # need triviality on -1 and a matching offset against xi(eps)
         if xi.value_exponent(-K.one()) != 0:
+            continue
+        if K.d == 1:
+            runs.append((i, 0.0, 0, 0))
             continue
         fe = xi.value_exponent(K.eps)
         if fe is None:
@@ -469,11 +479,17 @@ def enumerate_eisenstein_pairs(c: Ideal, X: float, resolution: float = 1.0) -> d
         le = math.log(abs(K.eps.embeddings()[0]))
         # offset delta solves: e(fe) * exp(i*delta*le) = 1
         base = -2 * math.pi * float(fe) / le
-        spacing = lat["spacing"]
         k_min = math.ceil((-X - base) / spacing - 1e-12)
         k_max = math.floor((X - base) / spacing + 1e-12)
-        for k in range(k_min, k_max + 1):
-            branches.append({"finite_index": i, "offset": base + k * spacing})
+        runs.append((i, base, k_min, k_max))
+    n = sum(k_max - k_min + 1 for _, _, k_min, k_max in runs)
+    if n > MAX_BOX_POINTS:
+        raise ValueError(f"{n} Eisenstein branches, above the limit of {MAX_BOX_POINTS}")
+    branches = [
+        {"finite_index": i, "offset": base + k * spacing}
+        for i, base, k_min, k_max in runs
+        for k in range(k_min, k_max + 1)
+    ]
     return {
         "level": str(c.norm()),
         "c1_norm": str(c1.norm()),

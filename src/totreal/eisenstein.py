@@ -296,38 +296,6 @@ def constant_term_local_factor(
     raise ValueError(f"unknown case {case!r}")
 
 
-# the cross-check route sums the layers j < _LAYER_DEPTH; the first layer it
-# leaves out has size N(p)^(-2 _LAYER_DEPTH Re s) (1 - 1/N(p))
-_LAYER_DEPTH = 40
-
-
-def constant_term_local_factor_layers(
-    Np: int, s: complex, case: str = "unramified", v: int = 1,
-    v_eta: Optional[int] = None,
-) -> complex:
-    """The same local factor from the raw p-adic layer decomposition,
-    truncated before layer _LAYER_DEPTH (cross-check route)."""
-    N = float(Np)
-    if case == "unramified":
-        return 1 + sum(
-            N ** (-j * (1 + 2 * s)) * N**j * (1 - 1 / N) for j in range(1, _LAYER_DEPTH)
-        )
-    if case == "level":
-        return sum(
-            N ** (-j * (1 + 2 * s)) * N**j * (1 - 1 / N) for j in range(v, _LAYER_DEPTH)
-        )
-    if case == "level-eta":
-        if v_eta is None:
-            raise ValueError("level-eta requires v_eta")
-        if v_eta <= -v:
-            eta_abs = N ** (-v_eta)
-            return eta_abs ** (2 * s - 1) * sum(
-                N ** (-j * (1 + 2 * s)) * N**j * (1 - 1 / N) for j in range(v, _LAYER_DEPTH)
-            )
-        return N ** (-float(v))
-    raise ValueError(f"unknown case {case!r}")
-
-
 def constant_term_H_at_half(c: Ideal) -> Fraction:
     """H(1/2) = |D_K|^{-1} [K(o):K(c)]^{-1}, exact."""
     K = c.field

@@ -28,10 +28,12 @@ ideals per ideal under a norm bound of at most MAX_BOX_POINTS; a
 factorisation is read off the HNF (_factor).
 
 The units of o/c are decided in one place, unit_mask: a bytearray over the
-classes i + j*omega with one strided slice cleared per prime P | c.  Both
-ResidueSystem (the characters) and the Kloosterman tables read it, and it
-is the one place that refuses a residue ring: more than MAX_BOX_POINTS
-classes, the limit of the lattice and ideal walks, raise ValueError.
+classes i + j*omega, class i + j*omega at index j*c.a + i, with one strided
+slice cleared per prime P | c.  That index is the one numbering of o/c:
+the discrete logs of the characters and the Kloosterman tables both read
+the mask by it, and it is the one place that refuses a residue ring: more
+than MAX_BOX_POINTS classes, the limit of the lattice and ideal walks,
+raise ValueError.
 
 The generator of a principal ideal is chosen in one place too,
 principal_generator: the generator from the walk, balanced by a power of
@@ -897,38 +899,6 @@ def unit_mask(c: Ideal) -> bytearray:
             for j in range(rows):
                 mask[j * a + (-j * r) % p : (j + 1) * a : p] = zeros
     return mask
-
-
-class ResidueSystem:
-    """The classes i + j*omega of o/c and its units (by j, then i, as in
-    unit_mask)."""
-
-    def __init__(self, c: Ideal):
-        if not c.is_integral() or c.norm() == 0:
-            raise ValueError("modulus must be a nonzero integral ideal")
-        self.modulus = c
-        K = c.field
-        self.field = K
-        self.size = int(c.norm())
-        a = c.a
-        self._mask = unit_mask(c)
-        self.units = [
-            RingElement(K, i, j)
-            for j in range(c.c)
-            for i in compress(range(a), self._mask[j * a : (j + 1) * a])
-        ]
-        self.phi = len(self.units)
-
-    def is_unit(self, x: RingElement) -> bool:
-        """Whether the integral element x is prime to the modulus."""
-        r = self.reduce(x)
-        return self._mask[r.y * self.modulus.a + r.x] == 1
-
-    def reduce(self, x: RingElement) -> RingElement:
-        return self.modulus.reduce(x)
-
-    def mul(self, x: RingElement, y: RingElement) -> RingElement:
-        return self.reduce(x * y)
 
 
 def psi(x: RingElement) -> complex:

@@ -360,7 +360,11 @@ def amplified_moment(
             continue
         rs.append((r, sys.lambda_value(I) / math.sqrt(n) * w))
     chars = characters_mod(q)
-    rsys = chars[0].structure.rs
+    st = chars[0].structure
+    # the exponent vector of each r and each ell mod q, None off the units
+    r_logs = [st.dlogs[st.index(r)] for r, _ in rs]
+    ell_logs = [st.dlogs[st.index(ell)] for ell in ells]
+    coprime = [w is not None for w in r_logs]
     # side A
     chi_fin = chi.finite
     amp_coeffs = []
@@ -372,27 +376,26 @@ def amplified_moment(
         amp_coeffs.append(cf)
     A = 0.0
     for xi in chars:
-        Lxi = sum(w * xi(r) for r, w in rs)
-        amp = sum(c * xi(ell) for ell, c in zip(ells, amp_coeffs))
+        Lxi = sum(w * xi.value_at(v) for (_, w), v in zip(rs, r_logs))
+        amp = sum(c * xi.value_at(v) for v, c in zip(ell_logs, amp_coeffs))
         A += abs(Lxi) ** 2 * abs(amp) ** 2
     # side B via Plancherel: phi(q) * sum_x |c_x|^2,
     # c_x = sum_ell conj(chi)(ell) sum_{r = x ell^{-1} (q)} w(r)
-    phi_q = rsys.phi
-    cx: dict[tuple, complex] = {}
+    phi_q = st.order
+    cx: dict[int, complex] = {}
     for ell, cf in zip(ells, amp_coeffs):
         if cf == 0:
             continue
-        for r, w in rs:
-            if not rsys.is_unit(r):
+        for (r, w), unit in zip(rs, coprime):
+            if not unit:
                 continue  # r not coprime to q contributes zero
-            # bucket by x = r * ell mod q  <=>  r = x ell^{-1} (q)
-            xclass = rsys.reduce(r * ell).coords()
-            cx[xclass] = cx.get(xclass, 0.0 + 0j) + cf * w
+            # bucket by the class x of r * ell mod q  <=>  r = x ell^{-1} (q)
+            x = st.index(r * ell)
+            cx[x] = cx.get(x, 0.0 + 0j) + cf * w
     B = phi_q * sum(abs(v) ** 2 for v in cx.values())
     # diagonal l1 r1 = l2 r2 extraction: each product ell*r is formed once,
     # and for every (ell1, ell2, r1) only the r2 with ell2*r2 = ell1*r1 are
     # visited, in the order of rs
-    coprime = [rsys.is_unit(r) for r, _ in rs]
     prods = [[ell * r for r, _ in rs] for ell in ells]
     matches = []
     for row in prods:

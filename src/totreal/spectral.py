@@ -297,12 +297,6 @@ def _truncation_heights(k: KTestGaussian, bound, xs, target: float) -> tuple[lis
     return heights, tails
 
 
-def _truncation_height(k: KTestGaussian, bound_fn, target: float) -> tuple[float, float]:
-    """_truncation_heights for one bound_fn(u); returns (T, tail bound)."""
-    heights, tails = _truncation_heights(k, lambda us, x: bound_fn(us), [0.0], target)
-    return heights[0], tails[0]
-
-
 def bessel_transforms_many(k: KTestGaussian, ts, tail_target: float = 5e-9) -> list[dict]:
     """bessel_transforms at each t of ts, in one pass per sign of t.
 
@@ -396,7 +390,7 @@ def bessel_tilde(k: KTestGaussian, tail_target: float = 5e-9) -> dict:
 
     from .quadrature import gl_panels
 
-    T, tail = _truncation_height(k, lambda u: np.ones_like(u), tail_target)
+    (T,), (tail,) = _truncation_heights(k, lambda us, x: np.ones_like(us), [0.0], tail_target)
     us, ws = gl_panels(0.0, T, max(8, int(T)), order=16)
     cont = float(np.sum(ws * k.on_axis(us) * us * np.tanh(math.pi * us)))
     disc = 0.0

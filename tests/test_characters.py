@@ -1,22 +1,34 @@
 """Tests for finite characters and Hecke characters."""
 
 import cmath
+import itertools
 import math
+from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from totreal.characters import (
     HeckeCharacter,
+    UnitGroupStructure,
     characters_mod,
     enumerate_eisenstein_pairs,
     unramified_character,
     unramified_exponent_lattice,
 )
-from totreal.fields import Ideal, arith_functions, divisors, ideals_of_norm_up_to, make_field
+from totreal.fields import (
+    Ideal,
+    arith_functions,
+    divisors,
+    ideals_of_norm_up_to,
+    make_field,
+    unit_mask,
+)
 
 Q = make_field(1)
 K5 = make_field(5)
 K2 = make_field(2)
+K13 = make_field(13)
 
 
 def test_character_counts():
@@ -30,15 +42,55 @@ def test_character_counts():
         assert len(chars) == arith_functions(K.ideal(q))[1]
 
 
+def _units(q):
+    """The units of o/q read off fields.unit_mask."""
+    return [q.field.element(k % q.a, k // q.a) for k, m in enumerate(unit_mask(q)) if m]
+
+
 def test_orthogonality_exact():
     for K, q in ((Q, 5), (Q, 12), (K5, 4)):
         chars = characters_mod(K.ideal(q))
-        units = chars[0].structure.rs.units
+        units = _units(K.ideal(q))
         for c1 in chars:
             for c2 in chars:
                 s = sum(c1(x) * c2(x).conjugate() for x in units)
                 expect = len(units) if c1.exponents == c2.exponents else 0.0
                 assert abs(s - expect) < 1e-12
+
+
+def test_discrete_logs_against_products():
+    # every modulus of norm <= 60: the discrete logs are additive on every
+    # pair of units, with the product made by RingElement and Ideal.reduce
+    # and its class number read off the reduced coordinates; they map the
+    # units onto prod Z/n_i; and both orthogonality relations hold on the
+    # character table
+    for K in (Q, K2, K5, K13):
+        for q in ideals_of_norm_up_to(K, 60):
+            st = UnitGroupStructure(q)
+            units = _units(q)
+            logs = [st.dlogs[k] for k, m in enumerate(unit_mask(q)) if m]
+            assert sorted(logs) == sorted(itertools.product(*map(range, st.orders)))
+            for i, (x, wx) in enumerate(zip(units, logs)):
+                for y, wy in zip(units[i:], logs[i:]):
+                    xy = q.reduce(x * y)
+                    w = st.dlogs[xy.y * q.a + xy.x]
+                    assert w == tuple((u + v) % n for u, v, n in zip(wx, wy, st.orders)), (q, x, y)
+            table = np.array([[float(chi.value_exponent(x)) for x in units]
+                              for chi in characters_mod(q)])
+            E = np.exp(2j * np.pi * table)
+            assert np.abs(E @ E.conj().T - st.order * np.eye(st.order)).max() < 1e-10
+            assert np.abs(E.conj().T @ E - st.order * np.eye(st.order)).max() < 1e-10
+
+
+def test_characters_mod_refuses():
+    # a ring of more than 10^6 classes (unit_mask's limit) and a modulus
+    # that is not integral
+    with pytest.raises(ValueError, match="above the limit of 1000000"):
+        characters_mod(Q.ideal(1000003))
+    with pytest.raises(ValueError, match="above the limit of 1000000"):
+        characters_mod(Ideal.principal(K5.element(1000, 1)))
+    with pytest.raises(ValueError, match="nonzero integral ideal"):
+        characters_mod(Q.ideal(Fraction(1, 2)))
 
 
 def test_closed_under_inverse_and_distinct():
@@ -78,12 +130,12 @@ def test_conductors():
 def _conductor_by_divisor_scan(chi):
     """The smallest divisor q' of the modulus with chi trivial on every unit
     = 1 mod q', by scanning all divisors and all units."""
-    rs = chi.structure.rs
-    one = rs.field.one()
+    one = chi.modulus.field.one()
+    units = _units(chi.modulus)
     best = chi.modulus
     for q2 in divisors(chi.modulus):
         if q2.norm() < best.norm() and all(
-            chi.value_exponent(u) == 0 for u in rs.units if q2.contains(u - one)
+            chi.value_exponent(u) == 0 for u in units if q2.contains(u - one)
         ):
             best = q2
     return best

@@ -213,6 +213,12 @@ def test_bad_spectral_inputs_refused(args, message):
     (("chars", "eisen-count", "--level", "1/2", "--X", "2"), "level must be integral"),
     (("--field", "5", "shifted", "dirichlet", "--q", "1", "--s", "1.5", "--beta", "134",
       "--height", "20"), "beta = 134 takes the terms of the series out of the float range"),
+    # more branches than MAX_BOX_POINTS, and a grid 2X/resolution beyond the
+    # float range, before any branch is listed
+    (("--field", "5", "chars", "eisen-count", "--level", "1", "--X", "1e8"),
+     "Eisenstein branches, above the limit of 1000000"),
+    (("--field", "5", "chars", "eisen-count", "--level", "2", "--X", "1e308"),
+     "beyond the float range"),
 ])
 def test_bad_sizes_refused(args, message):
     # sizes that are not finite, or zero where they divide: exit 2 with a

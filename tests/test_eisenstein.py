@@ -16,7 +16,6 @@ from totreal.eisenstein import (
     constant_term_H_at_half,
     constant_term_H_numeric,
     constant_term_local_factor,
-    constant_term_local_factor_layers,
     coset_index,
     dedekind_zeta,
     eis_hecke_eigenvalue,
@@ -197,6 +196,35 @@ def test_oldform_bound():
             g = float((Q.ideal(tval) + m).norm())
             tau_m = arith_functions(m)[2] if m.norm() > 1 else 1
             assert v <= 4.0 * g * tau_m, (tval, m)
+
+
+# the cross-check route sums the layers j < _LAYER_DEPTH; the first layer it
+# leaves out has size N(p)^(-2 _LAYER_DEPTH Re s) (1 - 1/N(p))
+_LAYER_DEPTH = 40
+
+
+def constant_term_local_factor_layers(Np, s, case="unramified", v=1, v_eta=None):
+    """constant_term_local_factor from the raw p-adic layer decomposition,
+    truncated before layer _LAYER_DEPTH (cross-check route)."""
+    N = float(Np)
+    if case == "unramified":
+        return 1 + sum(
+            N ** (-j * (1 + 2 * s)) * N**j * (1 - 1 / N) for j in range(1, _LAYER_DEPTH)
+        )
+    if case == "level":
+        return sum(
+            N ** (-j * (1 + 2 * s)) * N**j * (1 - 1 / N) for j in range(v, _LAYER_DEPTH)
+        )
+    if case == "level-eta":
+        if v_eta is None:
+            raise ValueError("level-eta requires v_eta")
+        if v_eta <= -v:
+            eta_abs = N ** (-v_eta)
+            return eta_abs ** (2 * s - 1) * sum(
+                N ** (-j * (1 + 2 * s)) * N**j * (1 - 1 / N) for j in range(v, _LAYER_DEPTH)
+            )
+        return N ** (-float(v))
+    raise ValueError(f"unknown case {case!r}")
 
 
 def test_constant_term_local_factors():

@@ -12,7 +12,6 @@ from hypothesis import example, given, settings, strategies as st
 from totreal.fields import (
     FieldError,
     Ideal,
-    ResidueSystem,
     _factor_int,
     _trial_primes,
     arith_functions,
@@ -312,15 +311,13 @@ def test_enumerate_unit_action_bijective():
         assert (m * u.inverse()).compare_embedding(0, lo1) >= 0
 
 
-def test_residue_system():
-    rs = ResidueSystem(Q.ideal(5))
-    assert rs.phi == 4
-    assert [int(x.a) for x in rs.units] == [1, 2, 3, 4]
-    rs1 = ResidueSystem(Q.unit_ideal())
-    assert rs1.size == 1 and rs1.phi == 1
-    rsk = ResidueSystem(K5.ideal(2))
-    assert rsk.size == 4 and rsk.phi == 3
-    assert ResidueSystem(K5.ideal(3)).phi == arith_functions(K5.ideal(3))[1]
+def test_unit_mask_classes():
+    # one byte per class i + j*omega at j*c.a + i, 1 exactly on the units
+    assert unit_mask(Q.ideal(5)) == bytearray([0, 1, 1, 1, 1])
+    assert unit_mask(Q.unit_ideal()) == bytearray([1])
+    # o/(2) over Q(sqrt 5) is GF(4): 0 is the one non-unit
+    assert unit_mask(K5.ideal(2)) == bytearray([0, 1, 1, 1])
+    assert sum(unit_mask(K5.ideal(3))) == arith_functions(K5.ideal(3))[1]
 
 
 def test_unit_mask_ring_limit():
@@ -331,8 +328,6 @@ def test_unit_mask_ring_limit():
         assert c.norm() > 10**6
         with pytest.raises(ValueError, match="above the limit of 1000000"):
             unit_mask(c)
-        with pytest.raises(ValueError, match="above the limit of 1000000"):
-            ResidueSystem(c)
 
 
 def test_psi():

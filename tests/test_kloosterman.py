@@ -8,14 +8,15 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+from totreal.characters import UnitGroupStructure
 from totreal.fields import (
     FieldError,
     Ideal,
-    ResidueSystem,
     arith_functions,
     ideals_of_norm_up_to,
     make_field,
     principal_generator,
+    unit_mask,
 )
 from totreal.kloosterman import (
     TABLE_CACHE_SIZE,
@@ -193,13 +194,18 @@ def test_table_cache_bounded_and_checks_bound():
     assert sums[-40] == pytest.approx(classical_S(1, 2, 41), abs=1e-12)
 
 
+def _mask_units(c):
+    """The units of o/c read off unit_mask, in class order."""
+    return [c.field.element(k % c.a, k // c.a) for k, m in enumerate(unit_mask(c)) if m]
+
+
 def test_table_inverses():
     (tab,) = _tables([Q.ideal(5)])
     assert {int(x.a): int(tab.inverse_element(x).a)
-            for x in ResidueSystem(Q.ideal(5)).units} == {1: 1, 2: 3, 3: 2, 4: 4}
+            for x in _mask_units(Q.ideal(5))} == {1: 1, 2: 3, 3: 2, 4: 4}
     # over Q(sqrt 5) mod (2) the inverse of a unit is a unit
     c = K5.ideal(2)
-    units = ResidueSystem(c).units
+    units = _mask_units(c)
     (tab,) = _tables([c])
     for x in units:
         inv = tab.inverse_element(x)
@@ -208,7 +214,7 @@ def test_table_inverses():
 
 # ---------------------------------------------------------------------------
 # property tests of the unit rule of o/c (fields.unit_mask), shared by the
-# characters' residue systems and the Kloosterman tables, and of the CRT
+# characters' discrete logs and the Kloosterman tables, and of the CRT
 # factorisation; each against a brute force
 
 PROP_FIELDS = {1: Q, 2: make_field(2), 5: K5, 13: make_field(13)}
@@ -234,8 +240,8 @@ def moduli(draw):
 
 
 def _brute_units(c):
-    """The units of o/c by one ideal gcd per class, j-major (the residue
-    system's order) and i-major (the Kloosterman table's order)."""
+    """The units of o/c by one ideal gcd per class, j-major (unit_mask's
+    class order) and i-major (the Kloosterman table's order)."""
     K = c.field
     a, rows = c.a, c.c
 
@@ -254,19 +260,20 @@ def _brute_units(c):
 @given(moduli())
 def test_unit_rule_against_gcd(c):
     by_j, by_i = _brute_units(c)
-    rs = ResidueSystem(c)
-    assert [(u.x, u.y) for u in rs.units] == by_j
-    assert rs.phi == len(by_j) == arith_functions(c)[1]
+    assert [(u.x, u.y) for u in _mask_units(c)] == by_j
+    group = UnitGroupStructure(c)
+    assert group.order == len(by_j) == arith_functions(c)[1]
     units = set(by_j)
     K = c.field
     for j in range(c.c):
         for i in range(c.a):
-            # is_unit reduces first: test a translate by an element of c
+            # index reduces first: test a translate by an element of c
             if K.d == 2:
                 x = K.element(i + c.a, j) + K.element(3 * c.b, 3 * c.c)
             else:
                 x = K.element(i + 5 * c.a)
-            assert rs.is_unit(x) == ((i, j) in units)
+            assert group.index(x) == j * c.a + i
+            assert (group.dlogs[group.index(x)] is not None) == ((i, j) in units)
     (tab,) = _tables([c])
     assert list(zip(tab.xi.tolist(), tab.xj.tolist())) == by_i
 

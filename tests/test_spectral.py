@@ -19,7 +19,7 @@ from totreal.spectral import (
     KTestGaussian,
     OldformBasis,
     _tail_window,
-    _truncation_height,
+    _truncation_heights,
     bessel_tilde,
     bessel_transforms,
     bessel_transforms_many,
@@ -350,7 +350,7 @@ def test_tail_window_cache_bounded():
     maxsize = _tail_window.cache_info().maxsize
     assert maxsize == 256
     for i in range(300):
-        _truncation_height(KTestGaussian(1.0 + i / 64), np.ones_like, 5e-9)
+        _truncation_heights(KTestGaussian(1.0 + i / 64), lambda us, x: np.ones_like(us), [0.0], 5e-9)
     info = _tail_window.cache_info()
     assert info.misses > maxsize
     assert info.currsize == maxsize
