@@ -1,8 +1,9 @@
 """Local Eisenstein newvector data, Hecke eigenvalues, oldform coefficients,
 and the constant-term local factors.
 
-The eigenvalues lambda_{chi,chi^{-1}}, and the factors of lambda_{chi,t} at
-primes off t, come from spectral.eisenstein_system(chi) and its one rule.
+The eigenvalues lambda_{chi,chi^{-1}} are spectral.eisenstein_system(chi)
+read through its lambda_value, the one product for lambda(m), and the
+factors of lambda_{chi,t} at primes off t are that system's lambda(P^k).
 
 Local vectors are stored by their value profile on the valuation level sets
 of the lower-left coordinate, which determines them completely; norms and
@@ -21,8 +22,16 @@ from fractions import Fraction
 from typing import Optional
 
 from .characters import HeckeCharacter
-from .fields import FieldDesc, Ideal, PrimeIdeal, arith_functions, factor_ideal, primes_up_to
-from .spectral import eisenstein_system, hecke_prime_power
+from .fields import (
+    MAX_FACTOR_NORM,
+    FieldDesc,
+    Ideal,
+    PrimeIdeal,
+    arith_functions,
+    factor_ideal,
+    primes_up_to,
+)
+from .spectral import eisenstein_system
 
 
 def local_dimension(n: int, m: int) -> int:
@@ -38,6 +47,9 @@ class LocalVectorSpec:
 
     m = v_p(conductor of chi); admissible when j <= n - 2m for the ambient
     level exponent n, i.e. whenever the dimension formula allows index j.
+    Np^j and Np^m above fields.MAX_FACTOR_NORM are refused before the inner
+    products loop over their levels: no level the toolkit factors holds such
+    a prime power.
     """
 
     Np: int
@@ -47,6 +59,13 @@ class LocalVectorSpec:
     def __post_init__(self):
         if self.Np < 2 or self.j < 0 or self.m < 0:
             raise ValueError("inadmissible local vector data")
+        for name, e in (("j", self.j), ("m", self.m)):
+            # Np >= 2, so an exponent past the bit length of the limit passes
+            # it too, and the power is formed only for smaller ones
+            if e > MAX_FACTOR_NORM.bit_length() or self.Np**e > MAX_FACTOR_NORM:
+                raise ValueError(
+                    f"Np^{name} = {self.Np}^{e} is above the limit of {MAX_FACTOR_NORM}"
+                )
 
 
 def _level_measure_ge(Np: int, j: int) -> Fraction:
@@ -138,19 +157,10 @@ def coset_index(c: Ideal) -> int:
 
 
 def eis_hecke_eigenvalue(chi: HeckeCharacter, m: Ideal) -> complex:
-    """lambda_{chi,chi^{-1}}(m) = sum_{ab=m} chi(a b^{-1}) from chi(P) of
-    eisenstein_system(chi); zero on ideals meeting the modulus of chi."""
-    if not m.is_integral():
-        return 0.0
-    sys_ = eisenstein_system(chi)
-    out = 1.0 + 0j
-    # only chi(P) is cached: entries per ideal or per (P, n) would cost memory
-    for P, n in factor_ideal(m):
-        loc = hecke_prime_power(sys_.alpha(P), n)
-        if loc == 0:
-            return 0.0
-        out *= loc
-    return out
+    """lambda_{chi,chi^{-1}}(m) = sum_{ab=m} chi(a b^{-1}), the lambda_value
+    of eisenstein_system(chi); zero on nonintegral ideals and on ideals
+    meeting the modulus of chi."""
+    return eisenstein_system(chi).lambda_value(m)
 
 
 @dataclass
@@ -273,9 +283,18 @@ def constant_term_local_factor(
     case 'level':       Np^(-2sv) (1 - 1/Np) / (1 - Np^(-2s));
     case 'level-eta':   |eta|^(2s-1) times the level factor when
                         v(eta) <= -v, and the constant Np^(-v) otherwise.
+
+    Np < 2, an s that is not finite, and v < 1 in the level cases are
+    refused.
     """
+    if Np < 2:
+        raise ValueError(f"Np must be >= 2, got {Np}")
+    if not cmath.isfinite(s):
+        raise ValueError(f"s must be finite, got {s}")
     if s == 0:
         raise ValueError("s on the singular line")
+    if case in ("level", "level-eta") and v < 1:
+        raise ValueError(f"v must be >= 1 in the {case} case, got {v}")
     N = float(Np)
     if case == "unramified":
         return (1 - N ** (-1 - 2 * s)) / (1 - N ** (-2 * s))

@@ -40,7 +40,9 @@ principal_generator: the generator from the walk, balanced by a power of
 the fundamental unit, from which one rule (totally positive if possible,
 then least |trace|, then least (a, b)) picks among six unit multiples.  Its
 docstring proves that the six always hold the canonical element.  Module
-caches are functools.lru_cache with a fixed maxsize.
+caches are functools.lru_cache with a fixed maxsize; the one per field,
+FieldDesc.primes_above, is made in FieldDesc.__init__ and goes with the
+field.
 
 The sentinel D = 1 denotes the rational field.
 """
@@ -657,6 +659,7 @@ class FieldDesc:
         # the different is generated by f'(omega) = 2*omega - t (1 over Q)
         self.delta = self.one() if self.d == 1 else RingElement(self, -self.t_omega, 2)
         self.different = Ideal.principal(self.delta)
+        self.primes_above = functools.lru_cache(maxsize=100_000)(self._primes_above)
 
     # --- basic constructors -------------------------------------------------
     def one(self) -> RingElement:
@@ -706,8 +709,7 @@ class FieldDesc:
         return [self.one(), -self.one(), e, -e]
 
     # --- primes and factorization -------------------------------------------
-    @functools.lru_cache(maxsize=100_000)
-    def primes_above(self, p: int) -> list[PrimeIdeal]:
+    def _primes_above(self, p: int) -> list[PrimeIdeal]:
         """The primes over p, from a root r of x^2 - t*x + n mod p: none means
         p is inert, p | disc that p = (p, omega - r)^2, and otherwise p splits
         into (p, omega - r)(p, omega - (t - r)), listed by root."""

@@ -4,10 +4,13 @@ transforms, and the geometric side of the trace formula.
 Eigenvalue systems are multiplicative assignments built from per-prime
 Satake parameters: Eisenstein-derived (alpha_p = chi(p)), the divisor
 system among them as that of the trivial character (alpha_p = 1), or
-synthetic seeded systems satisfying the Hecke recursion and the
-Ramanujan-type bound |lambda(p)| <= 2 Np^theta.  One rule, lambda(p^k) =
-sum over i <= k of alpha_p^(2i - k), gives every eigenvalue, eisenstein's
-lambda_{chi,chi^{-1}} included.  The cuspidal spectrum itself is out of
+synthetic seeded systems (|alpha_p| = 1) satisfying the Hecke recursion.
+Every system is taken at the one exponent theta = RAMANUJAN_THETA = 1/9
+towards Ramanujan-Petersson, |lambda(p)| <= 2 Np^theta, which the tail
+bounds read.  One rule, lambda(p^k) = sum over i <= k of alpha_p^(2i - k),
+gives every eigenvalue, and one product over the factorisation,
+EigenvalueSystem.lambda_value, gives lambda(m); eisenstein's
+lambda_{chi,chi^{-1}} reads it.  The cuspidal spectrum itself is out of
 reach; synthetic systems exercise all formulas that depend only on the
 Hecke relations.
 
@@ -64,43 +67,36 @@ class EigenvalueSystem:
     """Multiplicative Hecke-eigenvalue system with trivial central character.
 
     A system built with a Hecke character chi is the Eisenstein system
-    lambda_{chi,chi^{-1}}, with Satake parameter alpha_P = chi(P)."""
+    lambda_{chi,chi^{-1}}, with Satake parameter alpha_P = chi(P); one built
+    without is the synthetic system of its seed.  alpha and
+    lambda_prime_power cache per system, so their entries go with it."""
 
-    def __init__(
-        self,
-        K: FieldDesc,
-        seed: int = 0,
-        chi: Optional[HeckeCharacter] = None,
-        theta: float = RAMANUJAN_THETA,
-        exceptional: Sequence[int] = (),
-    ):
+    # read by the tail bounds of shifted_inner_ratio and shifted.dirichlet_D
+    theta = RAMANUJAN_THETA
+
+    def __init__(self, K: FieldDesc, seed: int = 0, chi: Optional[HeckeCharacter] = None):
         self.field = K
         self.seed = seed
         self.chi = chi
-        self.theta = theta
-        self.exceptional = set(exceptional)
         self.conductor = K.unit_ideal() if chi is None else chi.conductor() * chi.conductor()
+        self.alpha = functools.lru_cache(maxsize=200_000)(self._alpha)
+        self.lambda_prime_power = functools.lru_cache(maxsize=200_000)(self._lambda_prime_power)
 
-    @functools.lru_cache(maxsize=200_000)
-    def alpha(self, P) -> complex:
+    def _alpha(self, P) -> complex:
         """Satake parameter at the prime P."""
         if self.chi is not None:
             return self.chi.eval_on_ideal(P.ideal)
-        if P.p in self.exceptional:
-            return complex(P.norm() ** self.theta)
         key = f"{self.seed}:{self.field.D}:{P.p}:{P.ideal.key()}"
         frac = int.from_bytes(hashlib.sha256(key.encode()).digest()[:8], "big") / 2**64
         return cmath.exp(1j * math.pi * frac)
 
-    @functools.lru_cache(maxsize=200_000)
-    def lambda_prime_power(self, P, k: int) -> complex:
+    def _lambda_prime_power(self, P, k: int) -> complex:
         """lambda(P^k) by hecke_prime_power, once per (P, k)."""
         return hecke_prime_power(self.alpha(P), k)
 
-    @functools.lru_cache(maxsize=200_000)
     def lambda_value(self, m: Ideal) -> complex:
-        """lambda(m); zero on nonintegral ideals and at the first vanishing
-        local factor."""
+        """lambda(m) from factor_ideal and lambda(P^k); zero on nonintegral
+        ideals and at the first vanishing local factor."""
         if not m.is_integral():
             return 0.0
         out = 1.0 + 0j
@@ -127,8 +123,6 @@ def eisenstein_system(chi: HeckeCharacter) -> EigenvalueSystem:
 def shifted_inner_ratio(sys: EigenvalueSystem, t1: Ideal, t2: Ideal) -> complex:
     """<R_{t1} phi, R_{t2} phi> / <phi, phi> by the Euler-product formula
     with the coprime parts t_i' = t_i / gcd(t1, t2)."""
-    if sys.theta >= 0.5:
-        raise ValueError("series diverges for theta >= 1/2")
     if not (t1.is_integral() and t2.is_integral()):
         raise ValueError("t1, t2 must be integral")
     g = t1 + t2
@@ -204,24 +198,6 @@ def oldform_gram_schmidt(sys: EigenvalueSystem, c: Ideal) -> OldformBasis:
             if s.divides(t):
                 alpha[(t.key(), s.key())] = complex(A[i, j])
     return OldformBasis(sys, c, divs, alpha, resid)
-
-
-def lambda_t(
-    sys: EigenvalueSystem, basis: OldformBasis, t: Ideal, m: Ideal
-) -> complex:
-    """Oldform coefficient lambda^{(t)}(m) = sum over s | gcd(t, m) of
-    alpha_{t,s} sqrt(N s) lambda(m/s)."""
-    if t not in basis.divisors:
-        raise ValueError("t is not in the oldform basis")
-    if not m.is_integral():
-        return 0.0
-    g = t + m
-    out = 0.0 + 0j
-    for s in divisors(g):
-        a = basis.coefficient(t, s)
-        if a:
-            out += a * math.sqrt(float(s.norm())) * sys.lambda_value(m * s.inverse())
-    return out
 
 
 # ---------------------------------------------------------------------------

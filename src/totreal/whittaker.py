@@ -31,7 +31,6 @@ from __future__ import annotations
 import cmath
 import functools
 import math
-from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 import mpmath as mp
@@ -89,21 +88,6 @@ def nu_admissible(q: int, nu: complex) -> bool:
     if q % 2 == 0:
         return cls in ("imag", "half_int", "small_real") or nu == 0
     return cls in ("imag", "int")
-
-
-@dataclass(frozen=True)
-class WhittakerSpec:
-    """Weight vector q and spectral parameter nu, one entry per place."""
-
-    q: tuple[int, ...]
-    nu: tuple[complex, ...]
-
-    def __post_init__(self):
-        if len(self.q) != len(self.nu):
-            raise ValueError("q and nu must have equal length")
-        for qj, nuj in zip(self.q, self.nu):
-            if not nu_admissible(qj, nuj):
-                raise WhittakerDomainError(f"(q, nu) = ({qj}, {nuj}) inadmissible")
 
 
 def _laguerre_value(n: int, alpha: complex, x: float) -> complex:
@@ -265,18 +249,6 @@ def normalized_whittaker_1d(q: int, nu: complex, y: float) -> complex:
     w, _ = whittaker_w(m, nu, x)
     phase = cmath.exp(1j * math.pi * sgn * q / 4)
     return phase * w / math.sqrt(p)
-
-
-def normalized_whittaker(spec: WhittakerSpec, y: Sequence[float]) -> complex:
-    """Product over places, per the product convention for K_infinity."""
-    if len(y) != len(spec.q):
-        raise ValueError("y must have one coordinate per place")
-    out = 1.0 + 0j
-    for qj, nuj, yj in zip(spec.q, spec.nu, y):
-        out *= normalized_whittaker_1d(qj, nuj, yj)
-        if out == 0:
-            return 0.0
-    return out
 
 
 # ---------------------------------------------------------------------------

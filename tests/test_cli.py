@@ -219,6 +219,18 @@ def test_bad_spectral_inputs_refused(args, message):
      "Eisenstein branches, above the limit of 1000000"),
     (("--field", "5", "chars", "eisen-count", "--level", "2", "--X", "1e308"),
      "beyond the float range"),
+    (("eisen", "localfactor", "--Np", "1", "--s", "1"), "Np must be >= 2"),
+    (("eisen", "localfactor", "--Np", "0", "--s", "1"), "Np must be >= 2"),
+    (("eisen", "localfactor", "--Np", "5", "--s", "nan"), "s must be finite"),
+    (("eisen", "localfactor", "--Np", "5", "--s", "1", "--case", "level", "--v", "-3"),
+     "v must be >= 1 in the level case"),
+    (("eisen", "localfactor", "--Np", "5", "--s", "1", "--case", "level-eta", "--v", "0"),
+     "v must be >= 1 in the level-eta case"),
+    # a prime power beyond any level factor_ideal takes, before it is formed
+    (("eisen", "norms", "--Np", "5", "--j", "0", "--m", "100000000"),
+     "Np^m = 5^100000000 is above the limit of 10000000"),
+    (("eisen", "norms", "--Np", "5", "--j", "10000000", "--m", "0"),
+     "Np^j = 5^10000000 is above the limit of 10000000"),
 ])
 def test_bad_sizes_refused(args, message):
     # sizes that are not finite, or zero where they divide: exit 2 with a
@@ -354,6 +366,28 @@ def test_exact_layers_import_without_numpy():
     # evaluates with it
     code = "import totreal.characters, totreal.eisenstein, totreal.spectral, totreal.shifted"
     assert _loaded_after(code) == set()
+
+
+def test_no_method_is_cached():
+    # a functools cache on a method keys on self, is shared by every
+    # instance and keeps each one alive until evicted (flake8-bugbear B019);
+    # per-object caches are made in __init__ instead
+    import ast
+
+    src = Path(__file__).parents[1] / "src" / "totreal"
+    found = []
+    for path in sorted(src.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            if not (node.args.args and node.args.args[0].arg == "self"):
+                continue
+            for dec in node.decorator_list:
+                target = dec.func if isinstance(dec, ast.Call) else dec
+                name = target.attr if isinstance(target, ast.Attribute) else getattr(target, "id", "")
+                if name in ("lru_cache", "cache"):
+                    found.append(f"{path.name}:{node.lineno} {node.name}")
+    assert found == []
 
 
 def test_eisen_subcommands():

@@ -1,8 +1,10 @@
 """Tests for exact field/ideal arithmetic."""
 
 import cmath
+import gc
 import math
 import random
+import weakref
 from decimal import Decimal, localcontext
 from fractions import Fraction
 
@@ -148,6 +150,20 @@ def test_prime_decomposition():
             assert prod == K.ideal(p), (D, p)
             assert sum(P.e * P.f for P in Ps) == K.d, (D, p)
             assert len({P.ideal for P in Ps}) == len(Ps)
+
+
+def test_field_freed_with_its_prime_cache():
+    # primes_above is cached per field, so a field asked only for primes
+    # goes once nothing else holds it (_factor and principal_generator keep
+    # ideals, and ideals their field, so neither is called here)
+    K = make_field(13)
+    for p in (2, 3, 13):
+        K.primes_above(p)
+    assert K.primes_above.cache_info().currsize == 3
+    ref = weakref.ref(K)
+    del K
+    gc.collect()
+    assert ref() is None
 
 
 def test_unit_invariants():
