@@ -41,10 +41,14 @@ points, each node's integral np.sum over its own contiguous slice, so
 every bit is the one a separate array of that node would give.  The
 shifted WK contour stays one node at a time: a node there has from about a
 thousand points (u just past (x + 6)/pi) to 48 000 (the _MAX_PANELS
-limit), so numpy's per-call overhead, which flat arrays save, is small
-beside its arithmetic.  Scalars that feed the arrays (log, cos, tanh of a
-node or of an x) go through math, as a node-by-node evaluation would take
-them.
+limit), and laid end to end its points would each need three gathers (the
+envelope rate, x cos(eps) and 2u of their node), which measured slower
+than the per-node calls they save.  Each node takes gl_panels' one-row
+grid and evaluates its integrand in place on that grid's arrays, every
+product and sum with the operands of the out-of-place expression, so with
+the bits that expression gives.  Scalars that feed the arrays (log, cos,
+tanh of a node or of an x) go through math, as a node-by-node evaluation
+would take them.
 
 mpmath is used only in the test oracles.  Two limits are refused with
 ValueError rather than cut short or left to overflow: a shifted-contour
@@ -285,9 +289,20 @@ def _wk_shifted(u: float, x: float) -> float:
     # K = e^{-2 u sig} * Re int_0^inf e^{-x cosh(s + i sig)} e^{2ius} ds,
     # sig = pi/2 - eps (the two half-lines are complex conjugates)
     s, w = gl_panels(0.0, smax, n_panels, order=12)
-    re_arg = -a * np.cosh(s)
-    im_arg = -x * math.cos(eps) * np.sinh(s) + 2 * u * s
-    integral = np.sum(w * np.exp(re_arg) * np.cos(im_arg))
+    # w * exp(-a cosh s) * cos(-x cos(eps) sinh s + 2us) in place on the
+    # grid's own arrays, each product and sum with the operands of that
+    # expression, so the bits are those of its out-of-place form
+    env = np.cosh(s)
+    env *= -a
+    np.exp(env, out=env)
+    phase = np.sinh(s)
+    phase *= -x * math.cos(eps)
+    s *= 2 * u
+    phase += s
+    np.cos(phase, out=phase)
+    w *= env
+    w *= phase
+    integral = w.sum()
     pref = (1 - math.exp(-2 * math.pi * u)) * 0.5 * math.exp(2 * u * eps)
     return float(pref * integral)
 

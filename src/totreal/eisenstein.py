@@ -284,8 +284,8 @@ def constant_term_local_factor(
     case 'level-eta':   |eta|^(2s-1) times the level factor when
                         v(eta) <= -v, and the constant Np^(-v) otherwise.
 
-    Np < 2, an s that is not finite, and v < 1 in the level cases are
-    refused.
+    Np < 2, an s that is not finite, v < 1 in the level cases, and an Np or
+    a power of it beyond the float range are refused.
     """
     if Np < 2:
         raise ValueError(f"Np must be >= 2, got {Np}")
@@ -295,24 +295,29 @@ def constant_term_local_factor(
         raise ValueError("s on the singular line")
     if case in ("level", "level-eta") and v < 1:
         raise ValueError(f"v must be >= 1 in the {case} case, got {v}")
-    N = float(Np)
-    if case == "unramified":
-        return (1 - N ** (-1 - 2 * s)) / (1 - N ** (-2 * s))
-    if case == "level":
-        return N ** (-2 * s * v) * (1 - 1 / N) / (1 - N ** (-2 * s))
-    if case == "level-eta":
-        if v_eta is None:
-            raise ValueError("level-eta requires v_eta")
-        if v_eta <= -v:
-            eta_abs = N ** (-v_eta)
-            return (
-                eta_abs ** (2 * s - 1)
-                * N ** (-2 * s * v)
-                * (1 - 1 / N)
-                / (1 - N ** (-2 * s))
-            )
-        return N ** (-float(v))
-    raise ValueError(f"unknown case {case!r}")
+    try:
+        N = float(Np)
+        if case == "unramified":
+            return (1 - N ** (-1 - 2 * s)) / (1 - N ** (-2 * s))
+        if case == "level":
+            return N ** (-2 * s * v) * (1 - 1 / N) / (1 - N ** (-2 * s))
+        if case == "level-eta":
+            if v_eta is None:
+                raise ValueError("level-eta requires v_eta")
+            if v_eta <= -v:
+                eta_abs = N ** (-v_eta)
+                return (
+                    eta_abs ** (2 * s - 1)
+                    * N ** (-2 * s * v)
+                    * (1 - 1 / N)
+                    / (1 - N ** (-2 * s))
+                )
+            return N ** (-float(v))
+        raise ValueError(f"unknown case {case!r}")
+    except OverflowError as exc:
+        raise ValueError(
+            f"the local factor at s = {s}, v = {v} leaves the float range: {exc}"
+        ) from None
 
 
 def constant_term_H_at_half(c: Ideal) -> Fraction:

@@ -56,17 +56,27 @@ def gl_panels(a, b, n_panels, order: int = 24) -> tuple[np.ndarray, np.ndarray]:
     """Gauss-Legendre nodes/weights on [a, b] split into n_panels equal
     panels (equal_panels); with arrays, the rows end to end, bitwise the
     concatenation of the per-row calls."""
-    return gl_from_panels(*equal_panels(a, b, n_panels), order)
+    if np.ndim(a) or np.ndim(b) or np.ndim(n_panels):
+        return gl_from_panels(*equal_panels(a, b, n_panels), order)
+    # one row: equal_panels' edges i * (b - a)/n + a, the last one b, and
+    # its one half-width, made once each and with no per-panel gathers; the
+    # same products and sums, so the same bits
+    x0, w0 = _leggauss(order)
+    n = int(n_panels)
+    edges = np.arange(n + 1) * ((b - a) / n) + a
+    edges[-1] = b
+    half = 0.5 * (edges[1] - edges[0])
+    return (half * x0 + (0.5 * (edges[:-1] + edges[1:]))[:, None]).ravel(), np.tile(half * w0, n)
 
 
 def gl_from_panels(mid: np.ndarray, half: np.ndarray, order: int) -> tuple[np.ndarray, np.ndarray]:
     """Gauss-Legendre nodes/weights of the panels with midpoints mid and
     half-widths half, panel after panel."""
     x0, w0 = _leggauss(order)
-    # (order, panels) products run along the long axis; .T.ravel() lays
-    # them out panel after panel
-    xs = (x0[:, None] * half + mid).T.ravel()
-    ws = (w0[:, None] * half).T.ravel()
+    # (panels, order) arrays are laid out panel after panel as they are
+    # made, so .ravel() copies nothing
+    xs = (half[:, None] * x0 + mid[:, None]).ravel()
+    ws = (half[:, None] * w0).ravel()
     return xs, ws
 
 

@@ -33,6 +33,7 @@ from typing import Optional, Sequence
 
 from .characters import HeckeCharacter, unramified_character
 from .fields import (
+    MAX_BOX_POINTS,
     FieldDesc,
     Ideal,
     RingElement,
@@ -214,6 +215,9 @@ class KTestGaussian:
     def __post_init__(self):
         if not (math.isfinite(self.Z) and self.Z > 0):
             raise ValueError(f"Z must be finite and > 0, got {self.Z}")
+        # k divides by Z^2, which must neither underflow to 0 nor overflow
+        if not 0 < self.Z * self.Z < math.inf:
+            raise ValueError(f"Z^2 leaves the float range at Z = {self.Z}")
 
     def on_axis(self, u):
         import numpy as np
@@ -273,6 +277,21 @@ def _truncation_heights(k: KTestGaussian, bound, xs, target: float) -> tuple[lis
     return heights, tails
 
 
+def _u_density(u: float, x: float) -> float:
+    """Radians per unit u of k(iu) u times a kernel at x near u: the
+    density the u-panels of a transform are graded by."""
+    return 2 * math.asinh((2 * u + 1) / x) + 0.6
+
+
+def _check_u_nodes(nodes: float, what: str) -> None:
+    """Refuse a u-quadrature of more than MAX_BOX_POINTS nodes before any
+    of them is made."""
+    if nodes > MAX_BOX_POINTS:
+        raise ValueError(
+            f"{what} needs up to {nodes:.4g} u-nodes (limit {MAX_BOX_POINTS}); use a smaller Z"
+        )
+
+
 def bessel_transforms_many(k: KTestGaussian, ts, tail_target: float = 5e-9) -> list[dict]:
     """bessel_transforms at each t of ts, in one pass per sign of t.
 
@@ -287,7 +306,9 @@ def bessel_transforms_many(k: KTestGaussian, ts, tail_target: float = 5e-9) -> l
     time (a transform with more on its own) and cut their own quadrature
     points into blocks of the same size, and the truncation search takes 32
     x at a time, so the temporaries stay within about 4 MB; past that a
-    batch grows only with its results, about 1 kB per t.
+    batch grows only with its results, about 1 kB per t.  A transform whose
+    u-nodes could number more than fields.MAX_BOX_POINTS, by a bound from
+    its truncation height, is refused before any of its panels is made.
     """
     import numpy as np
     from scipy.special import jv as _besselj
@@ -307,9 +328,15 @@ def bessel_transforms_many(k: KTestGaussian, ts, tail_target: float = 5e-9) -> l
         if not xs:
             continue
         heights, tails = _truncation_heights(k, rj_bound if positive else wk_bound, xs, tail_target)
+        for x, T in zip(xs, heights):
+            # the density grows with u, so each graded panel but the last
+            # holds at least 2 pi of its integral over [0, T], which is at
+            # most T * density(T): at most 2 + T * density(T) / 2 pi panels
+            # (and at least 4), of 16 nodes each
+            bound = max(4.0, 2 + T * _u_density(T, x) / (2 * math.pi))
+            _check_u_nodes(16 * bound, f"the transform at x={x:.6g} up to T={T:.6g}")
         panels = [
-            graded_panels(0.0, T, lambda uu, x=x: 2 * math.asinh((2 * uu + 1) / x) + 0.6, 4)
-            for x, T in zip(xs, heights)
+            graded_panels(0.0, T, lambda uu, x=x: _u_density(uu, x), 4) for x, T in zip(xs, heights)
         ]
         # the largest node of a transform: the last point of its last panel
         last, _ = gl_from_panels(
@@ -361,13 +388,16 @@ def bessel_transforms(k: KTestGaussian, t: float, tail_target: float = 5e-9) -> 
 
 
 def bessel_tilde(k: KTestGaussian, tail_target: float = 5e-9) -> dict:
-    """The scalar transform ktilde with its discrete-series part."""
+    """The scalar transform ktilde with its discrete-series part; more
+    than fields.MAX_BOX_POINTS u-nodes are refused before any is made."""
     import numpy as np
 
     from .quadrature import gl_panels
 
     (T,), (tail,) = _truncation_heights(k, lambda us, x: np.ones_like(us), [0.0], tail_target)
-    us, ws = gl_panels(0.0, T, max(8, int(T)), order=16)
+    n_panels = max(8, int(T))
+    _check_u_nodes(16 * n_panels, f"ktilde up to T={T:.6g}")
+    us, ws = gl_panels(0.0, T, n_panels, order=16)
     cont = float(np.sum(ws * k.on_axis(us) * us * np.tanh(math.pi * us)))
     disc = 0.0
     b = 2

@@ -231,6 +231,10 @@ def test_bad_spectral_inputs_refused(args, message):
      "Np^m = 5^100000000 is above the limit of 10000000"),
     (("eisen", "norms", "--Np", "5", "--j", "10000000", "--m", "0"),
      "Np^j = 5^10000000 is above the limit of 10000000"),
+    # Np^(-2sv) = 5^2400, and an Np that no float holds
+    (("eisen", "localfactor", "--Np", "5", "--s", "-400", "--case", "level", "--v", "3"),
+     "leaves the float range"),
+    (("eisen", "localfactor", "--Np", "1" + "0" * 400, "--s", "1"), "leaves the float range"),
 ])
 def test_bad_sizes_refused(args, message):
     # sizes that are not finite, or zero where they divide: exit 2 with a
@@ -239,6 +243,39 @@ def test_bad_sizes_refused(args, message):
     assert proc.returncode == 2, proc.stderr
     assert proc.stderr == ""
     assert message in json.loads(proc.stdout)["error"]
+
+
+def test_Z_squared_out_of_float_range_refused(capsys):
+    # k_Z divides by Z^2, which underflows to 0 at Z = 1e-300 and overflows
+    # at Z = 1e308: exit 2 from cli.main, not a traceback
+    from totreal import cli
+
+    for Z in ("1e-300", "1e308"):
+        assert cli.main(["spectral", "bessel", "--Z", Z, "--t=-1.5"]) == 2
+        assert "Z^2 leaves the float range" in json.loads(capsys.readouterr().out)["error"]
+
+
+def test_huge_Z_refused_before_its_nodes_are_made():
+    # at Z = 1e9 a transform, or ktilde, would take about 1e12 u-nodes: each
+    # is refused, within 2 s, from a bound on its count before any panel is
+    # made.  The child runs under a 768 MB address-space limit, so that
+    # making them would fail there and take no more of the machine
+    import resource
+
+    limit = 768 << 20
+
+    def cap():
+        resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+    for args in (("spectral", "bessel", "--Z", "1e9", "--t=-1.5"),
+                 ("spectral", "bessel", "--Z", "1e9", "--t", "1.5"),
+                 ("--field", "5", "spectral", "kuz-geom", "--r1", "1", "--r2", "1", "--level", "1",
+                  "--Z", "1e9", "--box", "3")):
+        proc = subprocess.run(CMD + list(args), capture_output=True, text=True, timeout=2,
+                              preexec_fn=cap)
+        assert proc.returncode == 2, proc.stderr
+        assert proc.stderr == ""
+        assert "u-nodes (limit 1000000)" in json.loads(proc.stdout)["error"]
 
 
 def test_kuz_geom_refused_before_kloosterman_sums():

@@ -369,6 +369,45 @@ def test_gl_panels_array_form_is_row_concatenation():
     assert np.array_equal(xs.view(np.int64), ref.view(np.int64))
 
 
+def _wk_shifted_out_of_place(u, x):
+    # the shifted K contour as one out-of-place expression on the linspace
+    # grid: the reference for the in-place evaluation of bessel_kernels
+    eps, a, smax, n_panels = bessel_kernels._wk_shifted_panels(u, x)
+    s, w = _gl_panels_linspace(0.0, smax, n_panels, 12)
+    re_arg = -a * np.cosh(s)
+    im_arg = -x * math.cos(eps) * np.sinh(s) + 2 * u * s
+    integral = np.sum(w * np.exp(re_arg) * np.cos(im_arg))
+    pref = (1 - math.exp(-2 * math.pi * u)) * 0.5 * math.exp(2 * u * eps)
+    return float(pref * integral)
+
+
+def test_wk_shifted_in_place_is_bit_identical():
+    rng = np.random.default_rng(23)
+    x = rng.uniform(5.6, 120.0, 49)
+    u = (x + 6) / math.pi + rng.uniform(0.01, 60.0, 49)
+    # and one pair just under the _MAX_PANELS cap
+    u, x = np.append(u, 117.6), np.append(x, 20.0)
+    assert bessel_kernels._wk_shifted_panels(117.6, 20.0)[3] > 0.99 * bessel_kernels._MAX_PANELS
+    assert np.all(x < math.pi * u - 6.0)  # all on the shifted route
+    ref = np.array([_wk_shifted_out_of_place(ui, xi) for ui, xi in zip(u.tolist(), x.tolist())])
+    assert np.array_equal(wk_kernel(u, x).view(np.int64), ref.view(np.int64))
+
+
+def test_transforms_leave_the_tail_windows_unchanged():
+    # the cached (read-only) windows of the truncation search are shared by
+    # every later call, so no evaluation may write to them
+    k = KTestGaussian(2.0)
+    us, wu = _tail_window(k, 2.0)
+    us0, wu0 = us.copy(), wu.copy()
+    for t in (-1.5, 1.5):
+        bessel_transforms(k, t)
+    cached = _tail_window(k, 2.0)
+    assert cached[0] is us and cached[1] is wu
+    assert not us.flags.writeable and not wu.flags.writeable
+    assert np.array_equal(us.view(np.int64), us0.view(np.int64))
+    assert np.array_equal(wu.view(np.int64), wu0.view(np.int64))
+
+
 def test_graded_panels_fallback_is_equal_panels():
     # a slowly varying density gives fewer panels than min_panels
     mid, half = graded_panels(0.3, 2.9, lambda v: 0.01, 4)
