@@ -390,11 +390,11 @@ def wk_bound(u, x) -> np.ndarray:
         k0[i] = k0e(y)
     with np.errstate(over="ignore", invalid="ignore"):
         approx = 0.5 * np.exp(arg) * k0
-    low = np.fmin.reduce(approx, axis=0)
-    cut = np.where(low >= 1e-290, low * (1 + 1e-12), math.inf)
-    need = ~(approx > cut) | ~np.isfinite(approx)
-    val = np.full(approx.shape, math.inf)
-    val[need] = 0.5 * _exp(arg[need]) * k0[need]
+        low = np.fmin.reduce(approx, axis=0)
+        cut = np.where(low >= 1e-290, low * (1 + 1e-12), math.inf)
+        need = ~(approx > cut) | ~np.isfinite(approx)
+        val = np.full(approx.shape, math.inf)
+        val[need] = 0.5 * _exp(arg[need]) * k0[need]
     return np.fmin.reduce(val, axis=0, initial=math.inf)
 
 

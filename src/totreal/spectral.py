@@ -14,6 +14,13 @@ lambda_{chi,chi^{-1}} reads it.  The cuspidal spectrum itself is out of
 reach; synthetic systems exercise all formulas that depend only on the
 Hecke relations.
 
+Transforms: bessel_transforms_many keeps the records of accepted batches
+in one module cache, _RECORDS, keyed by (k, t > 0, x = 4 pi sqrt|t|,
+tail_target) and bounded at TRANSFORM_CACHE_SIZE = 4096 records (560 bytes
+a record for t > 0 and 420 for t < 0, so at most 2.3 MB); a repeated
+transform, in bessel_transforms, kuznetsov_geometric_side or the CLI, is
+read from it with the bits it was computed with.
+
 Imports: the eigenvalue systems and the shifted sums built on them run on
 exact arithmetic, so numpy, scipy.special, quadrature, bessel_kernels and
 kloosterman are imported inside the functions that evaluate with them
@@ -28,6 +35,7 @@ import cmath
 import functools
 import hashlib
 import math
+from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -218,6 +226,14 @@ class KTestGaussian:
         # k divides by Z^2, which must neither underflow to 0 nor overflow
         if not 0 < self.Z * self.Z < math.inf:
             raise ValueError(f"Z^2 leaves the float range at Z = {self.Z}")
+        # the truncation search takes u up to its limit 60 max(1, Z) plus a
+        # window of 8 Z, where u^2 and u^2 / Z^2 must stay finite (so Z^2
+        # is a normal float)
+        top = 68 * max(1.0, self.Z)
+        if not top * top / (self.Z * self.Z) < math.inf:
+            raise ValueError(
+                f"the truncation search takes u up to {top:.4g}, where u^2/Z^2 leaves the float range"
+            )
 
     def on_axis(self, u):
         import numpy as np
@@ -292,12 +308,24 @@ def _check_u_nodes(nodes: float, what: str) -> None:
         )
 
 
+# the bound of the transform cache, which keeps the records of the most
+# recently used transforms (their bytes, by tracemalloc under CPython 3.11,
+# are in the module docstring)
+TRANSFORM_CACHE_SIZE = 4096
+_RECORDS: OrderedDict[tuple, dict] = OrderedDict()
+
+
 def bessel_transforms_many(k: KTestGaussian, ts, tail_target: float = 5e-9) -> list[dict]:
     """bessel_transforms at each t of ts, in one pass per sign of t.
 
     A transform depends on t through its sign and x = 4 pi sqrt|t| alone,
     so each distinct x of a sign is computed once and repeated t get equal
-    copies.  One truncation search steps every x at once, and the graded
+    copies.  The records of earlier batches are kept in a cache keyed by
+    (k, t > 0, x, tail_target), and only the x it lacks are computed; the
+    records of a batch enter it only once the whole batch is accepted, so a
+    refused batch leaves it as it was, and it keeps the
+    TRANSFORM_CACHE_SIZE most recently used records.  Every t gets a fresh
+    dict.  One truncation search steps every x at once, and the graded
     u-nodes of all transforms go through the kernels as flat arrays of
     (u, x) pairs (quadrature.gl_sums), each transform's integral np.sum over
     its own slice.  Every value is bit for bit the one a separate call gives.
@@ -306,9 +334,10 @@ def bessel_transforms_many(k: KTestGaussian, ts, tail_target: float = 5e-9) -> l
     time (a transform with more on its own) and cut their own quadrature
     points into blocks of the same size, and the truncation search takes 32
     x at a time, so the temporaries stay within about 4 MB; past that a
-    batch grows only with its results, about 1 kB per t.  A transform whose
-    u-nodes could number more than fields.MAX_BOX_POINTS, by a bound from
-    its truncation height, is refused before any of its panels is made.
+    batch grows only with its results, about 1 kB per t, and the cache with
+    its new records, up to its bound.  A transform whose u-nodes could
+    number more than fields.MAX_BOX_POINTS, by a bound from its truncation
+    height, is refused before any of its panels is made.
     """
     import numpy as np
     from scipy.special import jv as _besselj
@@ -320,11 +349,13 @@ def bessel_transforms_many(k: KTestGaussian, ts, tail_target: float = 5e-9) -> l
     for t in ts:
         if t == 0 or not math.isfinite(t):
             raise ValueError(f"t must be finite and nonzero, got {t}")
+    keys = [(k, t > 0, 4 * math.pi * math.sqrt(abs(t)), tail_target) for t in ts]
+    records = {key: _RECORDS[key] for key in keys if key in _RECORDS}
     # every sign's truncation heights, u-panels and node limits before any
     # kernel is evaluated, so that a refused input fails early
     sides = []
     for positive in (True, False):
-        xs = list(dict.fromkeys(4 * math.pi * math.sqrt(abs(t)) for t in ts if (t > 0) == positive))
+        xs = list(dict.fromkeys(key[2] for key in keys if key[1] == positive and key not in records))
         if not xs:
             continue
         heights, tails = _truncation_heights(k, rj_bound if positive else wk_bound, xs, tail_target)
@@ -345,7 +376,6 @@ def bessel_transforms_many(k: KTestGaussian, ts, tail_target: float = 5e-9) -> l
         for x, u_max in zip(xs, last[15::16].tolist()):
             check_node_limits(u_max, x, not positive)
         sides.append((positive, xs, heights, tails, panels))
-    records: dict[tuple[bool, float], dict] = {}
     for positive, xs, heights, tails, panels in sides:
         kernel = rj_kernel if positive else wk_kernel
         xa = np.array(xs)
@@ -370,10 +400,16 @@ def bessel_transforms_many(k: KTestGaussian, ts, tail_target: float = 5e-9) -> l
                     )
                     b += 2
                 cont = -2.0 * total
-                records[positive, x] = {"value": cont + disc, "continuous": cont, "discrete": disc, **cert}
+                rec = {"value": cont + disc, "continuous": cont, "discrete": disc, **cert}
             else:
-                records[positive, x] = {"value": (4 / math.pi) * total, **cert}
-    return [dict(records[t > 0, 4 * math.pi * math.sqrt(abs(t))]) for t in ts]
+                rec = {"value": (4 / math.pi) * total, **cert}
+            records[k, positive, x, tail_target] = rec
+    for key in keys:
+        _RECORDS[key] = records[key]
+        _RECORDS.move_to_end(key)
+    while len(_RECORDS) > TRANSFORM_CACHE_SIZE:
+        _RECORDS.popitem(last=False)
+    return [dict(records[key]) for key in keys]
 
 
 def bessel_transforms(k: KTestGaussian, t: float, tail_target: float = 5e-9) -> dict:

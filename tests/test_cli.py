@@ -235,6 +235,14 @@ def test_bad_spectral_inputs_refused(args, message):
     (("eisen", "localfactor", "--Np", "5", "--s", "-400", "--case", "level", "--v", "3"),
      "leaves the float range"),
     (("eisen", "localfactor", "--Np", "1" + "0" * 400, "--s", "1"), "leaves the float range"),
+    # a subnormal Z^2, and search nodes u (up to 68 max(1, Z)) where u^2 or
+    # u^2/Z^2 overflows
+    (("spectral", "bessel", "--Z", "1e-160", "--t=-1.5"),
+     "the truncation search takes u up to 68, where u^2/Z^2 leaves the float range"),
+    (("spectral", "bessel", "--Z", "1e154", "--t=-1.5"),
+     "the truncation search takes u up to 6.8e+155, where u^2/Z^2 leaves the float range"),
+    (("spectral", "bessel", "--Z", "1e-153", "--t=-1.5"),
+     "the truncation search takes u up to 68, where u^2/Z^2 leaves the float range"),
 ])
 def test_bad_sizes_refused(args, message):
     # sizes that are not finite, or zero where they divide: exit 2 with a
@@ -253,6 +261,29 @@ def test_Z_squared_out_of_float_range_refused(capsys):
     for Z in ("1e-300", "1e308"):
         assert cli.main(["spectral", "bessel", "--Z", Z, "--t=-1.5"]) == 2
         assert "Z^2 leaves the float range" in json.loads(capsys.readouterr().out)["error"]
+
+
+def test_wk_bound_overflow_stays_off_stderr():
+    # t -> 0- makes x tiny, and a tilt's e^{2 u eps} K_0(x sin eps) overflows
+    # in wk_bound: that candidate is +inf and never wins, so the output is
+    # the one below with nothing on stderr
+    for args, out in (
+        (("--Z", "25", "--t=-1e-300"),
+         '{"certificates": {"T": 143.75, "tail_bound": 3.690769275464307e-09, "tilde_tail_bound":'
+         ' 7.025123139679161e-10}, "command": "spectral bessel", "elapsed_ms": null, "inputs":'
+         ' {"Z": 25.0, "t": -1e-300}, "result": {"kcheck": 8.593201159453218e-15, "ktilde":'
+         ' 624.8333866500845}, "schema": 1}\n'),
+        (("--Z", "40", "--t=-0.0001"),
+         '{"certificates": {"T": 220.0, "tail_bound": 3.437084123019394e-09, "tilde_tail_bound":'
+         ' 1.7988699448721827e-09}, "command": "spectral bessel", "elapsed_ms": null, "inputs":'
+         ' {"Z": 40.0, "t": -0.0001}, "result": {"kcheck": 0.06283169794351785, "ktilde":'
+         ' 1599.8333541633301}, "schema": 1}\n'),
+    ):
+        proc = subprocess.run(CMD + ["spectral", "bessel", *args], capture_output=True, text=True,
+                              timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stderr == ""
+        assert proc.stdout == out
 
 
 def test_huge_Z_refused_before_its_nodes_are_made():

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 from scipy.special import k0e
 
-from totreal import bessel_kernels
+from totreal import bessel_kernels, spectral
 from totreal.bessel_kernels import rj_bound, rj_kernel, wk_bound, wk_kernel
 from totreal.fields import Ideal, divisors, enumerate_in_box, ideals_of_norm_up_to, make_field
 from totreal.quadrature import _leggauss, equal_panels, gl_panels, graded_panels
@@ -20,6 +20,8 @@ from totreal.spectral import (
     EigenvalueSystem,
     KTestGaussian,
     OldformBasis,
+    TRANSFORM_CACHE_SIZE,
+    _RECORDS,
     _tail_window,
     _truncation_heights,
     bessel_tilde,
@@ -427,8 +429,11 @@ def test_transforms_many_bit_identical_to_one_t(Z):
     k = KTestGaussian(Z)
     ts = ROUTE_TS + ROUTE_TS[::3]  # duplicates
     random.Random(int(Z)).shuffle(ts)
+    # the transform cache is emptied before each route, so both compute
+    _RECORDS.clear()
     many = bessel_transforms_many(k, ts)
     for t, rec in zip(ts, many):
+        _RECORDS.clear()
         one = bessel_transforms(k, t)
         assert rec.keys() == one.keys()
         for key, v in one.items():
@@ -457,18 +462,22 @@ def test_transforms_many_refusals():
 def test_transforms_many_repeated_t_at_the_J_panel_limit(monkeypatch):
     # repeated t are one transform: at a J panel limit that one t just meets,
     # the batch accepts the repeats and gives the one-t bits
+    # (the transform cache is emptied before each route, so each computes)
     k = KTestGaussian(2.0)
+    _RECORDS.clear()
     monkeypatch.setattr(bessel_kernels, "_MAX_J_PANELS", 1)
     with pytest.raises(ValueError, match="J-kernel") as err:
         bessel_transforms(k, 3.0)
     need = int(str(err.value).split(" needs ")[1].split()[0])
     monkeypatch.setattr(bessel_kernels, "_MAX_J_PANELS", need)
     one = bessel_transforms(k, 3.0)
+    _RECORDS.clear()
     many = bessel_transforms_many(k, [3.0, -3.0, 3.0, 3.0])
     for rec in (many[0], many[2], many[3]):
         assert rec == one and rec is not one
     assert many[0] is not many[2]
     monkeypatch.setattr(bessel_kernels, "_MAX_J_PANELS", need - 1)
+    _RECORDS.clear()
     with pytest.raises(ValueError, match=f"needs {need} quadrature panels"):
         bessel_transforms_many(k, [3.0, 3.0])
 
@@ -511,6 +520,123 @@ def test_transforms_many_memory_at_box_20():
         tracemalloc.stop()
     assert len(out) == len(ts)
     assert peak < 4 * 2**20 + 1024 * len(ts), peak
+
+
+def _same_bits(a, b):
+    return a.keys() == b.keys() and all(
+        np.float64(a[key]).view(np.int64) == np.float64(b[key]).view(np.int64) for key in a
+    )
+
+
+def test_transform_cache_hit_is_a_fresh_copy():
+    k = KTestGaussian(2.0)
+    _RECORDS.clear()
+    first = bessel_transforms_many(k, [1.5, -1.5])
+    held = {key: dict(rec) for key, rec in _RECORDS.items()}
+    assert len(held) == 2
+    again = bessel_transforms_many(k, [1.5, -1.5, 1.5])
+    for a, b in zip(first + first[:1], again):
+        assert _same_bits(a, b) and a is not b
+    assert again[0] is not again[2]
+    # a caller's edits to its records never reach the cache
+    again[0]["value"] = 0.0
+    again[1].clear()
+    first[0]["T"] = -1.0
+    assert {key: dict(rec) for key, rec in _RECORDS.items()} == held
+    assert all(_same_bits(held[key], rec) for key, rec in _RECORDS.items())
+    assert _same_bits(bessel_transforms(k, -1.5), held[k, False, 4 * math.pi * math.sqrt(1.5), 5e-9])
+
+
+def test_transform_cache_keys_the_tail_target():
+    k = KTestGaussian(1.0)
+    _RECORDS.clear()
+    loose = bessel_transforms(k, -1.5, tail_target=5e-4)
+    tight = bessel_transforms(k, -1.5, tail_target=5e-9)
+    assert len(_RECORDS) == 2
+    assert loose["T"] < tight["T"] and loose["value"] != tight["value"]
+    assert _same_bits(bessel_transforms(k, -1.5, tail_target=5e-4), loose)
+    assert _same_bits(bessel_transforms(k, -1.5), tight)
+    assert len(_RECORDS) == 2
+
+
+def test_transform_cache_bounded(monkeypatch):
+    # a batch larger than the bound leaves the bound, its most recent
+    # records last; a later hit moves its record to the end
+    assert TRANSFORM_CACHE_SIZE == 4096
+    monkeypatch.setattr(spectral, "TRANSFORM_CACHE_SIZE", 8)
+    k = KTestGaussian(1.0)
+    ts = [(-1) ** i * 0.05 * (i + 1) for i in range(20)]
+    keys = [(k, t > 0, 4 * math.pi * math.sqrt(abs(t)), 5e-9) for t in ts]
+    _RECORDS.clear()
+    out = bessel_transforms_many(k, ts)
+    assert len(out) == 20
+    assert list(_RECORDS) == keys[-8:]
+    bessel_transforms(k, ts[12])
+    assert list(_RECORDS) == keys[13:] + keys[12:13]
+    bessel_transforms(k, 7.0)
+    assert len(_RECORDS) == 8 and list(_RECORDS)[0] == keys[14]
+
+
+def test_transform_cache_takes_nothing_from_a_refused_batch():
+    _RECORDS.clear()
+    bessel_transforms_many(KTestGaussian(1.0), [0.5, -0.5])
+    held = list(_RECORDS)
+    with pytest.raises(ValueError, match="finite and nonzero"):
+        bessel_transforms_many(KTestGaussian(1.0), [0.7, -0.5, 0.0])
+    assert list(_RECORDS) == held
+    # the J side of 3.0 passes its checks, then 0.01 is refused
+    with pytest.raises(ValueError, match="Bessel power series"):
+        bessel_transforms_many(KTestGaussian(60.0), [3.0, 0.01])
+    assert list(_RECORDS) == held
+    # the J side passes every check, then the K side is refused
+    with pytest.raises(ValueError, match="K-kernel at u="):
+        bessel_transforms_many(KTestGaussian(25.0), [0.5, 3.0, -0.35])
+    assert list(_RECORDS) == held
+
+
+def _count_kernel_nodes(monkeypatch):
+    # the u-nodes the two kernels evaluate, and the (t > 0, x) they serve
+    seen = {"nodes": 0, "xs": set()}
+    for name in ("rj_kernel", "wk_kernel"):
+        def counted(us, x, _f=getattr(bessel_kernels, name), _pos=name == "rj_kernel"):
+            seen["nodes"] += us.size
+            seen["xs"].update((_pos, v) for v in np.unique(x).tolist())
+            return _f(us, x)
+        monkeypatch.setattr(bessel_kernels, name, counted)
+    return seen
+
+
+def test_transform_cache_hits_evaluate_no_kernel(monkeypatch):
+    k = KTestGaussian(2.0)
+    _RECORDS.clear()
+    seen = _count_kernel_nodes(monkeypatch)
+    first = bessel_transforms_many(k, ROUTE_TS)
+    assert seen["nodes"] == sum(rec["nodes"] for rec in first)
+    seen["nodes"] = 0
+    again = bessel_transforms_many(k, ROUTE_TS)
+    assert seen["nodes"] == 0
+    assert all(_same_bits(a, b) for a, b in zip(first, again))
+
+
+def test_kuznetsov_larger_box_computes_only_new_transforms(monkeypatch):
+    # box 20 after box 8 evaluates only the x that box 8 did not have, and
+    # gives the bits of box 20 alone
+    ks = [KTestGaussian(1.0)] * 2
+    one = K5.element(1)
+    _RECORDS.clear()
+    seen = _count_kernel_nodes(monkeypatch)
+    kuznetsov_geometric_side(one, one, K5.unit_ideal(), ks, box=8.0)
+    had = set(seen["xs"])
+    seen["xs"].clear()
+    after = kuznetsov_geometric_side(one, one, K5.unit_ideal(), ks, box=20.0)
+    new = set(seen["xs"])
+    assert had and new and not had & new
+    assert new | had == {(pos, x) for _, pos, x, _ in _RECORDS}
+    _RECORDS.clear()
+    seen["xs"].clear()
+    alone = kuznetsov_geometric_side(one, one, K5.unit_ideal(), ks, box=20.0)
+    assert seen["xs"] == new | had
+    assert after == alone
 
 
 def _kcheck_oracle(Z, t):
