@@ -37,6 +37,7 @@ import hashlib
 import math
 from collections import OrderedDict
 from dataclasses import dataclass
+from sys import float_info
 from typing import Optional, Sequence
 
 from .characters import HeckeCharacter, unramified_character
@@ -223,23 +224,23 @@ class KTestGaussian:
     def __post_init__(self):
         if not (math.isfinite(self.Z) and self.Z > 0):
             raise ValueError(f"Z must be finite and > 0, got {self.Z}")
-        # k divides by Z^2, which must neither underflow to 0 nor overflow
-        if not 0 < self.Z * self.Z < math.inf:
+        # k divides by Z^2, which must be a normal float: neither 0, nor
+        # subnormal, nor overflowing
+        if not float_info.min <= self.Z * self.Z < math.inf:
             raise ValueError(f"Z^2 leaves the float range at Z = {self.Z}")
         # the truncation search takes u up to its limit 60 max(1, Z) plus a
-        # window of 8 Z, where u^2 and u^2 / Z^2 must stay finite (so Z^2
-        # is a normal float)
+        # window of 8 Z, where u^2 must stay finite
         top = 68 * max(1.0, self.Z)
-        if not top * top / (self.Z * self.Z) < math.inf:
-            raise ValueError(
-                f"the truncation search takes u up to {top:.4g}, where u^2/Z^2 leaves the float range"
-            )
+        if not top * top < math.inf:
+            raise ValueError(f"the truncation search takes u up to {top:.4g}, where u^2 leaves the float range")
 
     def on_axis(self, u):
         import numpy as np
 
         u = np.asarray(u, dtype=float)
-        return np.exp(-(u**2 + 0.25) / self.Z**2)
+        # at a tiny Z, u^2/Z^2 may overflow to inf, and k(iu) = 0 is its limit
+        with np.errstate(over="ignore"):
+            return np.exp(-(u**2 + 0.25) / self.Z**2)
 
     def at_half_integer(self, nu: float) -> float:
         if abs(nu) < 2 / 3:

@@ -235,14 +235,11 @@ def test_bad_spectral_inputs_refused(args, message):
     (("eisen", "localfactor", "--Np", "5", "--s", "-400", "--case", "level", "--v", "3"),
      "leaves the float range"),
     (("eisen", "localfactor", "--Np", "1" + "0" * 400, "--s", "1"), "leaves the float range"),
-    # a subnormal Z^2, and search nodes u (up to 68 max(1, Z)) where u^2 or
-    # u^2/Z^2 overflows
-    (("spectral", "bessel", "--Z", "1e-160", "--t=-1.5"),
-     "the truncation search takes u up to 68, where u^2/Z^2 leaves the float range"),
+    # a subnormal Z^2, and search nodes u (up to 68 max(1, Z)) where u^2
+    # overflows
+    (("spectral", "bessel", "--Z", "1e-160", "--t=-1.5"), "Z^2 leaves the float range at Z = 1e-160"),
     (("spectral", "bessel", "--Z", "1e154", "--t=-1.5"),
-     "the truncation search takes u up to 6.8e+155, where u^2/Z^2 leaves the float range"),
-    (("spectral", "bessel", "--Z", "1e-153", "--t=-1.5"),
-     "the truncation search takes u up to 68, where u^2/Z^2 leaves the float range"),
+     "the truncation search takes u up to 6.8e+155, where u^2 leaves the float range"),
 ])
 def test_bad_sizes_refused(args, message):
     # sizes that are not finite, or zero where they divide: exit 2 with a
@@ -284,6 +281,21 @@ def test_wk_bound_overflow_stays_off_stderr():
         assert proc.returncode == 0, proc.stderr
         assert proc.stderr == ""
         assert proc.stdout == out
+
+
+def test_tiny_Z_stays_off_stderr():
+    # the smallest Z with a normal Z^2: u^2/Z^2 overflows on the kernels'
+    # nodes, where k(iu) = 0 is the limit, so the output is the one below
+    # with nothing on stderr
+    proc = subprocess.run(CMD + ["spectral", "bessel", "--Z", "1.5e-154", "--t=-1.5"],
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr == ""
+    assert proc.stdout == (
+        '{"certificates": {"T": 2.0, "tail_bound": 0.0, "tilde_tail_bound": 0.0}, "command":'
+        ' "spectral bessel", "elapsed_ms": null, "inputs": {"Z": 1.5e-154, "t": -1.5}, "result":'
+        ' {"kcheck": 0.0, "ktilde": 0.5}, "schema": 1}\n'
+    )
 
 
 def test_huge_Z_refused_before_its_nodes_are_made():

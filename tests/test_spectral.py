@@ -781,6 +781,8 @@ def _check_against_term_by_term(monkeypatch, ks, batches):
     rec = kuznetsov_geometric_side(r1, r2, K5.unit_ideal(), ks, box=5.0)
     assert calls == {"bessel_transforms_many": batches, "bessel_tilde": batches}
     monkeypatch.undo()
+    # the walk computes its own transforms, not the batch's cached records
+    _RECORDS.clear()
     total, terms, transforms = _term_by_term(ks, r1, r2, 5.0)
     assert rec["terms"] == terms
     assert rec["transforms"] == transforms
@@ -803,8 +805,12 @@ def test_kuznetsov_tail_target_reaches_transforms():
     # a looser tail target moves kcheck and ktilde; the default is 5e-9
     ks = [KTestGaussian(1.0)] * 2
     one = K5.element(1)
+    # the cache is emptied before each call, so each computes its transforms
+    _RECORDS.clear()
     default = kuznetsov_geometric_side(one, one, K5.unit_ideal(), ks, box=3.0)
+    _RECORDS.clear()
     assert kuznetsov_geometric_side(one, one, K5.unit_ideal(), ks, box=3.0, tail_target=5e-9) == default
+    _RECORDS.clear()
     loose = kuznetsov_geometric_side(one, one, K5.unit_ideal(), ks, box=3.0, tail_target=5e-4)
     assert loose["ktilde"] == [bessel_tilde(ks[0], 5e-4)["value"]] * 2
     assert loose["ktilde"] != default["ktilde"]
