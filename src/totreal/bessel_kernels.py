@@ -29,7 +29,11 @@ e^{pi u} of precision.  The exponential factors are removed analytically:
   u and x that broadcast together; sin of the u-dependent tilts and exp of
   the candidates that can win go through math, so every value is the one
   a scalar loop gives, bit for bit (np.exp differs from math.exp in the
-  last bit on a few per cent of arguments).
+  last bit on a few per cent of arguments).  wk_bound and rj_bound are
+  elementwise and independent of the shape of their arguments: a value
+  has the same bits in a one-element, a strided or a broadcast 2-D call
+  as in the full one.  The truncation search relies on this, since it
+  skips a window by one term evaluated apart from that window.
 
 rj_kernel and wk_kernel take arrays of u and x that broadcast together:
 flat (u, x) pairs, so the nodes of many transforms go through one call.

@@ -21,6 +21,17 @@ a record for t > 0 and 420 for t < 0, so at most 2.3 MB); a repeated
 transform, in bessel_transforms, kuznetsov_geometric_side or the CLI, is
 read from it with the bits it was computed with.
 
+Truncation heights: every transform, and ktilde, is cut at the first T of
+the accumulated float grid max(2, Z), T += max(0.5, Z/4), ... (not a
+half-integer grid once Z > 2: Z = 3 gives 14.25) whose 128-node tail
+window sums, times the margin 2.1, below tail_target.  The search
+(_truncation_heights) sums a window only where a one-term probe cannot
+already prove it fails.  The terms of a window are >= 0, and a sum of
+nonnegative floats rounded to nearest is never below any one of its terms
+(rounding is monotone), so 2.1 times the window's first term at or above
+the target means the computed tail is too.  The skip moves no bit of T, of
+the tail or of the refusal.
+
 Imports: the eigenvalue systems and the shifted sums built on them run on
 exact arithmetic, so numpy, scipy.special, quadrature, bessel_kernels and
 kloosterman are imported inside the functions that evaluate with them
@@ -252,7 +263,8 @@ class KTestGaussian:
 def _tail_window(k: KTestGaussian, T: float) -> tuple[np.ndarray, np.ndarray]:
     """Nodes u on [T, T + 8Z] and the weights ws * k(iu) * u of the tail
     integral, read-only.  They depend on (Z, T) alone and T steps on a fixed
-    grid from max(2, Z), so every t of one Z shares a few windows."""
+    grid from max(2, Z), so every t of one Z shares a few windows; a search
+    asks for at most _LOOKAHEAD - 1 of them past its answer."""
     from .quadrature import gl_panels
 
     us, ws = gl_panels(T, T + 8 * k.Z, 16, order=8)
@@ -262,11 +274,31 @@ def _tail_window(k: KTestGaussian, T: float) -> tuple[np.ndarray, np.ndarray]:
     return us, wu
 
 
+# candidate heights the truncation search probes at once
+_LOOKAHEAD = 8
+
+
 def _truncation_heights(k: KTestGaussian, bound, xs, target: float) -> tuple[list, list]:
-    """For each x of xs, the smallest T (on a half-integer grid) with the
-    tail integral of k(iu) * u * bound(u, x) below target; returns the lists
-    of T and of tail bounds.  Every x still open steps T together, on one
-    (x, window) array per step."""
+    """For each x of xs, the smallest candidate T with the tail integral of
+    k(iu) * u * bound(u, x) below target; returns the lists of T and of tail
+    bounds.  ValueError if no candidate below 60 max(1, Z) is.
+
+    The candidates are the floats T = max(2, Z), T += max(0.5, Z/4), ...,
+    accumulated in that order (Z = 3 gives 3.0, 3.75, ..., 14.25).  The
+    tail at T is fl(2.1 * fl(sum of the terms wu * bound(u, x))) over the
+    128 nodes of _tail_window(k, T), whose integrand decays
+    super-exponentially beyond (margin 2.1).
+
+    The search takes 32 x at a time and _LOOKAHEAD candidates at a time.
+    A one-term probe first skips, without its window sum, every (x, T)
+    whose first term alone already fails: the terms are >= 0 and rounding
+    to nearest is monotone, so a computed sum of nonnegative terms is never
+    below any one of them, and fl(2.1 * sum) >= fl(2.1 * first term) >=
+    target.  The probe's term has the window's bits because bound is
+    elementwise and independent of the shape of its arguments.  Every other
+    pair sums its whole window, candidate by candidate, until its x passes,
+    so T, the tail and the refusal are those of a search that sums every
+    window in turn."""
     import numpy as np
 
     xs = np.asarray(xs, dtype=float)
@@ -277,20 +309,36 @@ def _truncation_heights(k: KTestGaussian, bound, xs, target: float) -> tuple[lis
         todo = np.arange(lo, min(lo + rows, xs.size))
         T = max(2.0, k.Z)
         while todo.size:
-            if not T < limit:
+            run = []
+            while len(run) < _LOOKAHEAD and T < limit:
+                run.append(T)
+                T += max(0.5, k.Z / 4)
+            if not run:
                 raise ValueError(
                     f"no truncation height below 60*max(1, Z) = {limit:g} brings the"
                     f" tail under {target:g} at Z={k.Z:g}"
                 )
-            us, wu = _tail_window(k, T)
-            vals = wu * bound(us, xs[todo, None])
-            tail = np.sum(np.broadcast_to(vals, (todo.size, us.size)), axis=1) * 2.1
-            # margin 2.1: the integrand decays super-exponentially beyond
-            done = tail < target
-            for i, v in zip(todo[done].tolist(), tail[done].tolist()):
-                heights[i], tails[i] = T, v
-            todo = todo[~done]
-            T += max(0.5, k.Z / 4)
+            windows = [_tail_window(k, c) for c in run]
+            first = np.array([wu[0] for _, wu in windows]) * bound(
+                np.array([us[0] for us, _ in windows]), xs[todo, None]
+            )
+            # a NaN probe skips nothing; its window sum is NaN and fails too
+            skip = np.broadcast_to(first * 2.1 >= target, (todo.size, len(run)))
+            open_ = np.ones(todo.size, dtype=bool)
+            for j in np.flatnonzero(~skip.all(axis=0)).tolist():
+                pick = np.flatnonzero(open_ & ~skip[:, j])
+                if not pick.size:
+                    continue
+                us, wu = windows[j]
+                vals = wu * bound(us, xs[todo[pick], None])
+                tail = np.sum(np.broadcast_to(vals, (pick.size, us.size)), axis=1) * 2.1
+                done = tail < target
+                for i, v in zip(todo[pick[done]].tolist(), tail[done].tolist()):
+                    heights[i], tails[i] = run[j], v
+                open_[pick[done]] = False
+                if not open_.any():
+                    break
+            todo = todo[open_]
     return heights, tails
 
 

@@ -283,6 +283,22 @@ def test_wk_bound_overflow_stays_off_stderr():
         assert proc.stdout == out
 
 
+def test_truncation_probes_stay_off_stderr():
+    # at Z = 0.01 the first window already passes, and the probes past it
+    # see k(iu) underflow to 0: the outputs below with nothing on stderr
+    # (the Z = 25 and Z = 40 commands are checked above)
+    for t, kcheck in (("-1.5", "0.0"), ("1.5", "-0.17936600637859387")):
+        proc = subprocess.run(CMD + ["spectral", "bessel", "--Z", "0.01", f"--t={t}"],
+                              capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stderr == ""
+        assert proc.stdout == (
+            '{"certificates": {"T": 2.0, "tail_bound": 0.0, "tilde_tail_bound": 0.0}, "command":'
+            f' "spectral bessel", "elapsed_ms": null, "inputs": {{"Z": 0.01, "t": {t}}}, "result":'
+            f' {{"kcheck": {kcheck}, "ktilde": 0.5}}, "schema": 1}}\n'
+        )
+
+
 def test_tiny_Z_stays_off_stderr():
     # the smallest Z with a normal Z^2: u^2/Z^2 overflows on the kernels'
     # nodes, where k(iu) = 0 is the limit, so the output is the one below

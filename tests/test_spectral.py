@@ -5,6 +5,7 @@ import gc
 import math
 import random
 import tracemalloc
+import warnings
 import weakref
 
 import mpmath as mp
@@ -340,6 +341,125 @@ def test_tail_window_cache_bounded():
     us, wu = _tail_window(KTestGaussian(1.0), 2.0)
     assert not us.flags.writeable and not wu.flags.writeable
     _tail_window.cache_clear()
+
+
+def _truncation_heights_by_steps(k, bound, xs, target):
+    """The truncation search that sums every window: 32 x at a time, each
+    open x steps T from max(2, Z) by max(0.5, Z/4) and stops at the first
+    window whose tail 2.1 * sum is below target."""
+    xs = np.asarray(xs, dtype=float)
+    heights, tails = [0.0] * xs.size, [0.0] * xs.size
+    limit = 60 * max(1.0, k.Z)
+    for lo in range(0, xs.size, 32):
+        todo = np.arange(lo, min(lo + 32, xs.size))
+        T = max(2.0, k.Z)
+        while todo.size:
+            if not T < limit:
+                raise ValueError(
+                    f"no truncation height below 60*max(1, Z) = {limit:g} brings the"
+                    f" tail under {target:g} at Z={k.Z:g}"
+                )
+            us, wu = _tail_window(k, T)
+            vals = wu * bound(us, xs[todo, None])
+            tail = np.sum(np.broadcast_to(vals, (todo.size, us.size)), axis=1) * 2.1
+            done = tail < target
+            for i, v in zip(todo[done].tolist(), tail[done].tolist()):
+                heights[i], tails[i] = T, v
+            todo = todo[~done]
+            T += max(0.5, k.Z / 4)
+    return heights, tails
+
+
+def _ones_bound(us, x):
+    # the bound bessel_tilde searches with
+    return np.ones_like(us)
+
+
+# 45 x, two blocks of 32, through the series (x <= 5.5 and 14), real-axis
+# and shifted-contour ranges of the kernels
+SEARCH_XS = np.geomspace(1e-3, 300.0, 45)
+
+
+@pytest.mark.parametrize("Z", [0.3, 1.0, 2.0, 2.2, 3.0, 4.0, 8.0, 16.0])
+def test_truncation_search_matches_every_window_search(Z):
+    # the probe skips only windows that fail: the same T and tail bits
+    k = KTestGaussian(Z)
+    for bound, xs in ((wk_bound, SEARCH_XS), (rj_bound, SEARCH_XS), (_ones_bound, [0.0])):
+        for target in (5e-9, 5e-4, 1e-14):
+            got = _truncation_heights(k, bound, xs, target)
+            ref = _truncation_heights_by_steps(k, bound, xs, target)
+            assert repr(got) == repr(ref), (bound, target)
+    # no height below the limit meets a target of 0: the same refusal
+    for bound, xs in ((wk_bound, SEARCH_XS[::20]), (rj_bound, SEARCH_XS[::20]), (_ones_bound, [0.0])):
+        messages = []
+        for search in (_truncation_heights, _truncation_heights_by_steps):
+            with pytest.raises(ValueError) as err:
+                search(k, bound, xs, 0.0)
+            messages.append(str(err.value))
+        assert messages[0] == messages[1]
+        assert f"60*max(1, Z) = {60 * max(1.0, Z):g}" in messages[0]
+
+
+def test_truncation_grid_is_accumulated():
+    # T steps by max(0.5, Z/4) from max(2, Z) in floats, not on half-integers
+    assert bessel_tilde(KTestGaussian(3.0))["T"] == 14.25
+    assert _truncation_heights(KTestGaussian(2.2), _ones_bound, [0.0], 5e-9)[0] == [10.450000000000001]
+
+
+@pytest.mark.parametrize("bound", [wk_bound, rj_bound])
+def test_bounds_are_shape_independent(bound):
+    # the probe of the truncation search evaluates one node apart from its
+    # window, so a value must not depend on the call it is part of; u runs
+    # to 68 * 16, past u ~ 226 where e^{2 u eps} overflows at eps = pi/2
+    rng = np.random.default_rng(5)
+    u = np.concatenate([[0.0, 0.25, 0.5, 225.0, 227.0, 68 * 16.0], rng.uniform(0, 68 * 16, 40),
+                        rng.uniform(0, 4, 20)])
+    x = np.concatenate([np.geomspace(1e-6, 1e3, 25), rng.uniform(1e-3, 300, 8)])
+    full = bound(u, x[:, None])
+    assert full.shape == (x.size, u.size) and np.all(full >= 0)
+
+    def same(got, ref):
+        assert np.array_equal(np.array(got).view(np.int64), np.array(ref).view(np.int64))
+
+    for i in range(0, x.size, 4):
+        for j in range(0, u.size, 3):
+            same(bound(u[j:j + 1], x[i]), full[i, j:j + 1])
+            same(bound(u[j], x[i]), full[i, j])
+    # strided views, and every other row and column
+    wide = np.repeat(u, 3)[::3]
+    assert not wide.flags.c_contiguous
+    same(bound(wide, x[:, None]), full)
+    same(bound(u[::3], x[::2, None]), full[::2, ::3])
+    same(bound(u[::-1], x[:, None]), full[:, ::-1])
+    # broadcast and transposed 2-D forms, and (u, x) pairs
+    same(bound(np.broadcast_to(u, full.shape), x[:, None]), full)
+    same(bound(u, np.broadcast_to(x[:, None], full.shape)), full)
+    same(bound(u[:, None], x[None, :]), full.T)
+    same(bound(np.tile(u, x.size), np.repeat(x, u.size)), full.ravel())
+    # stacked windows against a column of x, as the search calls it
+    rows = np.stack([u, u[::-1]])
+    same(bound(rows, x[:2, None]), np.stack([full[0], full[1, ::-1]]))
+
+
+# (Z, t) that send the probes past the answer, where k(iu) underflows to
+# 0, and to the edges of t: tiny |t| at large Z and tiny Z
+SILENT_GRID = [(25.0, -1e-300), (40.0, -1e-4), (0.01, -1.5), (0.01, 1.5), (1.5e-154, -1.5),
+               (0.3, 5e-324), (3.0, -5e-324), (16.0, 1e-300), (16.0, -300.0), (8.0, 1e4)]
+
+
+def test_truncation_probes_are_silent():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for Z, t in SILENT_GRID:
+            k = KTestGaussian(Z)
+            x = [4 * math.pi * math.sqrt(abs(t))]
+            for bound in (wk_bound, rj_bound, _ones_bound):
+                for target in (5e-9, 1e-14):
+                    _truncation_heights(k, bound, x, target)
+        _RECORDS.clear()
+        for Z, t in SILENT_GRID[:3]:
+            bessel_transforms(KTestGaussian(Z), t)
+            bessel_tilde(KTestGaussian(Z))
 
 
 def _gl_panels_linspace(a, b, n, order):
