@@ -25,7 +25,7 @@ walked from an ideal's HNF it gives a generator of the ideal.
 
 Ideals are listed in one place, ideals_of_norm_up_to, one product of prime
 ideals per ideal under a norm bound of at most MAX_BOX_POINTS; a
-factorisation is read off the HNF (_factor).
+factorisation is read off the HNF (factor_ideal).
 
 The units of o/c are decided in one place, unit_mask: a bytearray over the
 classes i + j*omega, class i + j*omega at index j*c.a + i, with one strided
@@ -40,9 +40,10 @@ principal_generator: the generator from the walk, balanced by a power of
 the fundamental unit, from which one rule (totally positive if possible,
 then least |trace|, then least (a, b)) picks among six unit multiples.  Its
 docstring proves that the six always hold the canonical element.  Module
-caches are functools.lru_cache with a fixed maxsize; the one per field,
-FieldDesc.primes_above, is made in FieldDesc.__init__ and goes with the
-field.
+caches are functools.lru_cache with a fixed maxsize, factor_ideal the one
+factorisation cache among them; the one per field, FieldDesc.primes_above,
+is made in FieldDesc.__init__ and goes with the field.  Their keys hash
+once: an Ideal stores its hash when it is made, and a PrimeIdeal reads it.
 
 The sentinel D = 1 denotes the rational field.
 """
@@ -401,10 +402,11 @@ class Ideal:
     For Q the lattice is Z*a (b = 0, c = 1).  Integral ideals have
     den = 1.  The representation is canonical (den is the least positive
     integer with den*I integral), so equality of ideals is equality of
-    tuples.  Ideals are immutable: the slots are read-only by contract.
+    tuples.  Ideals are immutable: the slots are read-only by contract, and
+    the hash of (D, a, b, c, den) is computed once, at construction.
     """
 
-    __slots__ = ("field", "a", "b", "c", "den")
+    __slots__ = ("field", "a", "b", "c", "den", "_hash")
 
     def __init__(self, field: "FieldDesc", a: int, b: int, c: int, den: int = 1):
         self.field = field
@@ -412,6 +414,7 @@ class Ideal:
         self.b = b
         self.c = c
         self.den = den
+        self._hash = hash((field.D, a, b, c, den))
 
     @staticmethod
     def from_hnf(K: "FieldDesc", a: int, b: int, c: int, den: int = 1) -> "Ideal":
@@ -481,6 +484,11 @@ class Ideal:
         if isinstance(other, RingElement):
             other = Ideal.principal(other)
         self._check(other)
+        # the HNF is canonical: o is the one ideal with a = c = den = 1
+        if self.a == self.c == self.den == 1:
+            return other
+        if other.a == other.c == other.den == 1:
+            return self
         K = self.field
         a1, b1, c1 = self.a, self.b, self.c
         a2, b2, c2 = other.a, other.b, other.c
@@ -500,6 +508,9 @@ class Ideal:
     def __add__(self, other: "Ideal") -> "Ideal":
         """Ideal gcd."""
         self._check(other)
+        # o + I = o for integral I; (1/2) + o = (1/2) needs the lattice
+        if self.den == other.den == 1 and (self.a == self.c == 1 or other.a == other.c == 1):
+            return self if self.a == 1 else other
         K = self.field
         den = _lcm(self.den, other.den)
         m1, m2 = den // self.den, den // other.den
@@ -567,7 +578,7 @@ class Ideal:
         return (self.a, self.b, self.c, self.den)
 
     def __hash__(self) -> int:
-        return hash((self.field.D, self.a, self.b, self.c, self.den))
+        return self._hash
 
     def __eq__(self, other: object) -> bool:
         return (
@@ -601,7 +612,7 @@ class PrimeIdeal:
     def __hash__(self) -> int:
         # the ideal determines the other fields; lru_cache keys such as
         # EigenvalueSystem.alpha hash a PrimeIdeal on every call
-        return hash(self.ideal)
+        return self.ideal._hash
 
     def __repr__(self) -> str:
         if self.second is None:
@@ -740,23 +751,21 @@ def make_field(D: int, allow_class_number: bool = False) -> FieldDesc:
     return FieldDesc(D, allow_class_number=allow_class_number)
 
 
+@functools.lru_cache(maxsize=200_000)
 def factor_ideal(I: Ideal) -> list[tuple[PrimeIdeal, int]]:
     """Factor an integral ideal into prime ideals with positive exponents;
-    a norm above MAX_FACTOR_NORM is refused."""
+    a non-integral ideal or a norm above MAX_FACTOR_NORM is refused with
+    ValueError, and a refusal is not cached.
+
+    Read from the HNF: I = c*J with J = (A, B + omega) primitive, A = a/c
+    and B = b/c.  P | p divides (c) e_P*v_p(c) times; J, prime to every
+    rational integer, v_p(A) times when P = (p, omega - r) holds B + omega,
+    that is B + r = 0 mod p, and else not.  Over Q, v_p(I) = v_p(a)."""
     if not I.is_integral():
         raise ValueError("factor_ideal requires an integral ideal")
     n = I.norm()
     if n > MAX_FACTOR_NORM:
         raise ValueError(f"ideal of norm {n}, above the limit of {MAX_FACTOR_NORM}")
-    return _factor(I)
-
-
-@functools.lru_cache(maxsize=200_000)
-def _factor(I: Ideal) -> list[tuple[PrimeIdeal, int]]:
-    """Read from the HNF: I = c*J with J = (A, B + omega) primitive, A = a/c
-    and B = b/c.  P | p divides (c) e_P*v_p(c) times; J, prime to every
-    rational integer, v_p(A) times when P = (p, omega - r) holds B + omega,
-    that is B + r = 0 mod p, and else not.  Over Q, v_p(I) = v_p(a)."""
     K = I.field
     if K.d == 1:
         return [(K.primes_above(p)[0], v) for p, v in _factor_int(I.a).items()]

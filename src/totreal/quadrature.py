@@ -52,15 +52,12 @@ def equal_panels(a, b, n_panels) -> tuple[np.ndarray, np.ndarray]:
     return 0.5 * (lo + hi), half[row]
 
 
-def gl_panels(a, b, n_panels, order: int = 24) -> tuple[np.ndarray, np.ndarray]:
+def gl_panels(a: float, b: float, n_panels: int, order: int = 24) -> tuple[np.ndarray, np.ndarray]:
     """Gauss-Legendre nodes/weights on [a, b] split into n_panels equal
-    panels (equal_panels); with arrays, the rows end to end, bitwise the
-    concatenation of the per-row calls."""
-    if np.ndim(a) or np.ndim(b) or np.ndim(n_panels):
-        return gl_from_panels(*equal_panels(a, b, n_panels), order)
-    # one row: equal_panels' edges i * (b - a)/n + a, the last one b, and
-    # its one half-width, made once each and with no per-panel gathers; the
-    # same products and sums, so the same bits
+    panels, bitwise gl_from_panels(*equal_panels(a, b, n_panels), order)."""
+    # equal_panels' edges i * (b - a)/n + a, the last one b, and its one
+    # half-width, made once each and with no per-panel gathers; the same
+    # products and sums, so the same bits
     x0, w0 = _leggauss(order)
     n = int(n_panels)
     edges = np.arange(n + 1) * ((b - a) / n) + a

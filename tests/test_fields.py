@@ -154,7 +154,7 @@ def test_prime_decomposition():
 
 def test_field_freed_with_its_prime_cache():
     # primes_above is cached per field, so a field asked only for primes
-    # goes once nothing else holds it (_factor and principal_generator keep
+    # goes once nothing else holds it (factor_ideal and principal_generator keep
     # ideals, and ideals their field, so neither is called here)
     K = make_field(13)
     for p in (2, 3, 13):
@@ -675,3 +675,84 @@ def test_ideal_product_against_generators(D, v):
     assert I * J == Ideal.from_generators(K, prods)
     assert I * J == Ideal.principal(x * y)
     assert (I * J).norm() == abs((x * y).norm())
+
+
+def _ideals_by_every_route(K):
+    """Ideals of K from every constructor, fractional ones included."""
+    listed = ideals_of_norm_up_to(K, 40)
+    b = (0, 1, -2) if K.d == 2 else (0,)
+    elems = [K.element(x, y) for x in (-3, 1, 2, 5, Fraction(1, 2), Fraction(3, 4)) for y in b]
+    half = Ideal.principal(K.element(Fraction(1, 2)))
+    out = listed + [Ideal.principal(x) for x in elems]
+    out += [Ideal.from_generators(K, [x, y]) for x, y in zip(elems, elems[2:])]
+    out += [Ideal.from_hnf(K, 3 * I.a, 3 * I.b, 3 * I.c, 6) for I in listed[:8]]
+    few = listed[:10] + [half, half.inverse() * listed[5]]
+    for I in few:
+        out += [I.inverse(), I.conj()]
+        for J in few:
+            out += [I * J, I + J, I.intersect(J)]
+    for I in listed[:20]:
+        out += divisors(I)
+    return out
+
+
+@pytest.mark.parametrize("D", [1, 2, 5, 13])
+def test_ideal_hash_is_the_tuple_hash(D):
+    # the hash an ideal stores is the hash of (D, a, b, c, den), so every set
+    # and dict of ideals keeps its order; equal ideals hash equal whatever
+    # route made them
+    K = make_field(D)
+    seen = {}
+    for I in _ideals_by_every_route(K):
+        assert hash(I) == hash((K.D, I.a, I.b, I.c, I.den)), I
+        seen.setdefault(I.key(), set()).add(hash(I))
+    assert all(len(h) == 1 for h in seen.values())
+    assert sum(1 for k in seen if k[3] != 1) > 5  # fractional ideals too
+    o = K.unit_ideal()
+    assert {o, Ideal.principal(K.one()), o.inverse(), K.ideal(2) + K.ideal(3)} == {o}
+    assert hash(K.ideal(6)) == hash(K.ideal(2) * K.ideal(3)) == hash(K.ideal(12) + K.ideal(18))
+    assert hash(K.ideal(36)) == hash(K.ideal(12).intersect(K.ideal(18)))
+    for P in K.primes_above(2) + K.primes_above(3):
+        assert hash(P) == hash(P.ideal)
+
+
+@pytest.mark.parametrize("D", [1, 2, 5, 13])
+def test_unit_ideal_products_and_gcds(D):
+    K = make_field(D)
+    units = [K.unit_ideal(), Ideal.principal(K.one()), K.unit_ideal().inverse()]
+    integral = ideals_of_norm_up_to(K, 60)
+    fractional = [I.inverse() for I in integral[1:]] + [
+        Ideal.principal(K.element(Fraction(1, 2))),
+        Ideal.principal(K.element(Fraction(2, 3), 1 if K.d == 2 else 0)),
+    ]
+    assert all(not I.is_integral() for I in fractional)
+    for o in units:
+        assert o.key() == (1, 0, 1, 1)
+        for I in integral + fractional:
+            assert I * o == I == o * I
+        for I in integral:
+            assert I + o == o == o + I
+        # an inverse of an integral ideal contains o, so the gcd is itself
+        for I in fractional[: len(integral) - 1]:
+            assert I + o == I == o + I
+        half = Ideal.principal(K.element(Fraction(1, 2)))
+        assert half + o != o and half + o == half == o + half
+    # the short-cuts agree with the lattice: o as (2) (1/2)
+    two = K.ideal(2)
+    for I in integral + fractional:
+        assert (I * two) * two.inverse() == I * K.unit_ideal()
+
+
+def test_factor_ideal_cache_is_bounded_and_keeps_no_refusal():
+    # every module cache has a bound
+    assert factor_ideal.cache_info().maxsize == 200_000
+    half = Ideal.principal(K5.element(Fraction(1, 2)))
+    size = factor_ideal.cache_info().currsize
+    for _ in range(2):
+        with pytest.raises(ValueError, match="requires an integral ideal"):
+            factor_ideal(half)
+        with pytest.raises(ValueError, match="above the limit of 10000000"):
+            factor_ideal(Q.ideal(10**8))
+        with pytest.raises(ValueError, match="ideal of norm 16000000, above the limit"):
+            factor_ideal(K5.ideal(4000))
+    assert factor_ideal.cache_info().currsize == size

@@ -16,7 +16,7 @@ from scipy.special import k0e
 from totreal import bessel_kernels, spectral
 from totreal.bessel_kernels import rj_bound, rj_kernel, wk_bound, wk_kernel
 from totreal.fields import Ideal, divisors, enumerate_in_box, ideals_of_norm_up_to, make_field
-from totreal.quadrature import _leggauss, equal_panels, gl_panels, graded_panels
+from totreal.quadrature import _leggauss, equal_panels, gl_from_panels, gl_panels, graded_panels
 from totreal.spectral import (
     EigenvalueSystem,
     KTestGaussian,
@@ -471,24 +471,20 @@ def _gl_panels_linspace(a, b, n, order):
     return (mid[:, None] + half * x0[None, :]).ravel(), np.broadcast_to(half * w0, (n, order)).ravel()
 
 
-def test_gl_panels_array_form_is_row_concatenation():
+def test_gl_panels_matches_linspace_rows():
     rng = np.random.default_rng(11)
     a = np.concatenate([[0.0, 0.0, 1.7, -2.5], rng.uniform(-5, 5, 30)])
     b = a + np.concatenate([[1.0, math.pi / 2, 0.3, 4.0], rng.uniform(0.01, 40, 30)])
     n = np.concatenate([[1, 3, 1, 1], rng.integers(1, 12, 30)])
     for order in (8, 12, 16):
-        xs, ws = gl_panels(a, b, n, order=order)
-        rows = [_gl_panels_linspace(float(ai), float(bi), int(ni), order) for ai, bi, ni in zip(a, b, n)]
-        assert np.array_equal(xs.view(np.int64), np.concatenate([r[0] for r in rows]).view(np.int64))
-        assert np.array_equal(ws.view(np.int64), np.concatenate([r[1] for r in rows]).view(np.int64))
-        for ai, bi, ni, (rx, rw) in zip(a, b, n, rows):
+        for ai, bi, ni in zip(a, b, n):
+            rx, rw = _gl_panels_linspace(float(ai), float(bi), int(ni), order)
             xs, ws = gl_panels(float(ai), float(bi), int(ni), order=order)
             assert np.array_equal(xs.view(np.int64), rx.view(np.int64))
             assert np.array_equal(ws.view(np.int64), rw.view(np.int64))
-    # a scalar end broadcasts against the rows
-    xs, _ = gl_panels(0.0, math.pi / 2, np.array([2, 5]), order=12)
-    ref = np.concatenate([_gl_panels_linspace(0.0, math.pi / 2, m, 12)[0] for m in (2, 5)])
-    assert np.array_equal(xs.view(np.int64), ref.view(np.int64))
+            ex, ew = gl_from_panels(*equal_panels(float(ai), float(bi), int(ni)), order)
+            assert np.array_equal(ex.view(np.int64), rx.view(np.int64))
+            assert np.array_equal(ew.view(np.int64), rw.view(np.int64))
 
 
 def _wk_shifted_out_of_place(u, x):
