@@ -338,6 +338,18 @@ class HeckeCharacter:
             res = self.unit_triviality_residual()
             if res > 1e-10:
                 raise ValueError(f"not trivial on units (residual {res:.2e})")
+        # equal characters built apart share their caches (eisenstein_system):
+        # the finite part enters by modulus and exponents, since its
+        # UnitGroupStructure compares by identity
+        fin = None if finite is None else (finite.modulus.key(), finite.exponents)
+        self._key = (K.D, self.t, self.signs, fin)
+        self._hash = hash(self._key)
+
+    def __eq__(self, other: object) -> bool:
+        return isinstance(other, HeckeCharacter) and self._key == other._key
+
+    def __hash__(self) -> int:
+        return self._hash
 
     @property
     def modulus(self) -> Ideal:

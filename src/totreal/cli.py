@@ -136,6 +136,9 @@ def _kloosterman_eval(args, K):
 def _kloosterman_sweep(args, K):
     from .kloosterman import weil_sweep
 
+    # the sweep leaves out the unit ideal, so below 2 it has no modulus
+    if args.cmax < 2:
+        raise ValueError(f"--cmax must be >= 2, the least norm of a modulus, got {args.cmax}")
     records = list(weil_sweep(K, args.cmax))
     if args.format == "csv":
         return ["c_norm,S_re,S_im,margin"] + [

@@ -11,11 +11,17 @@ a unit permutes the family {S(r1, r2; c)} without changing absolute values,
 realness, or the multiplicative structure; every downstream use is through
 |S|.
 
-Phases are computed as exact integer numerators over one denominator (the
-trace pairing is linear in the residue coordinates), so the only floating
-point is the final complex exponential.  All sums of one modulus c go
-through one phase kernel: a (pairs x residues) array of numerators, one
-exponential and one row-wise sum, each row bit-identical to a one-pair call.
+Phases are computed as exact integer numerators k over one denominator den
+(the trace pairing is linear in the residue coordinates), so the only
+floating point is the complex exponential e(k/den).  For integral r1, r2,
+den divides the least positive integer m in (c), which divides N(c).  All
+sums of one modulus c go through one phase kernel: a (pairs x residues)
+array of numerators, one table of e(k/den), k < den, for each distinct den
+of the call, and one row-wise sum of table entries, each row bit-identical
+to a one-pair call and to its exponentials taken one by one.  A table
+costs den exponentials where a row has phi(c) residues, so the worst call
+is a single row with den = m well above phi(c): m/phi(c) is at most the
+product of p/(p - 1) over the primes p | m, 5.54 for N(c) <= 10^6.
 kloosterman_sums takes queries over any moduli of one field and returns S
 in query order, one phase array per distinct c, its tables built run by
 run.
@@ -67,6 +73,8 @@ class KloostermanQuery:
             raise FieldError("Kloosterman normal form requires class number 1")
         if self.c.is_zero():
             raise ValueError("modulus must be nonzero")
+        if not (self.r1.is_integral() and self.r2.is_integral()):
+            raise ValueError("r1 and r2 must be integral")
 
 
 class _ModulusTable:
@@ -207,15 +215,21 @@ def _tables(ideals) -> list[_ModulusTable]:
     return [built[I] if tab is None else tab for I, tab in zip(ideals, tabs)]
 
 
-def _trace_pair(w: RingElement) -> tuple[tuple[int, int], tuple[int, int]]:
-    """(Tr w, Tr(omega*w)) as (numerator, denominator) pairs, so that
-    Tr((i + j*omega)*w) = i*Tr w + j*Tr(omega w)."""
+def _trace_numerators(w: RingElement) -> tuple[int, int, int]:
+    """(e, k1, k2) with Tr w = k1/e and Tr(omega*w) = k2/e mod 1, e the least
+    common denominator and 0 <= k1, k2 < e, so that
+    Tr((i + j*omega)*w) = (i*k1 + j*k2)/e mod 1."""
     K = w.field
     if K.d == 1:
-        return (w.x, w.den), (0, 1)
-    # w = (x + y*omega)/den and omega*w = (-n*y + (x + t*y)*omega)/den
-    x, y, t = w.x, w.y, K.t_omega
-    return (2 * x + t * y, w.den), (-2 * K.n_omega * y + t * (x + t * y), w.den)
+        n1, n2 = w.x, 0
+    else:
+        # w = (x + y*omega)/den and omega*w = (-n*y + (x + t*y)*omega)/den
+        x, y, t = w.x, w.y, K.t_omega
+        n1, n2 = 2 * x + t * y, -2 * K.n_omega * y + t * (x + t * y)
+    d = w.den
+    e = math.lcm(d // math.gcd(n1, d), d // math.gcd(n2, d))
+    # reduced in Python ints: a large r1 or r2 neither wraps nor overflows
+    return e, n1 * e // d % e, n2 * e // d % e
 
 
 def _phase_sums(tab: _ModulusTable, pairs) -> list[complex]:
@@ -223,24 +237,43 @@ def _phase_sums(tab: _ModulusTable, pairs) -> list[complex]:
     over the table's units x of exp(2 pi i Tr(a*x + b*xbar)).
 
     Each pair gives one row of a (len(pairs) x phi) array of exact phase
-    numerators over its own denominator; one exponential and one row-wise
-    sum serve all rows, and each row is the same sum as for a single pair.
+    numerators k in [0, den) over its own denominator den.  For integral
+    r1, r2, den divides the least positive integer m in (c): y -> Tr(r w y)
+    mod 1 is a character of the additive group o/(c), which m kills.  Each
+    distinct den has one table exp(2 pi i k / den), k < den, the tables laid
+    end to end; a row reads its entries from its den's table and is summed
+    in row order, so each row is, bit for bit, the sum of its exponentials.
+    The trace numerators of each distinct element are made once.
     """
+    # the least positive integer in (c): the first entry of its HNF
+    m = tab.ideal.a
+    coords: dict[tuple[int, int, int], tuple[int, int, int]] = {}
+    # the start of each den's table in the tables laid end to end
+    offsets: dict[int, int] = {}
+    start = 0
     rows = []
     for a, b in pairs:
-        traces = _trace_pair(a) + _trace_pair(b)
-        # the least common denominator of the four traces in lowest terms
-        den = math.lcm(*(d // math.gcd(n, d) for n, d in traces))
-        # only the numerators mod den matter: reduced here in Python ints, a
-        # large r1 or r2 neither wraps nor overflows the int64 products
-        rows.append((den,) + tuple(n * den // d % den for n, d in traces))
-    # explicit int64: an oversize denominator raises instead of making objects
-    den, n1a, n1b, n2a, n2b = np.array(rows, dtype=np.int64).T[:, :, None]
-    num = (
-        (tab.xi * n1a + tab.xj * n1b) % den
-        + (tab.inv_i * n2a + tab.inv_j * n2b) % den
+        for w in (a, b):
+            if (w.x, w.y, w.den) not in coords:
+                coords[w.x, w.y, w.den] = _trace_numerators(w)
+        ea, ka1, ka2 = coords[a.x, a.y, a.den]
+        eb, kb1, kb2 = coords[b.x, b.y, b.den]
+        den = math.lcm(ea, eb)
+        if m % den:
+            raise RuntimeError(f"phase denominator {den} does not divide {m} in (c)")
+        if den not in offsets:
+            offsets[den] = start
+            start += den
+        fa, fb = den // ea, den // eb
+        rows.append((den, offsets[den], ka1 * fa, ka2 * fa, kb1 * fb, kb2 * fb))
+    table = np.concatenate(
+        [np.exp(2j * np.pi * np.arange(den) / np.int64(den)) for den in offsets]
     )
-    return np.exp(2j * np.pi * (num % den) / den).sum(axis=1).tolist()
+    den, off, n1a, n1b, n2a, n2b = np.array(rows, dtype=np.int64).T[:, :, None]
+    # each product is below N(c)^2 <= 10^12, so one int64 reduction is exact
+    num = (tab.xi * n1a + tab.xj * n1b + tab.inv_i * n2a + tab.inv_j * n2b) % den
+    num += off
+    return table[num].sum(axis=1).tolist()
 
 
 def kloosterman_sums(queries: list[KloostermanQuery]) -> list[complex]:
@@ -308,8 +341,8 @@ def _weil_records(tab: _ModulusTable, c: RingElement, rs, pairs):
         margin = |S| / (tau((c)) * sqrt(N gcd((r1),(r2),(c))) * sqrt(N (c))).
 
     The table, w = (c*delta)^{-1}, each r*w, tau and each (c) + (r) are made
-    once; a record costs one ideal gcd and the division.  tab is the
-    table of (c).
+    once; each unordered pair {i, j} costs one ideal gcd (none for i = j)
+    and each record the division.  tab is the table of (c).
     """
     cI = tab.ideal
     nc = int(cI.norm())
@@ -323,8 +356,13 @@ def _weil_records(tab: _ModulusTable, c: RingElement, rs, pairs):
     # r = 0 adds nothing to the gcd
     gs = [cI if r.is_zero() else cI + Ideal.principal(r) for r in rs]
     sums = _phase_sums(tab, [(rw[i], rw[j]) for i, j in pairs])
+    # one gcd norm per unordered pair {i, j}; gs[i] itself for i = j
+    gnorms: dict[tuple[int, int], int] = {}
     for (i, j), S in zip(pairs, sums):
-        gn = int((gs[i] + gs[j]).norm())
+        key = (min(i, j), max(i, j))
+        if key not in gnorms:
+            gnorms[key] = int((gs[i] if i == j else gs[i] + gs[j]).norm())
+        gn = gnorms[key]
         yield {
             "S": S,
             "abs_S": abs(S),

@@ -22,6 +22,7 @@ from totreal.fields import (
     divisors,
     ideals_of_norm_up_to,
     make_field,
+    principal_generator,
     unit_mask,
 )
 
@@ -213,3 +214,73 @@ def test_eisenstein_growth_shape():
     for X in (5, 14, 30, 60):
         n = enumerate_eisenstein_pairs(K5.unit_ideal(), X)["branches"]
         assert n <= C * max(X, 1) ** 1  # d = 2 but branches live on one line
+
+
+def _hecke_over(K, fin):
+    """A unit-trivial Hecke character with finite part fin, as criterion 5
+    builds them: the sign at the real place over Q, an infinity type that
+    cancels fin(eps) over Q(sqrt 5) (fin even there)."""
+    if K.d == 1:
+        return HeckeCharacter(K, fin, [0.25], [0 if fin.value_exponent(-K.one()) == 0 else 1])
+    off = -2 * math.pi * float(fin.value_exponent(K.eps)) / math.log(K.eps.embeddings()[0])
+    return HeckeCharacter(K, fin, [off / 2, -off / 2], [0, 0])
+
+
+def test_equal_characters_built_apart_share_one_system():
+    # two characters_mod calls make two unit-group structures; equal
+    # exponents give equal values, and the Hecke characters built on them
+    # are equal, hash alike and share one Eisenstein system
+    from totreal.spectral import eisenstein_system
+
+    for K, q in ((Q, 15), (Q, 16), (K5, 11), (K5, 4)):
+        first, second = characters_mod(K.ideal(q)), characters_mod(K.ideal(q))
+        assert first[0].structure is not second[0].structure
+        ideals = ideals_of_norm_up_to(K, 80)
+        gens = [principal_generator(I) for I in ideals]
+        built = []
+        for f1, f2 in zip(first, second, strict=True):
+            assert f1.exponents == f2.exponents
+            assert [f1(g) for g in gens] == [f2(g) for g in gens]
+            if f1.value_exponent(-K.one()) not in (0, None) and K.d == 2:
+                continue
+            chi1, chi2 = _hecke_over(K, f1), _hecke_over(K, f2)
+            assert chi1 == chi2 and hash(chi1) == hash(chi2)
+            assert [chi1.eval_on_ideal(I) for I in ideals] == \
+                [chi2.eval_on_ideal(I) for I in ideals]
+            assert eisenstein_system(chi1) is eisenstein_system(chi2)
+            built.append(chi1)
+        # different exponents, a different modulus or no finite part differ
+        assert len(built) >= 2 and built[0] != built[1]
+        assert built[0] != _hecke_over(K, characters_mod(K.ideal(q + 2))[0])
+        assert built[0] != unramified_character(K, built[0].t)
+    # the infinity type and the field count too
+    assert unramified_character(Q, [0.5]) == unramified_character(Q, [0.5])
+    assert unramified_character(Q, [0.5]) != unramified_character(Q, [0.25])
+    assert unramified_character(Q, [0.0]) != unramified_character(K5, [0.0, 0.0])
+    assert unramified_character(Q, [0.0]) != HeckeCharacter(Q, None, [0.0], [1], check=False)
+
+
+def test_equal_characters_built_apart_reuse_eigenvalues(monkeypatch):
+    # a second round of new but equal characters, as each exact_arith pass
+    # of the benchmark builds them, computes no Satake parameter again
+    from totreal.eisenstein import eis_hecke_eigenvalue
+    from totreal.spectral import EigenvalueSystem
+
+    calls = []
+    alpha = EigenvalueSystem._alpha
+    monkeypatch.setattr(EigenvalueSystem, "_alpha",
+                        lambda self, P: calls.append(P) or alpha(self, P))
+
+    def eigenvalues():
+        chis = [_hecke_over(K, f)
+                for K, q in ((Q, 21), (K5, 19)) for f in characters_mod(K.ideal(q))
+                if K.d == 1 or f.value_exponent(-K.one()) == 0]
+        chis.append(unramified_character(K5, [0.3137, 0.3137]))
+        return [[eis_hecke_eigenvalue(chi, I) for I in ideals_of_norm_up_to(chi.field, 60)]
+                for chi in chis]
+
+    first = eigenvalues()
+    made = len(calls)
+    assert made > 0
+    assert eigenvalues() == first
+    assert len(calls) == made

@@ -137,6 +137,19 @@ def test_sweep_csv():
         assert float(line.split(",")[3]) <= 1 + 1e-9
 
 
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+@pytest.mark.parametrize("cmax", ["1", "0", "-5"])
+def test_sweep_refuses_cmax_below_2(fmt, cmax):
+    # no modulus has norm below 2: exit 2 with the reason, in either format,
+    # not an empty table or a message from max()
+    proc = subprocess.run(CMD + ["--format", fmt, "kloosterman", "sweep", "--cmax", cmax],
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 2, proc.stdout
+    assert proc.stderr == ""
+    error = json.loads(proc.stdout)["error"]
+    assert error == f"--cmax must be >= 2, the least norm of a modulus, got {cmax}"
+
+
 def test_sweep_large_regulator():
     # Q(sqrt 1381) has eps of about 7.5e10, where a box search for the
     # generators of the moduli would list about 10^10 points
@@ -240,6 +253,10 @@ def test_bad_spectral_inputs_refused(args, message):
     (("spectral", "bessel", "--Z", "1e-160", "--t=-1.5"), "Z^2 leaves the float range at Z = 1e-160"),
     (("spectral", "bessel", "--Z", "1e154", "--t=-1.5"),
      "the truncation search takes u up to 6.8e+155, where u^2 leaves the float range"),
+    # a Kloosterman sum over residues mod c is well defined for integral r only
+    (("kloosterman", "eval", "--r1", "1/2", "--r2", "1", "--c", "5"), "r1 and r2 must be integral"),
+    (("--field", "5", "spectral", "kuz-geom", "--r1", "1", "--r2", "1/3", "--level", "1",
+      "--box", "4"), "r1 and r2 must be integral"),
 ])
 def test_bad_sizes_refused(args, message):
     # sizes that are not finite, or zero where they divide: exit 2 with a

@@ -3,6 +3,7 @@
 import cmath
 import math
 import random
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -139,6 +140,15 @@ def test_crt_requires_coprime():
     q = KloostermanQuery(Q.element(1), Q.element(1), Q.element(4))
     with pytest.raises(ValueError):
         kloosterman_sum_crt(q, Q.element(2), Q.element(2))
+
+
+def test_nonintegral_r_refused():
+    # the sum over residues mod c is well defined for integral r1, r2 only
+    for r1, r2 in ((Fraction(1, 2), 1), (1, Fraction(1, 10**21))):
+        with pytest.raises(ValueError, match="r1 and r2 must be integral"):
+            KloostermanQuery(Q.element(r1), Q.element(r2), Q.element(5))
+    with pytest.raises(ValueError, match="r1 and r2 must be integral"):
+        KloostermanQuery(K5.one(), K5.element(Fraction(1, 2), Fraction(1, 2)), K5.element(3))
 
 
 def test_h1_required():
@@ -452,3 +462,63 @@ def test_oversize_modulus_in_a_query_batch_caches_nothing():
     with pytest.raises(ValueError, match="above the limit of 1000000"):
         kloosterman_sums(batch(7, 1000003, 11))
     assert list(_TABLES) == [Q.ideal(4), Q.ideal(7)]
+
+
+# ---------------------------------------------------------------------------
+# the phase kernel: each S, bit for bit, is the sum of np.exp at the exact
+# phase numerators of its row, however its call shares tables of e(k/den)
+
+KERNEL_R = (0, 1, 2, 3, 7, 10**9 + 7)
+
+
+def _definition_sums(q: KloostermanQuery, tab):
+    """S(r1, r2; c) by its definition, one row: den, the least common
+    denominator of Tr(a), Tr(a omega), Tr(b), Tr(b omega) for a = r1 w,
+    b = r2 w, w = (c delta)^-1, from exact traces; the numerators
+    num = den * Tr(a x + b xbar) mod den over the units x of the table; and
+    np.exp(2j*np.pi*num/den).sum().  Returns (S, den)."""
+    K = q.c.field
+    w = (q.c * K.delta).inverse()
+    omega = K.element(0, 1) if K.d == 2 else K.zero()
+    traces = [Fraction((v * u).trace()) for v in (q.r1 * w, q.r2 * w) for u in (K.one(), omega)]
+    den = math.lcm(*(f.denominator for f in traces))
+    n1a, n1b, n2a, n2b = (int(f * den) % den for f in traces)
+    num = (tab.xi * n1a + tab.xj * n1b + tab.inv_i * n2a + tab.inv_j * n2b) % den
+    return np.exp(2j * np.pi * num / den).sum(), den
+
+
+def _kernel_queries(K, c, rs):
+    """Queries of kuz-geom's shape at one ideal: several generators of (c)
+    (c and its unit multiples) against every r1 and every unit times r2
+    (the units mod squares, four over a real quadratic field)."""
+    units = K.units_mod_squares()
+    return [KloostermanQuery(r1, u * r2, g * c)
+            for g in units for r1 in rs for r2 in rs for u in units]
+
+
+@pytest.mark.parametrize("D", [1, 2, 5, 13])
+def test_phase_kernel_bit_for_bit_against_definition(D):
+    K = PROP_FIELDS[D]
+    rs = [K.element(r) for r in KERNEL_R]
+    if K.d == 2:
+        rs.append(K.element(2, 1))
+    several = 0
+    for cI in ideals_of_norm_up_to(K, 500):
+        if cI.norm() == 1:
+            continue
+        c = principal_generator(cI)
+        (tab,) = _tables([cI])
+        qs = [KloostermanQuery(r1, r2, c) for r1 in rs for r2 in rs]
+        if cI.norm() <= 60:
+            qs += _kernel_queries(K, c, rs[1:4])
+        dens = set()
+        for q, S in zip(qs, kloosterman_sums(qs), strict=True):
+            ref, den = _definition_sums(q, tab)
+            # den divides N(c), and indeed the least positive integer m = a of
+            # the HNF of (c), so each row reads a table of at most m entries
+            assert cI.norm() % den == 0 and cI.a % den == 0, (cI, q)
+            assert repr(S) == repr(complex(ref)), (cI, q)
+            dens.add(den)
+        several += len(dens) > 1
+    # calls that lay several tables end to end, over every field
+    assert several >= 10
