@@ -130,7 +130,15 @@ class UnitGroupStructure:
     The class i + j*omega of o/q (0 <= i < q.a, 0 <= j < q.c) has number
     j*q.a + i, the index of fields.unit_mask; dlogs[k] is the exponent
     vector of class k on the cyclic factors of orders `orders`, None when k
-    is not a unit."""
+    is not a unit.
+
+    The units are reached by a breadth-first walk from 1 over products with
+    greedy generators (the least unit not yet reached, in class order); the
+    products are taken on class numbers (mul), and each class reached twice
+    gives a relation.  The Smith normal form of the relations gives the
+    factors.  The walk holds a vector for each of the phi(q) units: at
+    q = 999983 over Q it takes about 7 s and 300 MB, more than the rest of
+    shifted amplify."""
 
     def __init__(self, q: Ideal):
         if not q.is_integral() or q.norm() == 0:
@@ -146,13 +154,13 @@ class UnitGroupStructure:
         self._conductors: dict[tuple, Ideal] = {}
         self._kernels: dict[Ideal, list[tuple]] = {}
         # greedy generating set in class order
-        gens: list[RingElement] = []
+        gens: list[int] = []
         reached = {self.index(K.one()): []}
         relations: list[list[int]] = []
         for cand in compress(range(len(mask)), mask):
             if cand in reached:
                 continue
-            gens.append(RingElement(K, cand % a, cand // a))
+            gens.append(cand)
             for k in reached:
                 reached[k] = reached[k] + [0]
             for rel in relations:
@@ -162,9 +170,8 @@ class UnitGroupStructure:
             while frontier:
                 new_frontier = []
                 for key, vec in frontier:
-                    x = RingElement(K, key % a, key // a)
                     for i, g in enumerate(gens):
-                        yk = self.index(x * g)
+                        yk = self.mul(key, g)
                         nv = list(vec)
                         nv[i] += 1
                         if yk in reached:
@@ -197,10 +204,31 @@ class UnitGroupStructure:
         y = self.modulus.reduce(x)
         return y.y * self.modulus.a + y.x
 
+    def mul(self, k1: int, k2: int) -> int:
+        """The class number of the product of the classes numbered k1 and k2.
 
-@dataclass(frozen=True)
+        With q = Z*a + Z*(b + c*omega) and omega^2 = t*omega - n, the product
+        (i1 + j1*omega)(i2 + j2*omega) = pi + pj*omega is reduced as
+        Ideal.reduce does: j = pj mod c borrows (pj // c)*b from pi, then
+        i = pi mod a."""
+        q, K = self.modulus, self.field
+        a = q.a
+        i1, j1 = k1 % a, k1 // a
+        i2, j2 = k2 % a, k2 // a
+        jj = j1 * j2
+        pi = i1 * i2 - K.n_omega * jj
+        pj = i1 * j2 + j1 * i2 + K.t_omega * jj
+        k, j = divmod(pj, q.c)
+        return j * a + (pi - k * q.b) % a
+
+
+@dataclass(frozen=True, eq=False)
 class FiniteCharacter:
-    """Character of (o/q)^x given by an exponent vector on the cyclic factors."""
+    """Character of (o/q)^x given by an exponent vector on the cyclic factors.
+
+    Equal when the moduli and the exponent vectors are: the structure of a
+    modulus is made the same way each time, so characters built apart by
+    characters_mod compare and hash as one."""
 
     structure: UnitGroupStructure
     exponents: tuple[int, ...]
@@ -254,7 +282,7 @@ class FiniteCharacter:
         )
 
     def mul(self, other: "FiniteCharacter") -> "FiniteCharacter":
-        assert self.structure is other.structure
+        assert self.modulus == other.modulus
         return FiniteCharacter(
             self.structure,
             tuple(
@@ -289,8 +317,15 @@ class FiniteCharacter:
             st._conductors[self.exponents] = f
         return st._conductors[self.exponents]
 
+    def __eq__(self, other: object) -> bool:
+        return (
+            isinstance(other, FiniteCharacter)
+            and self.exponents == other.exponents
+            and self.modulus == other.modulus
+        )
+
     def __hash__(self) -> int:
-        return hash((id(self.structure), self.exponents))
+        return hash((self.modulus, self.exponents))
 
 
 def characters_mod(q: Ideal) -> list[FiniteCharacter]:
@@ -338,11 +373,8 @@ class HeckeCharacter:
             res = self.unit_triviality_residual()
             if res > 1e-10:
                 raise ValueError(f"not trivial on units (residual {res:.2e})")
-        # equal characters built apart share their caches (eisenstein_system):
-        # the finite part enters by modulus and exponents, since its
-        # UnitGroupStructure compares by identity
-        fin = None if finite is None else (finite.modulus.key(), finite.exponents)
-        self._key = (K.D, self.t, self.signs, fin)
+        # equal characters built apart share their caches (eisenstein_system)
+        self._key = (K.D, self.t, self.signs, finite)
         self._hash = hash(self._key)
 
     def __eq__(self, other: object) -> bool:

@@ -36,8 +36,9 @@ of one.  The norms in a group sum to at most GROUP_RESIDUES (a larger
 modulus is a group alone), and the tables are kept in a cache keyed by
 ideal and bounded by TABLE_CACHE_SIZE; the cache is private to this
 module, whose callers pass queries, never tables.  The sweep makes its
-tables group by group and then one pass per modulus: its (c*delta)^{-1},
-tau and the gcds with each r are made once and shared by all its pairs.
+tables group by group and then one pass per modulus: its (c*delta)^{-1}
+and tau are made once and shared by all its pairs.  The gcd (r1) + (r2) of
+each pair is made once per sweep, and its sum with (c) once per modulus.
 """
 
 from __future__ import annotations
@@ -335,14 +336,28 @@ def kloosterman_sum_crt(query: KloostermanQuery, c1: RingElement, c2: RingElemen
     return out
 
 
-def _weil_records(tab: _ModulusTable, c: RingElement, rs, pairs):
+def _pair_gcds(rs, pairs) -> list:
+    """(r_i) + (r_j) for each (i, j) in pairs, made once per unordered pair
+    {i, j}; None stands for the zero ideal (r_i = r_j = 0)."""
+    ideals = [None if r.is_zero() else Ideal.principal(r) for r in rs]
+    gcds = {}
+    for i, j in pairs:
+        key = (min(i, j), max(i, j))
+        if key not in gcds:
+            g, h = ideals[i], ideals[j]
+            gcds[key] = h if g is None else g if h is None or i == j else g + h
+    return [gcds[min(i, j), max(i, j)] for i, j in pairs]
+
+
+def _weil_records(tab: _ModulusTable, c: RingElement, rs, pairs, gcds):
     """Weil-margin records of S(rs[i], rs[j]; c) for each (i, j) in pairs:
 
         margin = |S| / (tau((c)) * sqrt(N gcd((r1),(r2),(c))) * sqrt(N (c))).
 
-    The table, w = (c*delta)^{-1}, each r*w, tau and each (c) + (r) are made
-    once; each unordered pair {i, j} costs one ideal gcd (none for i = j)
-    and each record the division.  tab is the table of (c).
+    gcds[n] is (r1) + (r2) for pairs[n] (_pair_gcds).  The table,
+    w = (c*delta)^{-1}, each r*w and tau are made once, each distinct
+    (c) + gcds[n] once, and each record costs the division.  tab is the
+    table of (c).
     """
     cI = tab.ideal
     nc = int(cI.norm())
@@ -353,16 +368,12 @@ def _weil_records(tab: _ModulusTable, c: RingElement, rs, pairs):
     w = (c * c.field.delta).inverse()
     rw = [r * w for r in rs]
     _, _, tau = arith_functions(cI)
-    # r = 0 adds nothing to the gcd
-    gs = [cI if r.is_zero() else cI + Ideal.principal(r) for r in rs]
     sums = _phase_sums(tab, [(rw[i], rw[j]) for i, j in pairs])
-    # one gcd norm per unordered pair {i, j}; gs[i] itself for i = j
-    gnorms: dict[tuple[int, int], int] = {}
-    for (i, j), S in zip(pairs, sums):
-        key = (min(i, j), max(i, j))
-        if key not in gnorms:
-            gnorms[key] = int((gs[i] if i == j else gs[i] + gs[j]).norm())
-        gn = gnorms[key]
+    gnorms: dict[Ideal, int] = {}
+    for g, S in zip(gcds, sums):
+        if g not in gnorms:
+            gnorms[g] = nc if g is None else int((cI + g).norm())
+        gn = gnorms[g]
         yield {
             "S": S,
             "abs_S": abs(S),
@@ -376,7 +387,8 @@ def _weil_records(tab: _ModulusTable, c: RingElement, rs, pairs):
 def weil_margin(query: KloostermanQuery) -> dict:
     """|S| / (tau((c)) * sqrt(N gcd((r1),(r2),(c))) * sqrt(N (c))) with parts."""
     (tab,) = _tables([Ideal.principal(query.c)])
-    return next(_weil_records(tab, query.c, [query.r1, query.r2], [(0, 1)]))
+    rs, pairs = [query.r1, query.r2], [(0, 1)]
+    return next(_weil_records(tab, query.c, rs, pairs, _pair_gcds(rs, pairs)))
 
 
 def weil_sweep(K: FieldDesc, cmax: int, r_values=(1, 2, 3)):
@@ -389,11 +401,12 @@ def weil_sweep(K: FieldDesc, cmax: int, r_values=(1, 2, 3)):
     """
     rs = [RingElement(K, r) for r in r_values]
     pairs = [(i, j) for i in range(len(rs)) for j in range(len(rs))]
+    gcds = _pair_gcds(rs, pairs)
     moduli = [cI for cI in ideals_of_norm_up_to(K, cmax) if cI.norm() != 1]
     for group in _groups(moduli):
         for tab in _tables(group):
             c = principal_generator(tab.ideal)
-            for (i, j), rec in zip(pairs, _weil_records(tab, c, rs, pairs)):
+            for (i, j), rec in zip(pairs, _weil_records(tab, c, rs, pairs, gcds)):
                 rec["c"] = c
                 rec["r1"], rec["r2"] = rs[i], rs[j]
                 yield rec

@@ -11,6 +11,8 @@ import pytest
 from totreal.characters import (
     HeckeCharacter,
     UnitGroupStructure,
+    _hnf_rowreduce,
+    _smith_normal_form,
     characters_mod,
     enumerate_eisenstein_pairs,
     unramified_character,
@@ -18,6 +20,7 @@ from totreal.characters import (
 )
 from totreal.fields import (
     Ideal,
+    RingElement,
     arith_functions,
     divisors,
     ideals_of_norm_up_to,
@@ -81,6 +84,77 @@ def test_discrete_logs_against_products():
             E = np.exp(2j * np.pi * table)
             assert np.abs(E @ E.conj().T - st.order * np.eye(st.order)).max() < 1e-10
             assert np.abs(E.conj().T @ E - st.order * np.eye(st.order)).max() < 1e-10
+
+
+def _structure_by_ring_elements(q):
+    """(orders, exponent, dlogs) of (o/q)^x from the greedy generators and
+    the BFS of UnitGroupStructure, each product made by RingElement and
+    Ideal.reduce, and the same Smith normal form."""
+    K, a = q.field, q.a
+
+    def index(x):
+        y = q.reduce(x)
+        return y.y * a + y.x
+
+    mask = unit_mask(q)
+    gens, reached, relations = [], {index(K.one()): []}, []
+    for cand in itertools.compress(range(len(mask)), mask):
+        if cand in reached:
+            continue
+        gens.append(RingElement(K, cand % a, cand // a))
+        for k in reached:
+            reached[k] = reached[k] + [0]
+        for rel in relations:
+            rel.append(0)
+        frontier = list(reached.items())
+        while frontier:
+            new_frontier = []
+            for key, vec in frontier:
+                x = RingElement(K, key % a, key // a)
+                for i, g in enumerate(gens):
+                    yk = index(x * g)
+                    nv = list(vec)
+                    nv[i] += 1
+                    if yk in reached:
+                        rel = [u - v for u, v in zip(nv, reached[yk])]
+                        if any(rel):
+                            relations.append(rel)
+                    else:
+                        reached[yk] = nv
+                        new_frontier.append((yk, nv))
+            frontier = new_frontier
+        if len(reached) == mask.count(1):
+            break
+    d, V = _smith_normal_form(_hnf_rowreduce(relations))
+    keep = [i for i in range(len(gens)) if d[i] != 1]
+    dlogs = [None] * len(mask)
+    for key, vec in reached.items():
+        dlogs[key] = tuple(sum(vec[k] * V[k][i] for k in range(len(gens))) % d[i] for i in keep)
+    orders = [d[i] for i in keep]
+    return orders, math.lcm(*orders), dlogs
+
+
+@pytest.mark.parametrize("K,N", [(Q, 300), (K2, 120), (K5, 120), (K13, 120)])
+def test_class_products_against_ring_elements(K, N):
+    # the unit-group BFS multiplies class numbers; the structure is the one
+    # the RingElement products give, for every modulus of norm <= N
+    for q in ideals_of_norm_up_to(K, N):
+        st = UnitGroupStructure(q)
+        assert (st.orders, st.exponent, st.dlogs) == _structure_by_ring_elements(q), q
+
+
+def test_finite_characters_built_apart_are_equal():
+    for K, q in ((Q, 15), (Q, 16), (K5, 11), (K5, 4)):
+        first, second = characters_mod(K.ideal(q)), characters_mod(K.ideal(q))
+        assert first[0].structure is not second[0].structure
+        for f1, f2 in zip(first, second, strict=True):
+            assert f1 == f2 and hash(f1) == hash(f2)
+        assert len(set(first) | set(second)) == arith_functions(K.ideal(q))[1]
+        assert first[1] != first[0]
+    # the same exponents on another modulus make another character
+    assert characters_mod(Q.ideal(5))[1] != characters_mod(K5.ideal(5))[1]
+    assert characters_mod(Q.ideal(5))[1].exponents == characters_mod(Q.ideal(10))[1].exponents
+    assert characters_mod(Q.ideal(5))[1] != characters_mod(Q.ideal(10))[1]
 
 
 def test_characters_mod_refuses():

@@ -7,12 +7,14 @@ import random
 
 import pytest
 
-from totreal.characters import unramified_character
-from totreal.fields import make_field
+from totreal.characters import HeckeCharacter, characters_mod, unramified_character
+from totreal.fields import Ideal, make_field
 from totreal.shifted import (
     ProductWeight,
     ShiftedQuery,
     SmoothBump,
+    _amplifier_primes,
+    _reduced_generators,
     afe_sum,
     amplified_moment,
     dirichlet_D,
@@ -415,6 +417,96 @@ def test_amplified_moment_nontrivial_character():
     rep = amplified_moment(Q.ideal(7), 5.0, EigenvalueSystem(Q, seed=2), chi,
                            SmoothBump(0.5, 2.0), 30.0)
     assert rep["relative_difference"] < 1e-9
+
+
+def _moment_by_characters(q, L, sys, chi, V, Y):
+    """A, B and the diagonal of the amplified moment the direct way: a
+    FiniteCharacter for each xi of characters_mod(q), evaluated by value_at
+    term by term and summed by sum(); B buckets r by the class of the
+    RingElement product r * ell."""
+    ells = _amplifier_primes(q.field, q, L)
+    rs = []
+    for I, r in _reduced_generators(q.field, V.a * Y, V.b * Y):
+        n = float(I.norm())
+        w = V(n / Y)
+        if w != 0.0:
+            rs.append((r, sys.lambda_value(I) / math.sqrt(n) * w))
+    chars = characters_mod(q)
+    st = chars[0].structure
+    r_logs = [st.dlogs[st.index(r)] for r, _ in rs]
+    ell_logs = [st.dlogs[st.index(ell)] for ell in ells]
+    coeffs = []
+    for ell in ells:
+        v = 1.0 + 0j if chi.finite is None else chi.finite(ell)
+        coeffs.append(v if chi.finite is None else (v.conjugate() if v != 0 else 0.0))
+    A = 0.0
+    for xi in chars:
+        Lxi = sum(w * xi.value_at(v) for (_, w), v in zip(rs, r_logs))
+        amp = sum(c * xi.value_at(v) for v, c in zip(ell_logs, coeffs))
+        A += abs(Lxi) ** 2 * abs(amp) ** 2
+    cx = {}
+    for ell, cf in zip(ells, coeffs):
+        if cf == 0:
+            continue
+        for (r, w), v in zip(rs, r_logs):
+            if v is not None:
+                x = st.index(r * ell)
+                cx[x] = cx.get(x, 0.0 + 0j) + cf * w
+    B = st.order * sum(abs(v) ** 2 for v in cx.values())
+    diag = 0.0
+    for c1, ell1 in zip(coeffs, ells):
+        for c2, ell2 in zip(coeffs, ells):
+            for (r1, w1), v in zip(rs, r_logs):
+                if v is None:
+                    continue
+                for r2, w2 in rs:
+                    if ell1 * r1 == ell2 * r2:
+                        diag += (c1 * w1 * (c2 * w2).conjugate()).real
+    diag *= st.order
+    rel = abs(A - B) / max(abs(A), abs(B), 1e-300)
+    return A, B, rel, diag, sum(v is None for v in r_logs)
+
+
+def _finite_chi(K, q):
+    """A Hecke character over Q with a nontrivial finite part mod q."""
+    fin = next(c for c in characters_mod(K.ideal(q)) if not c.is_trivial())
+    sign = 0 if fin.value_exponent(-K.one()) == 0 else 1
+    return HeckeCharacter(K, fin, [0.4], [sign])
+
+
+@pytest.mark.parametrize("D,q,L,Y", [
+    (1, 5, 5.0, 40.0), (1, 7, 5.0, 40.0), (1, 15, 7.0, 40.0), (1, 360, 5.0, 40.0),
+    (1, 9973, 5.0, 40.0), (5, "-1+2w", 5.0, 25.0), (5, "3+2w", 5.0, 25.0), (5, 12, 5.0, 25.0),
+])
+@pytest.mark.parametrize("system", ["divisor", "synthetic"])
+def test_amplified_moment_against_characters(D, q, L, Y, system):
+    # side A from the one table of e(k/L) has the bits of the sum over
+    # FiniteCharacter.value_at, and B and the diagonal those of the
+    # RingElement products; some r are not prime to q in every case but 9973
+    K = make_field(D)
+    if isinstance(q, str):
+        qI = Ideal.principal(K.element(*map(int, q.rstrip("w").split("+"))))
+    else:
+        qI = K.ideal(q)
+    sys_ = divisor_system(K) if system == "divisor" else EigenvalueSystem(K, seed=3)
+    chi = unramified_character(K, [0.0] * K.d)
+    V = SmoothBump(0.5, 2.0)
+    A, B, rel, diag, off_units = _moment_by_characters(qI, L, sys_, chi, V, Y)
+    assert (off_units > 0) == (q != 9973)
+    rep = amplified_moment(qI, L, sys_, chi, V, Y)
+    assert (rep["A"], rep["B"], rep["relative_difference"], rep["diagonal"]) == (A, B, rel, diag)
+
+
+@pytest.mark.parametrize("q,L,Y", [(7, 5.0, 30.0), (15, 7.0, 40.0), (15, 7.0, 120.0)])
+def test_amplified_moment_against_characters_finite_part(q, L, Y):
+    # a character chi with a finite part twists the amplifier coefficients
+    chi = _finite_chi(Q, q)
+    sys_ = EigenvalueSystem(Q, seed=2)
+    V = SmoothBump(0.5, 2.0)
+    A, B, rel, diag, off_units = _moment_by_characters(Q.ideal(q), L, sys_, chi, V, Y)
+    assert off_units > 0
+    rep = amplified_moment(Q.ideal(q), L, sys_, chi, V, Y)
+    assert (rep["A"], rep["B"], rep["relative_difference"], rep["diagonal"]) == (A, B, rel, diag)
 
 
 def test_amplifier_prime_window_failure():
