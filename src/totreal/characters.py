@@ -18,6 +18,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import compress
+from operator import mul
 from typing import Optional, Sequence
 
 from .fields import (
@@ -196,8 +197,9 @@ class UnitGroupStructure:
         # exponent of the group: every character value is e(k / exponent)
         self.exponent = math.lcm(*self.orders)
         self.dlogs: list[Optional[tuple]] = [None] * len(mask)
+        cols = [([row[i] for row in V], d[i]) for i in keep]
         for key, vec in reached.items():
-            self.dlogs[key] = tuple(sum(vec[k] * V[k][i] for k in range(r)) % d[i] for i in keep)
+            self.dlogs[key] = tuple([sum(map(mul, vec, col)) % n for col, n in cols])
 
     def index(self, x: RingElement) -> int:
         """The class number j*q.a + i of the integral element x mod q."""

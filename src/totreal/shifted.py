@@ -329,7 +329,7 @@ def _amplifier_primes(K: FieldDesc, q: Ideal, L: float) -> list[RingElement]:
 
 # characters per block of side A: its running sums are held one block at a
 # time
-SIDE_A_BLOCK = 1 << 14
+SIDE_A_BLOCK = 1 << 12
 
 
 def _block_sums(terms, block: range, quotients: list[list[int]], table: list[complex]) -> list:
@@ -349,11 +349,14 @@ def _block_sums(terms, block: range, quotients: list[list[int]], table: list[com
             acc = list(map(add, acc, repeat(w * 0.0)))
             continue
         s0 = s[0] if s else 0
-        k = range(block.start * s0, block.stop * s0, s0) if s0 else repeat(0)
+        k = range(block.start * s0, block.stop * s0, s0) if s0 else repeat(0, len(block))
         for si, x in zip(s[1:], quotients):
             if si:
                 k = map(add, k, map(mul, x, repeat(si)))
-        values = map(table.__getitem__, map(mod, k, repeat(L)))
+        # the indices first, then the table reads in a loop of their own: at
+        # L near 10^6 the reads are cache misses, and a short loop overlaps them
+        ks = list(map(mod, k, repeat(L)))
+        values = [table[i] for i in ks]
         acc = list(map(add, acc, map(mul, repeat(w), values)))
     return acc
 

@@ -8,8 +8,9 @@ import random
 import pytest
 
 from totreal.characters import HeckeCharacter, characters_mod, unramified_character
-from totreal.fields import Ideal, make_field
+from totreal.fields import Ideal, arith_functions, make_field
 from totreal.shifted import (
+    SIDE_A_BLOCK,
     ProductWeight,
     ShiftedQuery,
     SmoothBump,
@@ -476,13 +477,14 @@ def _finite_chi(K, q):
 
 @pytest.mark.parametrize("D,q,L,Y", [
     (1, 5, 5.0, 40.0), (1, 7, 5.0, 40.0), (1, 15, 7.0, 40.0), (1, 360, 5.0, 40.0),
-    (1, 9973, 5.0, 40.0), (5, "-1+2w", 5.0, 25.0), (5, "3+2w", 5.0, 25.0), (5, 12, 5.0, 25.0),
+    (1, 9973, 5.0, 40.0), (1, 30030, 17.0, 40.0), (5, "-1+2w", 5.0, 25.0), (5, "3+2w", 5.0, 25.0), (5, 12, 5.0, 25.0),
 ])
 @pytest.mark.parametrize("system", ["divisor", "synthetic"])
 def test_amplified_moment_against_characters(D, q, L, Y, system):
     # side A from the one table of e(k/L) has the bits of the sum over
     # FiniteCharacter.value_at, and B and the diagonal those of the
-    # RingElement products; some r are not prime to q in every case but 9973
+    # RingElement products; some r are not prime to q in every case but
+    # 9973, and 9973 and 30030 (five cyclic factors) take several blocks
     K = make_field(D)
     if isinstance(q, str):
         qI = Ideal.principal(K.element(*map(int, q.rstrip("w").split("+"))))
@@ -493,6 +495,7 @@ def test_amplified_moment_against_characters(D, q, L, Y, system):
     V = SmoothBump(0.5, 2.0)
     A, B, rel, diag, off_units = _moment_by_characters(qI, L, sys_, chi, V, Y)
     assert (off_units > 0) == (q != 9973)
+    assert (arith_functions(qI)[1] > SIDE_A_BLOCK) == (q in (9973, 30030))
     rep = amplified_moment(qI, L, sys_, chi, V, Y)
     assert (rep["A"], rep["B"], rep["relative_difference"], rep["diagonal"]) == (A, B, rel, diag)
 
