@@ -15,10 +15,10 @@ from __future__ import annotations
 
 import cmath
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import compress
-from operator import mul
 from typing import Optional, Sequence
 
 from .fields import (
@@ -137,16 +137,14 @@ class UnitGroupStructure:
     greedy generators (the least unit not yet reached, in class order); the
     products are taken on class numbers (mul), and each class reached twice
     gives a relation.  The Smith normal form of the relations gives the
-    factors.  The walk holds a vector for each of the phi(q) units: at
-    q = 999983 over Q it takes about 7 s and 300 MB, more than the rest of
-    shifted amplify."""
+    factors.  The walk holds a vector for each of the phi(q) units, so at
+    q near 10^6 it sets the peak memory of shifted amplify (README)."""
 
     def __init__(self, q: Ideal):
         if not q.is_integral() or q.norm() == 0:
             raise ValueError("modulus must be a nonzero integral ideal")
         self.modulus = q
         K = self.field = q.field
-        a = q.a
         mask = unit_mask(q)
         self.order = mask.count(1)
         # conductor of each character, keyed by its exponent vector, and the
@@ -199,7 +197,7 @@ class UnitGroupStructure:
         self.dlogs: list[Optional[tuple]] = [None] * len(mask)
         cols = [([row[i] for row in V], d[i]) for i in keep]
         for key, vec in reached.items():
-            self.dlogs[key] = tuple([sum(map(mul, vec, col)) % n for col, n in cols])
+            self.dlogs[key] = tuple([sum(map(operator.mul, vec, col)) % n for col, n in cols])
 
     def index(self, x: RingElement) -> int:
         """The class number j*q.a + i of the integral element x mod q."""

@@ -417,9 +417,10 @@ def amplified_moment(
     sum's terms in order, so A has the bits of the sum over
     characters_mod(q) with FiniteCharacter.value_at.  Side B buckets r by
     the class of r * ell, a product of class numbers
-    (UnitGroupStructure.mul).  At q near 10^6 the structure of (o/q)^x is
-    the larger cost: over Q, q = 999983 takes about 7 s of the structure
-    and about 12 s of side A, with the table at 40 MB (README).
+    (UnitGroupStructure.mul).  Side A costs phi(q) times the number of r
+    and ell in table reads; at q near 10^6 those reads miss the cache and
+    side A is most of the time, the structure of (o/q)^x most of the memory
+    (README).
     """
     for name, size in (("L", L), ("Y", Y)):
         if not (math.isfinite(size) and size > 0):
