@@ -226,9 +226,9 @@ class UnitGroupStructure:
 class FiniteCharacter:
     """Character of (o/q)^x given by an exponent vector on the cyclic factors.
 
-    Equal when the moduli and the exponent vectors are: the structure of a
-    modulus is made the same way each time, so characters built apart by
-    characters_mod compare and hash as one."""
+    Equal when the moduli and the exponent vectors are (key): the structure
+    of a modulus is made the same way each time, so characters built apart
+    by characters_mod compare and hash as one."""
 
     structure: UnitGroupStructure
     exponents: tuple[int, ...]
@@ -317,15 +317,18 @@ class FiniteCharacter:
             st._conductors[self.exponents] = f
         return st._conductors[self.exponents]
 
+    @property
+    def key(self) -> tuple:
+        """What equal characters share: the field, the modulus and the
+        exponents."""
+        q = self.structure.modulus
+        return (q.field.D, q.key(), self.exponents)
+
     def __eq__(self, other: object) -> bool:
-        return (
-            isinstance(other, FiniteCharacter)
-            and self.exponents == other.exponents
-            and self.modulus == other.modulus
-        )
+        return isinstance(other, FiniteCharacter) and self.key == other.key
 
     def __hash__(self) -> int:
-        return hash((self.modulus, self.exponents))
+        return hash(self.key)
 
 
 def characters_mod(q: Ideal) -> list[FiniteCharacter]:
@@ -374,7 +377,7 @@ class HeckeCharacter:
             if res > 1e-10:
                 raise ValueError(f"not trivial on units (residual {res:.2e})")
         # equal characters built apart share their caches (eisenstein_system)
-        self._key = (K.D, self.t, self.signs, finite)
+        self._key = (K.D, self.t, self.signs, None if finite is None else finite.key)
         self._hash = hash(self._key)
 
     def __eq__(self, other: object) -> bool:
