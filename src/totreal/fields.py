@@ -1141,10 +1141,13 @@ def ideals_of_norm_up_to(K: FieldDesc, bound: int) -> list[Ideal]:
     With the prime ideals sorted by norm, each ideal is made once, as its
     prefix times its last prime: a product extends only by primes from its
     last one on and stops at the first that passes the bound, so the walk is
-    linear in the number of ideals.  A bound above MAX_BOX_POINTS is refused
-    with ValueError before the primes are sieved."""
+    linear in the number of ideals.  Over Q the ideals are (1), ..., (bound)
+    and are listed directly.  A bound above MAX_BOX_POINTS is refused with
+    ValueError before the primes are sieved."""
     if bound > MAX_BOX_POINTS:
         raise ValueError(f"ideals of norm <= {bound} requested, above the limit of {MAX_BOX_POINTS}")
+    if K.d == 1:
+        return [Ideal(K, n, 0, 1) for n in range(1, bound + 1)]
     primes = [(P.norm(), P.ideal) for p in primes_up_to(bound) for P in K.primes_above(p)]
     primes.sort(key=lambda e: e[0])
     # (norm, ideal, index of its last prime); the loop visits the products

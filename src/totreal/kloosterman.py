@@ -27,18 +27,26 @@ in query order, one phase array per distinct c, its tables built run by
 run.
 
 A modulus's residue table lists the units x of o/(c) and their inverses as
-coordinate arrays.  Tables are built many moduli at a time: the units of a
-group of ideals (fields.unit_mask, the rule the characters use too, which
-also refuses a modulus of norm above fields.MAX_BOX_POINTS) are laid end to
-end, one masked square-and-multiply x -> x^(phi - 1) inverts them all, and
-the result is cut back into one table per ideal.  One modulus is the group
-of one.  The norms in a group sum to at most GROUP_RESIDUES (a larger
-modulus is a group alone), and the tables are kept in a cache keyed by
-ideal and bounded by TABLE_CACHE_SIZE; the cache is private to this
-module, whose callers pass queries, never tables.  The sweep makes its
-tables group by group and then one pass per modulus: its (c*delta)^{-1}
-and tau are made once and shared by all its pairs.  The gcd (r1) + (r2) of
-each pair is made once per sweep, and its sum with (c) once per modulus.
+int32 coordinate arrays (every coordinate is below N(c) <= 10^6).  Where
+the HNF (a, b, c) of (c) has c = 1 -- every modulus over Q, and most over
+Q(sqrt D) -- o/(c) is Z/a and a class is one integer i mod a: the table
+keeps i and i^-1 only, 8 bytes a residue, and its products, inversion and
+phase numerators carry no second coordinate.  Where c > 1 it keeps both
+coordinates of x and x^-1, 16 bytes a residue.  Tables are built many
+moduli at a time, those with c = 1 and those with c > 1 apart: the units
+of a group of ideals (fields.unit_mask, the rule the characters use too,
+which also refuses a modulus of norm above fields.MAX_BOX_POINTS) are laid
+end to end, one masked square-and-multiply x -> x^(phi - 1) inverts them
+all, and the result is cut back into one table per ideal.  One modulus is
+the group of one.  The norms in a group sum to at most GROUP_RESIDUES (a
+larger modulus is a group alone), and the tables are kept in a cache keyed
+by ideal and bounded by TABLE_CACHE_RESIDUES = 2^18 residues (units) in
+all, so at most 4 MB; a table of more residues is returned but never
+kept.  The cache is private to this module, whose callers pass queries,
+never tables.  The sweep makes its tables group by group and then one pass
+per modulus: its (c*delta)^{-1} and tau are made once and shared by all
+its pairs.  The gcd (r1) + (r2) of each pair is made once per sweep, and
+its sum with (c) once per modulus.
 """
 
 from __future__ import annotations
@@ -79,8 +87,10 @@ class KloostermanQuery:
 
 
 class _ModulusTable:
-    """Invertible residues mod (c), i-major, and their inverses, as
-    coordinate arrays; made by _build_tables."""
+    """Invertible residues mod (c), i-major, and their inverses, as int32
+    coordinate arrays; made by _build_tables.  Where the HNF of (c) has
+    c = 1, o/(c) is Z/a and every class is an integer i: xj and inv_j are
+    None."""
 
     __slots__ = ("field", "ideal", "xi", "xj", "phi", "inv_i", "inv_j")
 
@@ -93,22 +103,43 @@ class _ModulusTable:
 
     def index_of(self, x: RingElement) -> int:
         xr = self.ideal.reduce(x)
-        hits = np.where((self.xi == xr.x) & (self.xj == xr.y))[0]
+        hit = self.xi == xr.x
+        if self.xj is not None:
+            hit &= self.xj == xr.y
+        hits = np.flatnonzero(hit)
         if len(hits) != 1:
             raise ValueError(f"{x} is not a unit modulo the table ideal")
         return int(hits[0])
 
     def inverse_element(self, x: RingElement) -> RingElement:
         k = self.index_of(x)
-        return RingElement(self.field, int(self.inv_i[k]), int(self.inv_j[k]))
+        j = 0 if self.inv_j is None else int(self.inv_j[k])
+        return RingElement(self.field, int(self.inv_i[k]), j)
 
 
 # residues inverted together: a group of moduli whose norms sum to at most
 # GROUP_RESIDUES (a modulus of larger norm alone) shares one array pass
 GROUP_RESIDUES = 1 << 14
-# the bound of the table cache, which keeps the most recently used tables
-TABLE_CACHE_SIZE = 1024
-_TABLES: OrderedDict[Ideal, _ModulusTable] = OrderedDict()
+# the bound of the table cache in residues (units of o/(c)), at 8 bytes a
+# residue where c = 1 and 16 where c > 1, so at most 4 MB; it keeps the most
+# recently used tables, and a table of more residues is never kept
+TABLE_CACHE_RESIDUES = 1 << 18
+
+
+class _TableCache(OrderedDict):
+    """Tables by ideal, least recently used first, and the residues they
+    hold in all; _tables alone adds and drops tables."""
+
+    def __init__(self):
+        super().__init__()
+        self.residues = 0
+
+    def clear(self):
+        super().clear()
+        self.residues = 0
+
+
+_TABLES = _TableCache()
 
 
 def _groups(ideals):
@@ -129,25 +160,27 @@ def _groups(ideals):
 def _build_tables(ideals) -> list[_ModulusTable]:
     """The tables of integral ideals of one field, from one array pass.
 
-    The units of every ideal (fields.unit_mask, which refuses an oversize
-    ring before any class is made) are laid end to end.  Each residue x
-    carries its ideal's HNF cell (a, b, c) and the exponent e = phi - 1, so
-    x^-1 = x^e comes from one square-and-multiply over all of them, from
-    the top bit of the largest e down: at bit k every power r is squared,
-    and r becomes r*x where e has bit k (r stays 1 through the leading zero
-    bits of a smaller e).  The inverses are checked by x * x^-1 = 1 once,
-    then cut back into one table per ideal.
+    Either every ideal has HNF c = 1 or none has.  The units of every ideal
+    (fields.unit_mask, which refuses an oversize ring before any class is
+    made) are laid end to end.  Each residue x carries its ideal's HNF cell
+    (a, b, c) and the exponent e = phi - 1, so x^-1 = x^e comes from one
+    square-and-multiply over all of them, from the top bit of the largest e
+    down: at bit k every power r is squared, and r becomes r*x where e has
+    bit k (r stays 1 through the leading zero bits of a smaller e).  Where
+    c = 1 a residue is one integer i and a product is i*i' mod a.  The
+    inverses are checked by x * x^-1 = 1 once, then cut back into one int32
+    table per ideal.
     """
     K = ideals[0].field
     t, n = K.t_omega, K.n_omega
+    flat = ideals[0].c == 1
     units = []
     for I in ideals:
+        mask = np.frombuffer(unit_mask(I), np.uint8)
         # the unit mask is in rows by j; its transpose lists units i-major
-        mask = np.frombuffer(unit_mask(I), np.uint8).reshape(I.c, I.a)
-        units.append(np.nonzero(mask.T))
-    phis = [len(xi) for xi, _ in units]
-    xi = np.concatenate([u[0] for u in units])
-    xj = np.concatenate([u[1] for u in units])
+        units.append((np.flatnonzero(mask),) if flat else np.nonzero(mask.reshape(I.c, I.a).T))
+    phis = [len(u[0]) for u in units]
+    x = [np.concatenate(column) for column in zip(*units)]
     # a column the whole group shares stays a scalar (numpy divides by one
     # fastest); cells and exponents are below MAX_BOX_POINTS, so int32
     cells = [(I.a, I.b, I.c, phi - 1) for I, phi in zip(ideals, phis)]
@@ -156,9 +189,15 @@ def _build_tables(ideals) -> list[_ModulusTable]:
         for v in zip(*cells)
     )
 
-    def mul(ui, uj, vi, vj):
-        """Products reduced into each residue's HNF cell; omega^2 = t*omega - n.
-        In place where it can be, so that a group makes few temporaries."""
+    def mul(u, v):
+        """Products reduced into each residue's HNF cell: i*i' mod a where
+        c = 1, else by omega^2 = t*omega - n.  In place where it can be, so
+        that a group makes few temporaries."""
+        if flat:
+            p = u[0] * v[0]
+            np.remainder(p, a, out=p)
+            return [p]
+        (ui, uj), (vi, vj) = u, v
         uvj = uj * vj
         pi = ui * vi
         pi -= n * uvj
@@ -172,47 +211,57 @@ def _build_tables(ideals) -> list[_ModulusTable]:
         np.remainder(pi, a, out=pi)
         k *= c
         pj -= k
-        return pi, pj
+        return [pi, pj]
 
-    ri, rj = np.ones_like(xi) % a, np.zeros_like(xj)
+    r = [np.ones_like(x[0]) % a] + [np.zeros_like(xj) for xj in x[1:]]
     top = int(e.max()).bit_length() - 1
     for k in range(top, -1, -1):
         if k < top:
-            ri, rj = mul(ri, rj, ri, rj)
+            r = mul(r, r)
         take = (e >> k) & 1 == 1
         if take.any():
-            pi, pj = mul(ri, rj, xi, xj)
-            np.copyto(ri, pi, where=take)
-            np.copyto(rj, pj, where=take)
-    ci, cj = mul(xi, xj, ri, rj)
-    if not ((ci == 1 % a).all() and not cj.any()):
+            for rc, pc in zip(r, mul(r, x)):
+                np.copyto(rc, pc, where=take)
+    check = mul(x, r)
+    if not ((check[0] == 1 % a).all() and not any(cj.any() for cj in check[1:])):
         raise RuntimeError("inversion table failed to close")
-    # copies, so that a cached table does not hold its group's arrays
+
+    def cut(columns):
+        """int32 copies, so that a cached table does not hold its group's
+        arrays; None for the j column of a table with c = 1."""
+        return [col.astype(np.int32) for col in columns] + [None] * (2 - len(columns))
+
     ends = np.cumsum(phis).tolist()
     return [
-        _ModulusTable(I, ui, uj, ri[s:f].copy(), rj[s:f].copy())
-        for I, (ui, uj), s, f in zip(ideals, units, [0] + ends, ends)
+        _ModulusTable(I, *cut(u), *cut([col[s:f] for col in r]))
+        for I, u, s, f in zip(ideals, units, [0] + ends, ends)
     ]
 
 
 def _tables(ideals) -> list[_ModulusTable]:
     """The tables of integral ideals of one field, in order.
 
-    The tables not in the cache are built by _build_tables, group by group
-    (_groups), and enter the cache only once every group is built, so a
-    refused ideal leaves the cache as it was.  The cache keeps the
-    TABLE_CACHE_SIZE most recently used tables.
+    The tables not in the cache are built by _build_tables, those with HNF
+    c = 1 and those with c > 1 apart, each group by group (_groups), and
+    enter the cache only once every group is built, so a refused ideal
+    leaves the cache as it was.  The cache keeps the most recently used
+    tables, at most TABLE_CACHE_RESIDUES residues in all.
     """
     tabs = [_TABLES.get(I) for I in ideals]
     missing = dict.fromkeys(I for I, tab in zip(ideals, tabs) if tab is None)
     built = {}
-    for group in _groups(missing):
-        built.update(zip(group, _build_tables(group)))
-    _TABLES.update(built)
+    for flat in (True, False):
+        for group in _groups(I for I in missing if (I.c == 1) == flat):
+            built.update(zip(group, _build_tables(group)))
+    for I, tab in built.items():
+        if tab.phi <= TABLE_CACHE_RESIDUES:
+            _TABLES[I] = tab
+            _TABLES.residues += tab.phi
     for I in ideals:
-        _TABLES.move_to_end(I)
-    while len(_TABLES) > TABLE_CACHE_SIZE:
-        _TABLES.popitem(last=False)
+        if I in _TABLES:
+            _TABLES.move_to_end(I)
+    while _TABLES.residues > TABLE_CACHE_RESIDUES:
+        _TABLES.residues -= _TABLES.popitem(last=False)[1].phi
     return [built[I] if tab is None else tab for I, tab in zip(ideals, tabs)]
 
 
@@ -271,8 +320,14 @@ def _phase_sums(tab: _ModulusTable, pairs) -> list[complex]:
         [np.exp(2j * np.pi * np.arange(den) / np.int64(den)) for den in offsets]
     )
     den, off, n1a, n1b, n2a, n2b = np.array(rows, dtype=np.int64).T[:, :, None]
-    # each product is below N(c)^2 <= 10^12, so one int64 reduction is exact
-    num = (tab.xi * n1a + tab.xj * n1b + tab.inv_i * n2a + tab.inv_j * n2b) % den
+    # each product is below N(c)^2 <= 10^12, so one int64 reduction is exact;
+    # a table with c = 1 has j = 0 throughout, so its j terms are left out
+    num = tab.xi * n1a
+    num += tab.inv_i * n2a
+    if tab.xj is not None:
+        num += tab.xj * n1b
+        num += tab.inv_j * n2b
+    num %= den
     num += off
     return table[num].sum(axis=1).tolist()
 

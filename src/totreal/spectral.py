@@ -362,6 +362,9 @@ def _check_u_nodes(nodes: float, what: str) -> None:
 # are in the module docstring)
 TRANSFORM_CACHE_SIZE = 4096
 _RECORDS: OrderedDict[tuple, dict] = OrderedDict()
+# the geometric side asks for its transforms at most this many t at a time,
+# so that a batch's panels and records do not grow with the box
+GEOMETRIC_BATCH = 4096
 
 
 def bessel_transforms_many(k: KTestGaussian, ts, tail_target: float = 5e-9) -> list[dict]:
@@ -513,13 +516,15 @@ def kuznetsov_geometric_side(
     one term per nonzero modulus c and unit u: N(c), the per-place keys of
     the embeddings of w = u r1 r2 / (gamma c^2) and the Kloosterman query
     S(r1, u r2; c), and keeps the first embedding seen for each key.  Then
-    one bessel_transforms_many call per distinct test function takes the
-    first-seen embeddings of every place that has it, and each place reads
-    its own back by its own keys; ktilde too is computed once per distinct
-    test function.  So an input the transforms refuse fails before any
-    Kloosterman sum.  Then one kloosterman_sums call gives every S, and the
-    total adds S / N(c) times the product of the term's transforms in place
-    order, term after term, as a term-by-term walk would.
+    bessel_transforms_many, per distinct test function, takes the distinct
+    first-seen embeddings of every place that has it, GEOMETRIC_BATCH t a
+    call (each value has the same bits however the t are cut), and each
+    place reads its own back by its own keys; ktilde too is computed once
+    per distinct test function.  So an input the transforms refuse fails
+    before any Kloosterman sum.  Then one kloosterman_sums call gives every
+    S, and the total adds S / N(c) times the product of the term's
+    transforms in place order, term after term, as a term-by-term walk
+    would.
 
     The majorant takes |kcheck(t)| <= A Z^2 min(1, sqrt|t|) with A =
     KERNEL_BOUND_A; tail_target is the tail bound asked of every transform
@@ -568,9 +573,15 @@ def kuznetsov_geometric_side(
             terms.append((nc, keys, KloostermanQuery(r1, ur2, c)))
     kcheck: list[dict] = [{} for _ in range(K.d)]
     for kj, js in places.items():
-        recs = iter(bessel_transforms_many(kj, [t for j in js for t in first[j].values()], tail_target))
+        # conjugate places share most of their t: each distinct t once
+        ts = list(dict.fromkeys(t for j in js for t in first[j].values()))
+        value = {}
+        for s in range(0, len(ts), GEOMETRIC_BATCH):
+            batch = ts[s : s + GEOMETRIC_BATCH]
+            recs = bessel_transforms_many(kj, batch, tail_target)
+            value.update((t, rec["value"]) for t, rec in zip(batch, recs))
         for j in js:
-            kcheck[j] = {key: next(recs)["value"] for key in first[j]}
+            kcheck[j] = {key: value[t] for key, t in first[j].items()}
     total = 0.0 + 0j
     sums = kloosterman_sums([query for _, _, query in terms])
     for (nc, keys, _), S in zip(terms, sums):

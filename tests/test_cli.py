@@ -473,6 +473,28 @@ def test_readme_outputs_match_the_benchmark_reference(monkeypatch):
         assert hashlib.md5(buf.getvalue().encode()).hexdigest() == reference[f"cli.{name}"], name
 
 
+# the stdout md5 of the README's kuz-geom command (box 20, where the
+# benchmark runs box 6), as printed before the Kloosterman residue tables
+# kept one coordinate where o/(c) is Z/a
+README_KUZ_GEOM_MD5 = "5488f70ee37dbe807d6afbb2087a5e6d"
+
+
+def test_readme_kuz_geom_output_pinned():
+    # its quadratic-field moduli take both table layouts, HNF c = 1 and c > 1
+    import contextlib
+    import hashlib
+    import io
+
+    from totreal import cli
+
+    command, _ = README_IMPORTS["spectral_kuz_geom"]
+    assert command.endswith("--box 20")
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        assert cli.main(command.split()) == 0
+    assert hashlib.md5(buf.getvalue().encode()).hexdigest() == README_KUZ_GEOM_MD5
+
+
 def test_exact_layers_import_without_numpy():
     # characters, Eisenstein data, EigenvalueSystem and the shifted sums sit
     # on exact arithmetic; numpy comes in only with a function that

@@ -378,8 +378,12 @@ def test_ideal_counts_by_norm(D):
     # the number of ideals of norm n is sum_{d | n} (disc/d), and 1 over Q
     K = make_field(D)
     counts = {}
-    for I in ideals_of_norm_up_to(K, 2000):
+    listed = ideals_of_norm_up_to(K, 2000)
+    for I in listed:
         counts[I.norm()] = counts.get(I.norm(), 0) + 1
+    if D == 1:
+        # over Q, (1), ..., (2000) in order, each as its generator makes it
+        assert listed == [K.ideal(n) for n in range(1, 2001)]
     chi = [0] + [_kronecker(K.disc, d) for d in range(1, 2001)]
     for n in range(1, 2001):
         expect = 1 if D == 1 else sum(chi[d] for d in range(1, n + 1) if n % d == 0)

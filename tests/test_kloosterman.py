@@ -20,7 +20,7 @@ from totreal.fields import (
     unit_mask,
 )
 from totreal.kloosterman import (
-    TABLE_CACHE_SIZE,
+    TABLE_CACHE_RESIDUES,
     KloostermanQuery,
     _TABLES,
     _groups,
@@ -178,6 +178,11 @@ def test_no_queries():
     assert kloosterman_sums([]) == []
 
 
+def _held():
+    """The residues the table cache holds."""
+    return sum(tab.phi for tab in _TABLES.values())
+
+
 def test_table_cache_bounded_and_checks_bound():
     # a modulus of norm above the ring limit is refused by unit_mask before
     # any class is made, and no table is cached for it
@@ -189,19 +194,54 @@ def test_table_cache_bounded_and_checks_bound():
     with pytest.raises(ValueError, match="above the limit of 1000000"):
         kloosterman_sum_crt(q, c, Q.element(1))
     assert list(_TABLES) == held
-    # one batch of more tables than the cache holds
-    ideals = [Q.ideal(n) for n in range(2, TABLE_CACHE_SIZE + 40)]
+    # the budget holds every table of a sweep to norm 400 over Q and
+    # Q(sqrt 5), so that a second sweep builds none
+    sweep = [I for K in (Q, K5) for I in ideals_of_norm_up_to(K, 400) if I.norm() > 1]
+    assert sum(arith_functions(I)[1] for I in sweep) <= TABLE_CACHE_RESIDUES
+    # one batch of more residues than the cache holds
+    ideals = [Q.ideal(n) for n in range(2, 1000)]
+    assert sum(arith_functions(I)[1] for I in ideals) > TABLE_CACHE_RESIDUES
     assert [tab.ideal for tab in _tables(ideals)] == ideals
-    assert len(_TABLES) <= TABLE_CACHE_SIZE
+    assert _held() <= TABLE_CACHE_RESIDUES
     # and one batch of queries over more moduli than that, reversed so that
     # every table is built again
     _TABLES.clear()
-    qs = [KloostermanQuery(Q.one(), Q.element(2), Q.element(n))
-          for n in reversed(range(2, TABLE_CACHE_SIZE + 40))]
+    qs = [KloostermanQuery(Q.one(), Q.element(2), Q.element(n)) for n in reversed(range(2, 1000))]
     sums = kloosterman_sums(qs)
-    assert len(_TABLES) <= TABLE_CACHE_SIZE
+    assert _held() <= TABLE_CACHE_RESIDUES
     assert sums == [kloosterman_sum(q) for q in qs]
     assert sums[-40] == pytest.approx(classical_S(1, 2, 41), abs=1e-12)
+
+
+def test_table_cache_keeps_the_most_recent_tables():
+    # a batch over more residues than the budget keeps the longest tail of
+    # the batch that fits, in batch order
+    _TABLES.clear()
+    ideals = [Q.ideal(n) for n in range(2, 1000)]
+    _tables(ideals)
+    kept, size = [], 0
+    for I in reversed(ideals):
+        size += arith_functions(I)[1]
+        if size > TABLE_CACHE_RESIDUES:
+            break
+        kept.insert(0, I)
+    assert list(_TABLES) == kept and _TABLES.residues == _held() <= TABLE_CACHE_RESIDUES
+    # a table of more residues than the budget is returned but not kept, and
+    # the tables already held stay
+    big = Q.ideal(262147)  # prime, phi = 262146 > 2^18
+    assert arith_functions(big)[1] > TABLE_CACHE_RESIDUES
+    (tab,) = _tables([big])
+    assert tab.ideal == big and tab.phi == 262146
+    assert list(_TABLES) == kept and _TABLES.residues == _held()
+    assert tab.inverse_element(Q.element(2)) == Q.element(pow(2, -1, 262147))
+
+
+def _columns(tab):
+    """xi, xj, inv_i, inv_j of a table as int64 arrays, with j = 0 where the
+    table keeps no j column (HNF c = 1, o/(c) = Z/a)."""
+    zero = np.zeros(tab.phi, np.int64)
+    return [zero if col is None else col.astype(np.int64)
+            for col in (tab.xi, tab.xj, tab.inv_i, tab.inv_j)]
 
 
 def _mask_units(c):
@@ -285,7 +325,7 @@ def test_unit_rule_against_gcd(c):
             assert group.index(x) == j * c.a + i
             assert (group.dlogs[group.index(x)] is not None) == ((i, j) in units)
     (tab,) = _tables([c])
-    assert list(zip(tab.xi.tolist(), tab.xj.tolist())) == by_i
+    assert list(zip(*(col.tolist() for col in _columns(tab)[:2]))) == by_i
 
 
 def test_batched_inverses_multiply_back():
@@ -298,10 +338,35 @@ def test_batched_inverses_multiply_back():
         _TABLES.clear()
         for c, tab in zip(ideals, _tables(ideals), strict=True):
             assert tab.ideal == c and tab.phi == arith_functions(c)[1]
-            for xi, xj, yi, yj in zip(tab.xi.tolist(), tab.xj.tolist(),
-                                      tab.inv_i.tolist(), tab.inv_j.tolist()):
+            for xi, xj, yi, yj in zip(*(col.tolist() for col in _columns(tab))):
                 x, inv = K.element(xi, xj), K.element(yi, yj)
                 assert c.reduce(inv) == inv and c.reduce(x * inv) == K.one(), (c, x)
+
+
+def test_mixed_batch_tables_against_unit_mask_and_products():
+    # one shuffled batch of moduli with HNF c = 1 and c > 1: the units are
+    # unit_mask's, i-major; each unit times its inverse is 1 by RingElement
+    # products reduced by Ideal.reduce; a table with c = 1 keeps one int32
+    # column; the tables come back in the batch's order
+    rng = random.Random(29)
+    for K in PROP_FIELDS.values():
+        batch = [c for c in ideals_of_norm_up_to(K, 300) if c.norm() > 1]
+        rng.shuffle(batch)
+        if K.d == 2:
+            assert {c.c == 1 for c in batch} == {True, False}
+        _TABLES.clear()
+        tabs = _tables(batch)
+        assert [tab.ideal for tab in tabs] == batch
+        for c, tab in zip(batch, tabs, strict=True):
+            mask = unit_mask(c)
+            units = sorted((k % c.a, k // c.a) for k, m in enumerate(mask) if m)
+            assert (tab.xj is None and tab.inv_j is None) == (c.c == 1), c
+            for col in (tab.xi, tab.xj, tab.inv_i, tab.inv_j):
+                assert col is None or col.dtype == np.int32
+            xi, xj, yi, yj = (col.tolist() for col in _columns(tab))
+            assert list(zip(xi, xj)) == units, c
+            for x, inv in zip(zip(xi, xj), zip(yi, yj)):
+                assert c.reduce(K.element(*x) * K.element(*inv)) == K.one(), (c, x)
 
 
 def test_batched_tables_equal_tables_built_alone():
@@ -319,7 +384,8 @@ def test_batched_tables_equal_tables_built_alone():
             (alone,) = _tables([c])
             assert alone is not tab
             for name in ("xi", "xj", "inv_i", "inv_j"):
-                assert np.array_equal(getattr(tab, name), getattr(alone, name)), (c, name)
+                col, ref = getattr(tab, name), getattr(alone, name)
+                assert (col is ref is None) or np.array_equal(col, ref), (c, name)
 
 
 def test_oversize_modulus_in_a_batch_caches_nothing():
@@ -483,7 +549,8 @@ def _definition_sums(q: KloostermanQuery, tab):
     traces = [Fraction((v * u).trace()) for v in (q.r1 * w, q.r2 * w) for u in (K.one(), omega)]
     den = math.lcm(*(f.denominator for f in traces))
     n1a, n1b, n2a, n2b = (int(f * den) % den for f in traces)
-    num = (tab.xi * n1a + tab.xj * n1b + tab.inv_i * n2a + tab.inv_j * n2b) % den
+    xi, xj, inv_i, inv_j = _columns(tab)
+    num = (xi * n1a + xj * n1b + inv_i * n2a + inv_j * n2b) % den
     return np.exp(2j * np.pi * num / den).sum(), den
 
 
