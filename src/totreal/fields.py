@@ -25,7 +25,9 @@ walked from an ideal's HNF it gives a generator of the ideal.
 
 Ideals are listed in one place, ideals_of_norm_up_to, one product of prime
 ideals per ideal under a norm bound of at most MAX_BOX_POINTS; a
-factorisation is read off the HNF (factor_ideal).
+factorisation is read off the HNF (factor_ideal).  The HNF of a principal
+ideal (x) is written down in closed form (Ideal.principal); the lattice
+reduction _hnf_from_vectors serves generator lists, products and sums.
 
 The units of o/c are decided in one place, unit_mask: a bytearray over the
 classes i + j*omega, class i + j*omega at index j*c.a + i, with one strided
@@ -299,7 +301,9 @@ class RingElement:
         return (_sqrt_sign(P, R, D), _sqrt_sign(P, -R, D))
 
     def is_totally_positive(self) -> bool:
-        return all(s > 0 for s in self.sgn())
+        # P +- R sqrt(D) > 0 both exactly when P > |R| sqrt(D)
+        P, R, _ = self._sqrt_form()
+        return P > 0 and P * P > R * R * self.field.D
 
     def is_integral(self) -> bool:
         return self.den == 1
@@ -449,9 +453,23 @@ class Ideal:
 
     @staticmethod
     def principal(x: RingElement) -> "Ideal":
+        """The ideal (x), its HNF in closed form, with no lattice reduction:
+        (v)/den for v = x*den = g*(x' + y'*omega), g the gcd of the
+        coordinates.  (x' + y'*omega) is divisible by no rational integer
+        > 1, so its HNF has c = 1 and a = |N(x' + y'*omega)|, and
+        omega = -b mod the ideal puts b = x'/y' mod a (one pow; y' is a unit
+        mod a, since p | a and p | y' would give p | x'^2).  from_hnf
+        normalises; from_generators stays for lists of generators."""
         if x.is_zero():
             raise ValueError("zero ideal")
-        return Ideal.from_generators(x.field, [x])
+        K = x.field
+        if K.d == 1:
+            return Ideal.from_hnf(K, abs(x.x), 0, 1, x.den)
+        g = math.gcd(x.x, x.y)
+        xp, yp = x.x // g, x.y // g
+        a = abs(xp * xp + K.t_omega * xp * yp + K.n_omega * yp * yp)
+        b = xp * pow(yp, -1, a) % a
+        return Ideal.from_hnf(K, g * a, g * b, g, x.den)
 
     def norm(self) -> Rat:
         """The norm; an int when the ideal is integral."""
@@ -540,6 +558,8 @@ class Ideal:
 
     def inverse(self) -> "Ideal":
         K = self.field
+        if self.a == self.c == self.den == 1:
+            return self
         if K.d == 1:
             return Ideal.from_hnf(K, self.den, 0, 1, self.a)
         # I * conj(I) = (N I) in a quadratic field, so
@@ -813,7 +833,11 @@ def divisors(I: Ideal) -> list[Ideal]:
     return out
 
 
-def enumerate_in_box(I: Ideal, box: Sequence[tuple[Rat, Rat]]) -> list[RingElement]:
+def enumerate_in_box(
+    I: Ideal,
+    box: Sequence[tuple[Rat, Rat]],
+    trace_cap: Optional[tuple[RingElement, Rat]] = None,
+) -> list[RingElement]:
     """All elements of the ideal lattice whose embedding vector lies in box.
 
     Box bounds are rationals (or floats, taken at their exact binary
@@ -822,8 +846,15 @@ def enumerate_in_box(I: Ideal, box: Sequence[tuple[Rat, Rat]]) -> list[RingEleme
     (P + R*sqrt(D))/M, so no boundary element is lost or gained.  Output
     in lexicographic order of (a, b) coordinates.
 
+    trace_cap = (l, T), l totally positive, keeps only the x with
+    trace(l*x) <= T: trace(l*x) grows with the row coordinate m at a
+    positive rate, so each row stops at an exact integer floor and no point
+    past the cap is made.  The points kept and their order are those of the
+    box filtered by the cap.
+
     A box whose volume over the covolume N(I)*sqrt(disc) of I exceeds
-    MAX_BOX_POINTS is refused with ValueError before any point is made.
+    MAX_BOX_POINTS is refused with ValueError before any point is made; a
+    cap does not change that count.
     """
     K = I.field
     if len(box) != K.d:
@@ -847,11 +878,24 @@ def enumerate_in_box(I: Ideal, box: Sequence[tuple[Rat, Rat]]) -> list[RingEleme
             f" (volume over covolume), above the limit of {MAX_BOX_POINTS}"
         )
     a, b, c, den = I.a, I.b, I.c, I.den
+    # the row cap m <= (cap0 - n*cap_step) // cap_den, from
+    # trace(l*(m*a + n*(b + c*omega))/den) = m*T1 + n*T2 <= T with T1 > 0
+    cap0 = cap_step = cap_den = None
+    if trace_cap is not None:
+        l, T = trace_cap
+        if not l.is_totally_positive():
+            raise ValueError("a trace cap needs a totally positive l")
+        p1, q1 = _ratio((l * RingElement(K, a, 0, den)).trace())
+        p2, q2 = _ratio((l * RingElement(K, b, c, den)).trace()) if K.d == 2 else (0, 1)
+        tn, td = _ratio(T)
+        cap0, cap_step, cap_den = tn * q2 * q1, p2 * td * q1, td * q2 * p1
     if K.d == 1:
         # k*a/den in [lo, hi]
         (ln, ld), (hn, hd) = bounds[0]
         k0 = -((-ln * den) // (ld * a))
         k1 = (hn * den) // (hd * a)
+        if cap0 is not None:
+            k1 = min(k1, cap0 // cap_den)
         return [RingElement(K, k * a, 0, den) for k in range(k0, k1 + 1)]
     # the element (m*a + n*b + n*c*omega)/den has sigma_j = (P + m*A +- R*sqrt D)/M
     # with M = 2*den, A = 2*a, P = 2*n*b + t*n*c, R = s*n*c (see _sqrt_form)
@@ -876,6 +920,8 @@ def enumerate_in_box(I: Ideal, box: Sequence[tuple[Rat, Rat]]) -> list[RingEleme
             _floor_sqrt(h1n * M - h1d * P, -h1d * R, D, h1d * A),
             _floor_sqrt(h2n * M - h2d * P, h2d * R, D, h2d * A),
         )
+        if cap0 is not None:
+            m_hi = min(m_hi, (cap0 - n * cap_step) // cap_den)
         for m in range(m_lo, m_hi + 1):
             pts.append((m * a + n * b, n * c))
     # all points share den, so (a, b) order is the order of the numerators

@@ -4,7 +4,13 @@ region, the unit fundamental domain, and the amplified second-moment
 
 Both shifted sums walk y once (_walk: one enumerate_in_box call over a box
 pushed outward past its float rounding) and decide exactly which points
-count: shifted_sum by its weights, dirichlet_D by the exact trace.
+count: shifted_sum by its weights, dirichlet_D by the exact trace, at which
+enumerate_in_box stops each lattice row (trace_cap), so the walk covers the
+simplex trace(l1 r1) <= 4H and not its bounding box.  The walk makes
+u = l1 r1 and w = u - q = l2 r2 once per point; both sums read the
+embeddings, the trace and the norm N(u)N(w) from them, and the ideals
+(r1) and (r2) come from Ideal.principal in closed form, with no lattice HNF
+per point.
 
 Only left-hand sides are assembled here: the spectral right-hand sides
 would require the full cuspidal spectrum, which is not computable in this
@@ -24,7 +30,6 @@ from .fields import (
     FieldDesc,
     Ideal,
     RingElement,
-    arith_functions,
     enumerate_in_box,
     factor_ideal,
     ideals_of_norm_up_to,
@@ -101,23 +106,34 @@ class ShiftedQuery:
             raise ValueError(f"Y must be finite and > 0 at every place, got {self.Y}")
 
 
-def _walk(l1, l2, y, q, bounds, totally_positive=False):
-    """(r1, r2) with r1, r2 nonzero in y, l1 r1 - l2 r2 = q and r2 totally
-    positive if asked, for every r1 of y with sigma_j(l1 r1) in bounds[j], in
-    the (a, b) order of one enumerate_in_box call.  The r1 box is pushed out
-    by 2^-30 of its size, far above the error of its float quotient by
-    sigma_j(l1) > 0, so some r1 just outside come too: callers decide exactly."""
+def _walk(l1, l2, y, q, bounds, totally_positive=False, trace_cap=None):
+    """(r1, r2, u, w) with r1, r2 nonzero in y, u = l1 r1, w = u - q = l2 r2
+    and r2 totally positive if asked, for every r1 of y with sigma_j(l1 r1)
+    in bounds[j] (and trace(l1 r1) <= trace_cap if given, decided exactly),
+    in the (a, b) order of one enumerate_in_box call.  l1 and l2 are
+    totally positive, so r2 is in y exactly when w is in l2*y, and totally
+    positive exactly when w is: r2 is made only for the points yielded.
+    The r1 box is pushed out by 2^-30 of its size, far above the error of
+    its float quotient by sigma_j(l1) > 0, so some r1 just outside come
+    too: callers decide exactly."""
     box = []
     for (lo, hi), e in zip(bounds, l1.embeddings()):
         lo, hi = lo / e, hi / e
         box.append((lo - abs(lo) * 2**-30, hi + abs(hi) * 2**-30))
-    l2_inv = l2.inverse()
-    for r1 in enumerate_in_box(y, box):
-        r2 = (l1 * r1 - q) * l2_inv
-        if r1.is_zero() or r2.is_zero() or not y.contains(r2):
+    cap = None if trace_cap is None else (l1, trace_cap)
+    l2y, l2_inv, minus_q = y * l2, l2.inverse(), -q
+    # a shift 1, the CLI's, costs no product
+    one = l1.field.one()
+    scale1, scale2 = l1 != one, l2 != one
+    for r1 in enumerate_in_box(y, box, trace_cap=cap):
+        if r1.is_zero():
             continue
-        if not totally_positive or r2.is_totally_positive():
-            yield r1, r2
+        u = l1 * r1 if scale1 else r1
+        w = u + minus_q
+        if w.is_zero() or not l2y.contains(w):
+            continue
+        if not totally_positive or w.is_totally_positive():
+            yield r1, w * l2_inv if scale2 else w, u, w
 
 
 def shifted_sum(query: ShiftedQuery) -> complex:
@@ -125,17 +141,17 @@ def shifted_sum(query: ShiftedQuery) -> complex:
     lambda1(r1 y^-1) conj(lambda2(r2 y^-1)) / sqrt(N(r1 r2 y^-2))
     * W1(l1 r1 / Y) conj(W2(l2 r2 / Y)); the weights decide which r1 of the
     walk over the support of W1 count."""
-    y, l1, l2, Y = query.y, query.l1, query.l2, query.Y
+    y, Y = query.y, query.Y
     if not y.contains(query.q):
         return 0.0  # the summation condition is unsatisfiable
     y_inv = y.inverse()
     bounds = [(a * Yj, b * Yj) for (a, b), Yj in zip(query.W1.support, Y)]
     out = 0.0 + 0j
-    for r1, r2 in _walk(l1, l2, y, query.q, bounds):
-        w1 = query.W1([e / Yj for e, Yj in zip((l1 * r1).embeddings(), Y)])
+    for r1, r2, u, w in _walk(query.l1, query.l2, y, query.q, bounds):
+        w1 = query.W1([e / Yj for e, Yj in zip(u.embeddings(), Y)])
         if w1 == 0.0:
             continue
-        w2 = query.W2([e / Yj for e, Yj in zip((l2 * r2).embeddings(), Y)])
+        w2 = query.W2([e / Yj for e, Yj in zip(w.embeddings(), Y)])
         if w2 == 0.0:
             continue
         I1 = Ideal.principal(r1) * y_inv
@@ -198,6 +214,8 @@ def dirichlet_D(
     d = l1.field.d
     if len(s) != d:
         raise ValueError("s must have one entry per place")
+    if not all(map(cmath.isfinite, s)):
+        raise ValueError(f"s must be finite at every place, got {list(s)}")
     if any(z.real <= 1 for z in s):
         raise ValueError("evaluation requires Re s_j > 1 (absolute convergence)")
     if beta % 2:
@@ -210,22 +228,22 @@ def dirichlet_D(
     if not (math.isfinite(trace_height) and trace_height > 0):
         raise ValueError(f"trace height must be finite and > 0, got {trace_height}")
     H = trace_height
-    # one walk over trace(l1 r1) <= 4H, decided on the exact trace: the value
-    # sums trace <= H; the tail bounds the shells [H, 2H] and [2H, 4H] by
-    # |lambda| <= tau N^theta and extrapolates with the observed shell decay
+    # one walk over the simplex trace(l1 r1) <= 4H, each row cut at the
+    # exact trace: the value sums trace <= H; the tail bounds the shells
+    # [H, 2H] and [2H, 4H] by |lambda| <= tau N^theta and extrapolates with
+    # the observed shell decay
     y_inv = y.inverse()
     total = 0.0 + 0j
     shell1 = shell2 = 0.0
     try:
-        for r1, r2 in _walk(l1, l2, y, q, [(0, 4 * H)] * d, totally_positive=True):
-            tr = (l1 * r1).trace()
-            if tr > 4 * H:
-                continue
+        walk = _walk(l1, l2, y, q, [(0, 4 * H)] * d, totally_positive=True, trace_cap=4 * H)
+        for r1, r2, u, w in walk:
+            tr = u.trace()
             I1 = Ideal.principal(r1) * y_inv
             I2 = Ideal.principal(r2) * y_inv
-            x = (l1 * r1).embeddings()
-            z = (l2 * r2).embeddings()
-            nprod = abs(float((l1 * r1 * l2 * r2).norm()))
+            x = u.embeddings()
+            z = w.embeddings()
+            nprod = abs(float(u.norm() * w.norm()))
             if tr <= H:
                 out = sys1.lambda_value(I1) * sys2.lambda_value(I2).conjugate()
                 out *= nprod ** ((beta - 1) / 2)
@@ -233,8 +251,8 @@ def dirichlet_D(
                     out /= (x[j] + z[j]) ** (s[j] + beta - 1)
                 total += out
             if tr >= H:
-                t1 = arith_functions(I1)[2] * float(I1.norm()) ** sys1.theta
-                t2 = arith_functions(I2)[2] * float(I2.norm()) ** sys2.theta
+                t1 = _tau(I1) * float(I1.norm()) ** sys1.theta
+                t2 = _tau(I2) * float(I2.norm()) ** sys2.theta
                 out = t1 * t2 * nprod ** ((beta - 1) / 2)
                 for j in range(d):
                     out /= (x[j] + z[j]) ** (s[j].real + beta - 1)
@@ -250,6 +268,14 @@ def dirichlet_D(
         raise ValueError(f"beta = {beta} takes the terms of the series out of the float range")
     return {"value": total, "tail_bound": tail, "trace_height": trace_height,
             "beta_warning": warn}
+
+
+def _tau(I: Ideal) -> int:
+    """The number of integral divisors of an integral ideal."""
+    tau = 1
+    for _, e in factor_ideal(I):
+        tau *= e + 1
+    return tau
 
 
 # ---------------------------------------------------------------------------

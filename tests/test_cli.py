@@ -257,6 +257,10 @@ def test_bad_spectral_inputs_refused(args, message):
     (("kloosterman", "eval", "--r1", "1/2", "--r2", "1", "--c", "5"), "r1 and r2 must be integral"),
     (("--field", "5", "spectral", "kuz-geom", "--r1", "1", "--r2", "1/3", "--level", "1",
       "--box", "4"), "r1 and r2 must be integral"),
+    (("--field", "5", "shifted", "dirichlet", "--q", "1", "--s", "inf", "--height", "10"),
+     "s must be finite at every place"),
+    (("--field", "5", "shifted", "dirichlet", "--q", "1", "--s", "nan", "--height", "10"),
+     "s must be finite at every place"),
 ])
 def test_bad_sizes_refused(args, message):
     # sizes that are not finite, or zero where they divide: exit 2 with a

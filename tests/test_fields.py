@@ -760,3 +760,53 @@ def test_factor_ideal_cache_is_bounded_and_keeps_no_refusal():
         with pytest.raises(ValueError, match="ideal of norm 16000000, above the limit"):
             factor_ideal(K5.ideal(4000))
     assert factor_ideal.cache_info().currsize == size
+
+
+@pytest.mark.parametrize("D", [1, 2, 3, 5, 13, 21, 94, 1381, 10])
+def test_principal_closed_form_against_generators(D):
+    # the closed-form HNF of (r) against the lattice HNF of its generators,
+    # and by another route: (r) contains r and r*omega and has norm |N(r)|,
+    # so it is the one ideal of that norm between (r) and o_K r
+    K = make_field(D, allow_class_number=True)
+    rng = random.Random(D)
+    dens = (1, 1, 2, 3, 6, 35)
+    elems = [K.element(n) for n in (1, -1, 2, -7, 12, 10**12 + 39)]
+    elems += [K.eps, -K.eps, K.eps.inverse(), K.eps * K.eps]
+    for _ in range(150):
+        B = rng.choice([4, 60, 10**9])
+        x, y = rng.randint(-B, B), rng.randint(-B, B) if K.d == 2 else 0
+        if x or y:
+            elems.append(K.element(Fraction(x, rng.choice(dens)), Fraction(y, rng.choice(dens))))
+    for r in elems:
+        I = Ideal.principal(r)
+        assert I == Ideal.from_generators(K, [r]), r
+        assert I.contains(r) and (K.d == 1 or I.contains(r * K.omega()))
+        assert I.norm() == abs(r.norm())
+    assert Ideal.principal(K.one()) == K.unit_ideal()
+    assert Ideal.principal(K.eps) == K.unit_ideal()
+
+
+@pytest.mark.parametrize("D", [1, 5, 13, 10])
+def test_enumerate_trace_cap_is_the_filtered_box(D):
+    # each row stops at trace(l*x) = T by an exact floor: the points and
+    # their order are those of the box with the trace filter, T on the
+    # boundary included
+    K = make_field(D, allow_class_number=True)
+    rng = random.Random(D + 1)
+    ls = [K.one(), K.element(3)] + ([K.element(4, 1), K.eps * K.eps] if K.d == 2 else [])
+    ideals = [K.unit_ideal(), K.ideal(2), Ideal.principal(K.element(Fraction(1, 3)))]
+    if K.d == 2:
+        ideals.append(K.primes_above(3)[0].ideal)
+    for l in ls:
+        assert l.is_totally_positive()
+        for I in ideals:
+            for _ in range(4):
+                box = [(rng.uniform(-3, 1), rng.uniform(4, 20)) for _ in range(K.d)]
+                pts = enumerate_in_box(I, box)
+                traces = sorted({(l * x).trace() for x in pts})
+                caps = [rng.uniform(-5, 60), 7.25] + traces[len(traces) // 2:][:1]
+                for T in caps:
+                    kept = enumerate_in_box(I, box, trace_cap=(l, T))
+                    assert kept == [x for x in pts if (l * x).trace() <= T]
+    with pytest.raises(ValueError, match="totally positive"):
+        enumerate_in_box(K.unit_ideal(), [(0, 5)] * K.d, trace_cap=(-K.one(), 3))

@@ -8,7 +8,8 @@ import random
 import pytest
 
 from totreal.characters import HeckeCharacter, characters_mod, unramified_character
-from totreal.fields import Ideal, arith_functions, make_field
+import totreal.fields as fields_module
+from totreal.fields import Ideal, arith_functions, enumerate_in_box, make_field
 from totreal.shifted import (
     SIDE_A_BLOCK,
     ProductWeight,
@@ -293,6 +294,113 @@ def test_dirichlet_refuses_beta_out_of_float_range(K, beta):
     with pytest.raises(ValueError, match=f"beta = {beta} "):
         dirichlet_D(dv, dv, K.one(), K.one(), K.unit_ideal(), K.one(), [1.5] * K.d, beta,
                     trace_height=20.0)
+
+
+@pytest.mark.parametrize("K,s", [(Q, [math.inf]), (Q, [math.nan]), (K5, [1.5, -math.inf]),
+                                 (K5, [complex(1.5, math.nan), 2.0])])
+def test_dirichlet_refuses_s_not_finite(K, s):
+    # an infinite s made every term 0 and a tail bound 0.0; a nan one was
+    # blamed on beta
+    dv = divisor_system(K)
+    with pytest.raises(ValueError, match="s must be finite at every place"):
+        dirichlet_D(dv, dv, K.one(), K.one(), K.unit_ideal(), K.one(), s, 2, trace_height=10.0)
+
+
+def _dirichlet_box_walk(sys1, sys2, l1, l2, y, q, s, beta, H):
+    """(value, tail_bound) of dirichlet_D by the route it took before its
+    rows stopped at the trace: the whole box [0, 4H/sigma_j(l1)] pushed out
+    by 2^-30, each point kept by its exact trace, the ideals (r) from the
+    lattice HNF of their generator and tau from arith_functions."""
+    K = l1.field
+    box = []
+    for e in l1.embeddings():
+        lo, hi = 0 / e, 4 * H / e
+        box.append((lo - abs(lo) * 2**-30, hi + abs(hi) * 2**-30))
+    y_inv, l2_inv = y.inverse(), l2.inverse()
+    total = 0.0 + 0j
+    shell1 = shell2 = 0.0
+    for r1 in enumerate_in_box(y, box):
+        r2 = (l1 * r1 - q) * l2_inv
+        if r1.is_zero() or r2.is_zero() or not y.contains(r2) or not r2.is_totally_positive():
+            continue
+        tr = (l1 * r1).trace()
+        if tr > 4 * H:
+            continue
+        I1 = Ideal.from_generators(K, [r1]) * y_inv
+        I2 = Ideal.from_generators(K, [r2]) * y_inv
+        x, z = (l1 * r1).embeddings(), (l2 * r2).embeddings()
+        nprod = abs(float((l1 * r1 * l2 * r2).norm()))
+        if tr <= H:
+            out = sys1.lambda_value(I1) * sys2.lambda_value(I2).conjugate()
+            out *= nprod ** ((beta - 1) / 2)
+            for j in range(K.d):
+                out /= (x[j] + z[j]) ** (s[j] + beta - 1)
+            total += out
+        if tr >= H:
+            t1 = arith_functions(I1)[2] * float(I1.norm()) ** sys1.theta
+            t2 = arith_functions(I2)[2] * float(I2.norm()) ** sys2.theta
+            out = t1 * t2 * nprod ** ((beta - 1) / 2)
+            for j in range(K.d):
+                out /= (x[j] + z[j]) ** (s[j].real + beta - 1)
+            if tr <= 2 * H:
+                shell1 += out
+            if tr >= 2 * H:
+                shell2 += out
+    ratio = 0.75 if shell1 == 0 else min(0.75, shell2 / shell1)
+    return total, (shell1 if shell1 else shell2) / (1 - ratio)
+
+
+def _simplex_cases():
+    """(K, l1, l2, y, q, heights): shifts other than 1 and y other than o,
+    over Q, Q(sqrt 5), Q(sqrt 13) and Q(sqrt 10) (class number 2, y not
+    principal)."""
+    K13, K10 = make_field(13), make_field(10, allow_class_number=True)
+    return [
+        (Q, Q.element(3), Q.element(2), Q.ideal(2), Q.element(2), (7.0, 12.5, 40.0, 101.3)),
+        (K5, K5.element(1, 1), K5.element(2), K5.ideal(K5.element(3, 1)), K5.element(3, 1),
+         (8.0, 20.0, 31.7, 45.0)),
+        (K13, K13.element(2), K13.element(3, 1), K13.primes_above(3)[0].ideal, K13.element(3),
+         (20.0, 45.0, 70.0)),
+        (K10, K10.element(4, 1), K10.element(2), K10.ideal(2, K10.sqrtD()), K10.element(2),
+         (5.0, 12.0, 22.5)),
+    ]
+
+
+@pytest.mark.parametrize("case", range(4), ids=["Q", "K5", "K13", "K10"])
+def test_dirichlet_simplex_walk_against_box_walk(case):
+    K, l1, l2, y, q, heights = _simplex_cases()[case]
+    assert y != K.unit_ideal() and l1 != K.one() and l2 != K.one()
+    sys1, sys2 = divisor_system(K), EigenvalueSystem(K, seed=5)
+    s = [1.5 + 0.5j, 2.0][: K.d]
+    nonzero = 0
+    for H in heights:
+        rec = dirichlet_D(sys1, sys2, l1, l2, y, q, s, 2, trace_height=H)
+        value, tail = _dirichlet_box_walk(sys1, sys2, l1, l2, y, q, s, 2, H)
+        assert repr(rec["value"]) == repr(value), H
+        assert repr(rec["tail_bound"]) == repr(tail), H
+        nonzero += value != 0
+    assert nonzero >= 2
+
+
+def test_shifted_sums_build_no_lattice_hnf(monkeypatch):
+    # over Q(sqrt 5) with y = o, the ideals (r1) and (r2) of every point come
+    # in closed form: a lattice HNF per point would show as calls here
+    dv = divisor_system(K5)
+    W = ProductWeight([SmoothBump(0.3, 2.2), SmoothBump(0.25, 2.4)])
+    query = ShiftedQuery(dv, dv, K5.one(), K5.one(), K5.unit_ideal(), K5.one(), (8.0, 7.0), W, W)
+
+    def both():
+        return (dirichlet_D(dv, dv, K5.one(), K5.one(), K5.unit_ideal(), K5.one(), [1.5, 1.5], 2,
+                            trace_height=20.0), shifted_sum(query))
+
+    first = both()  # each new prime's ideal is made once, by its generators
+    calls = []
+    real = fields_module._hnf_from_vectors
+    monkeypatch.setattr(fields_module, "_hnf_from_vectors",
+                        lambda vecs: calls.append(vecs) or real(vecs))
+    assert both() == first
+    assert abs(first[1]) > 0.1
+    assert calls == []
 
 
 def test_fd_reduce():
