@@ -281,16 +281,6 @@ class FiniteCharacter:
             tuple((-t) % n for t, n in zip(self.exponents, self.structure.orders)),
         )
 
-    def mul(self, other: "FiniteCharacter") -> "FiniteCharacter":
-        assert self.modulus == other.modulus
-        return FiniteCharacter(
-            self.structure,
-            tuple(
-                (a + b) % n
-                for a, b, n in zip(self.exponents, other.exponents, self.structure.orders)
-            ),
-        )
-
     def conductor(self) -> Ideal:
         """Smallest divisor q' of q with the character trivial on the kernel
         of reduction (o/q)^x -> (o/q')^x; computed once per character.
@@ -439,14 +429,6 @@ class HeckeCharacter:
                 return 0.0
             val *= fv
         return val
-
-    def square(self) -> "HeckeCharacter":
-        fin = None
-        if self.finite is not None:
-            fin = self.finite.mul(self.finite)
-        return HeckeCharacter(
-            self.field, fin, [2 * x for x in self.t], (0,) * self.field.d, check=False
-        )
 
     def inverse(self) -> "HeckeCharacter":
         fin = self.finite.inverse() if self.finite is not None else None

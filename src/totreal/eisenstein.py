@@ -24,7 +24,6 @@ from typing import Optional
 from .characters import HeckeCharacter
 from .fields import (
     MAX_FACTOR_NORM,
-    FieldDesc,
     Ideal,
     PrimeIdeal,
     arith_functions,
@@ -365,101 +364,3 @@ def constant_term_H_numeric(c: Ideal, delta: float, prime_bound: int = 3000) -> 
         * lam_den
     )
     return val / lam_ratio
-
-
-# ---------------------------------------------------------------------------
-# partial Hecke L-values and the newvector Fourier magnitude
-
-
-def dedekind_zeta(K: FieldDesc, s: complex) -> complex:
-    """zeta_K(s) (s != 1) via zeta(s) * L(s, chi_{D_K}); Hurwitz-based for
-    the Dirichlet factor, accurate on Re s = 1."""
-    import mpmath as mp
-
-    z = complex(mp.zeta(s))
-    if K.d == 1:
-        return z
-    q = abs(K.disc)
-    # chi_D(a) for a <= q, multiplicative: chi_D(p) is 1 when p splits, -1
-    # when p is inert and 0 when p ramifies, a factor for each p^k | a
-    chi = [1] * (q + 1)
-    for p in primes_up_to(q):
-        P = K.primes_above(p)[0]
-        chi_p = 0 if P.e == 2 else -1 if P.f == 2 else 1
-        pk = p
-        while pk <= q:
-            chi[pk::pk] = [x * chi_p for x in chi[pk::pk]]
-            pk *= p
-    L = 0j
-    for a in range(1, q + 1):
-        if chi[a]:
-            L += chi[a] * complex(mp.zeta(s, Fraction(a, q)))
-    L *= q ** (-complex(s))
-    return z * L
-
-
-def hecke_l_value(
-    chi: HeckeCharacter, s0: float = 1.0, prime_bound: int = 10**5
-) -> dict:
-    """L(s0, chi) with a reported truncation drift.
-
-    Unramified characters with diagonal exponent use the Dedekind-zeta
-    route (essentially exact); otherwise a truncated Euler product over
-    Np <= prime_bound, with the drift between the half and full cutoff
-    reported (heuristic tail size on Re s = 1, never hidden).
-    """
-    K = chi.field
-    diagonal = all(abs(t - chi.t[0]) < 1e-15 for t in chi.t)
-    if (chi.finite is None or chi.finite.is_trivial()) and diagonal and all(
-        m == 0 for m in chi.signs
-    ):
-        # chi((m)) = N(m)^{i t}, so L(s, chi) = zeta_K(s - i t)
-        val = dedekind_zeta(K, s0 - 1j * chi.t[0])
-        return {"value": complex(val), "route": "dedekind", "tail_estimate": 1e-12}
-    logs = []
-    for p in primes_up_to(prime_bound):
-        for P in K.primes_above(p):
-            N = P.norm()
-            if N > prime_bound:
-                continue
-            w = chi.eval_on_ideal(P.ideal)
-            if w == 0:
-                continue
-            logs.append((N, -cmath.log(1 - w * N ** (-s0))))
-    half = sum(l for N, l in logs if N <= prime_bound // 2)
-    full = sum(l for _, l in logs)
-    return {
-        "value": cmath.exp(full),
-        "route": "euler",
-        "tail_estimate": abs(cmath.exp(full) - cmath.exp(half)),
-    }
-
-
-def newvector_fourier_magnitude(
-    chi: HeckeCharacter, t: Ideal, prime_bound: int = 10**5
-) -> dict:
-    """|rho_{E(phi)}(t_chi)| per the explicit Fourier-coefficient formula:
-    pi^{d/2} |D_K|^{-1/2} / (|L^{(t t_chi^{-1})}(1, chi^2)| N(t t_chi^{-1})^{1/2} F_{chi,t})."""
-    K = chi.field
-    chi2 = chi.square()
-    if chi2.is_trivial():
-        raise ValueError("chi^2 must be a nontrivial Hecke character")
-    ctx = EisCoefficientContext(chi, t)
-    Lfull = hecke_l_value(chi2, 1.0, prime_bound)
-    removed = t * ctx.t_chi.inverse()
-    Lval = Lfull["value"]
-    for P, _ in factor_ideal(removed):
-        w = chi2.eval_on_ideal(P.ideal)
-        Lval *= 1 - w / P.norm()
-    denom = abs(Lval) * math.sqrt(float(removed.norm())) * ctx.F
-    value = math.pi ** (K.d / 2) / math.sqrt(abs(K.disc)) / denom
-    cond_number = 1.0 / abs(Lval)
-    return {
-        "value": value,
-        "partial_L": Lval,
-        "F": ctx.F,
-        "t_chi_norm": int(ctx.t_chi.norm()),
-        "tail_estimate": Lfull["tail_estimate"],
-        "condition": cond_number,
-        "route": Lfull["route"],
-    }

@@ -1,7 +1,7 @@
 """Exact arithmetic in Q and real quadratic fields Q(sqrt(D)).
 
 Elements, ideals in Hermite normal form, prime factorization, unit and
-class data, archimedean embeddings, and the additive character psi.
+class data, and archimedean embeddings.
 
 Everything arithmetic runs on Python integers.  An element is stored as
 (x + y*omega)/den with one shared denominator, an ideal as an integral
@@ -52,7 +52,6 @@ The sentinel D = 1 denotes the rational field.
 
 from __future__ import annotations
 
-import cmath
 import functools
 import math
 from dataclasses import dataclass
@@ -458,18 +457,19 @@ class Ideal:
         coordinates.  (x' + y'*omega) is divisible by no rational integer
         > 1, so its HNF has c = 1 and a = |N(x' + y'*omega)|, and
         omega = -b mod the ideal puts b = x'/y' mod a (one pow; y' is a unit
-        mod a, since p | a and p | y' would give p | x'^2).  from_hnf
-        normalises; from_generators stays for lists of generators."""
+        mod a, since p | a and p | y' would give p | x'^2).  The HNF is
+        already canonical: gcd(g, den) = 1 holds for every RingElement, and
+        b < a.  from_generators stays for lists of generators."""
         if x.is_zero():
             raise ValueError("zero ideal")
         K = x.field
         if K.d == 1:
-            return Ideal.from_hnf(K, abs(x.x), 0, 1, x.den)
+            return Ideal(K, abs(x.x), 0, 1, x.den)
         g = math.gcd(x.x, x.y)
         xp, yp = x.x // g, x.y // g
         a = abs(xp * xp + K.t_omega * xp * yp + K.n_omega * yp * yp)
         b = xp * pow(yp, -1, a) % a
-        return Ideal.from_hnf(K, g * a, g * b, g, x.den)
+        return Ideal(K, g * a, g * b, g, x.den)
 
     def norm(self) -> Rat:
         """The norm; an int when the ideal is integral."""
@@ -956,13 +956,6 @@ def unit_mask(c: Ideal) -> bytearray:
             for j in range(rows):
                 mask[j * a + (-j * r) % p : (j + 1) * a : p] = zeros
     return mask
-
-
-def psi(x: RingElement) -> complex:
-    """The additive character e(Tr x) of K_infinity."""
-    t = x.trace()
-    frac = t - (t.numerator // t.denominator)
-    return cmath.exp(2j * cmath.pi * float(frac))
 
 
 # ---------------------------------------------------------------------------

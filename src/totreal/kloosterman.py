@@ -3,7 +3,7 @@
 Normal form used throughout, for level element c and r1, r2 integral:
 
     S(r1, r2; c) = sum over x in (o/(c))^x, x*xbar = 1 mod (c), of
-                   psi((r1*x + r2*xbar) / (c*delta)),
+                   e(Tr((r1*x + r2*xbar) / (c*delta))),
 
 where delta is the fixed canonical generator f'(omega) = 2*omega - t of the
 different (1 over Q).  Rescaling delta or the class-group generator gamma by

@@ -1,11 +1,8 @@
-"""Shared quadrature grids: trapezoid on log axes and panelled Gauss-Legendre,
-and the central-difference derivative."""
+"""Shared quadrature grids: trapezoid on log axes and panelled Gauss-Legendre."""
 
 from __future__ import annotations
 
 import functools
-import math
-from typing import Callable
 
 import numpy as np
 
@@ -145,16 +142,3 @@ def graded_panels(a: float, b: float, density, min_panels: int = 1) -> tuple[lis
         return mid.tolist(), half.tolist()
     spans = list(zip(edges[:-1], edges[1:]))
     return [0.5 * (lo + hi) for lo, hi in spans], [0.5 * (hi - lo) for lo, hi in spans]
-
-
-def central_difference(f: Callable, order: int, h: float) -> Callable:
-    """Central finite-difference derivative of the given order with step h
-    (scalar input); f itself for order 0."""
-    if order == 0:
-        return f
-    coeffs = [(-1) ** i * math.comb(order, i) for i in range(order + 1)]
-
-    def df(y: float):
-        return sum(c * f(y + (order / 2 - i) * h) for i, c in enumerate(coeffs)) / h**order
-
-    return df

@@ -24,7 +24,7 @@ import math
 from dataclasses import dataclass
 from itertools import accumulate, repeat
 from operator import add, mod, mul
-from typing import Callable, Sequence
+from typing import Sequence
 
 from .fields import (
     FieldDesc,
@@ -41,8 +41,7 @@ from .spectral import EigenvalueSystem
 
 class SmoothBump:
     """C^infty bump on (a, b): exp(1 - 1/(1 - z^2)), z the affine map to
-    (-1, 1); value 0 outside.  Derivatives by central differences with the
-    documented step (1e-4 of the support width)."""
+    (-1, 1); value 0 outside."""
 
     def __init__(self, a: float, b: float):
         if not a < b:
@@ -50,18 +49,12 @@ class SmoothBump:
         if a < 0 < b or a == 0 or b == 0:
             raise ValueError("support must avoid 0 (weight lives on R^x)")
         self.a, self.b = float(a), float(b)
-        self.fd_step = 1e-4 * (b - a)
 
     def __call__(self, y: float) -> float:
         if not self.a < y < self.b:
             return 0.0
         z = (2 * y - self.a - self.b) / (self.b - self.a)
         return math.exp(1 - 1 / (1 - z * z))
-
-    def derivative(self, order: int) -> Callable[[float], float]:
-        from .quadrature import central_difference
-
-        return central_difference(self, order, self.fd_step)
 
 
 class ProductWeight:

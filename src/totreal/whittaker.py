@@ -31,12 +31,12 @@ from __future__ import annotations
 import cmath
 import functools
 import math
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 import mpmath as mp
 import numpy as np
 
-from .quadrature import central_difference, gl_rows, log_axis_grid
+from .quadrature import gl_rows, log_axis_grid
 
 # The array routes sum an O(1) oscillating integrand to a value that falls
 # like e^{-pi |Im mu|/2} (K seeds) or e^{-pi |Im mu|} (Laplace) for small x.
@@ -320,83 +320,3 @@ def gram_matrix(qs: Sequence[int], nu: complex, tol: float = 1e-6) -> np.ndarray
         for j in range(i, n):
             G[i, j] = G[j, i] = whittaker_inner(qs[i], qs[j], nu, tol)
     return G
-
-
-# ---------------------------------------------------------------------------
-# the A-norm quadrature utility
-
-
-# The log grid of a_norm (u = log y on [-20, 8], step 0.01) and the step of
-# its central finite differences.
-_A_NORM_GRID = (-20.0, 8.0, 0.01)
-_FD_STEP = 1e-3
-
-
-def a_norm(
-    W: Callable,
-    mu: int,
-    d: int = 1,
-    derivative_supplier: Optional[Callable[[tuple[int, ...]], Callable]] = None,
-) -> float:
-    """The A^mu norm of W on (R^x)^d per the Sobolev-type definition:
-    sum over mu_1+..+mu_d <= mu and kappa_j <= mu_j of the weighted L^2
-    norms of the partial derivatives, weights prod (|y|+1/|y|)^(mu_j), on
-    the positive axis of each place.
-
-    Derivatives come from the supplier when given, else from central
-    finite differences of step _FD_STEP.  d <= 2.
-    """
-    if d not in (1, 2):
-        raise ValueError("a_norm implemented for d <= 2")
-    ys, wts = log_axis_grid(*_A_NORM_GRID)
-
-    def deriv(kappa: tuple[int, ...]) -> Callable:
-        if derivative_supplier is not None:
-            g = derivative_supplier(kappa)
-            if g is not None:
-                return g
-        if d == 1:
-            return central_difference(lambda y: W(y), kappa[0], _FD_STEP)
-        fy = lambda y1, y2: W(y1, y2)
-        g1 = lambda y2: central_difference(lambda y1: fy(y1, y2), kappa[0], _FD_STEP)
-        return lambda y1, y2: central_difference(lambda t2: g1(t2)(y1), kappa[1], _FD_STEP)(y2)
-
-    total = 0.0
-    for mus in _compositions(mu, d):
-        for kappas in _boxed(mus):
-            dW = deriv(kappas)
-            if d == 1:
-                vals = np.array([dW(y) for y in ys])
-                wt = (ys + 1 / ys) ** mus[0]
-                sq = float(np.sum(np.abs(vals) ** 2 * wt * wts))
-            else:
-                v = np.array([[dW(y1, y2) for y2 in ys] for y1 in ys])
-                wt1 = (ys + 1 / ys) ** mus[0]
-                wt2 = (ys + 1 / ys) ** mus[1]
-                sq = float(np.sum(np.abs(v) ** 2 * np.outer(wt1 * wts, wt2 * wts)))
-            if not math.isfinite(sq):
-                raise WhittakerDomainError("divergent A-norm integrand")
-            total += math.sqrt(sq)
-    return total
-
-
-def _compositions(mu: int, d: int):
-    """All (mu_1..mu_d) with nonnegative entries summing to <= mu."""
-    if d == 1:
-        for m in range(mu + 1):
-            yield (m,)
-    else:
-        for m1 in range(mu + 1):
-            for m2 in range(mu + 1 - m1):
-                yield (m1, m2)
-
-
-def _boxed(mus: tuple[int, ...]):
-    """All kappa with 0 <= kappa_j <= mu_j."""
-    if len(mus) == 1:
-        for k in range(mus[0] + 1):
-            yield (k,)
-    else:
-        for k1 in range(mus[0] + 1):
-            for k2 in range(mus[1] + 1):
-                yield (k1, k2)

@@ -507,6 +507,26 @@ def test_exact_layers_import_without_numpy():
     assert _loaded_after(code) == set()
 
 
+def test_only_whittaker_imports_mpmath():
+    # mpmath gives the Gamma factors of the Whittaker normalization and
+    # nothing else in the library, so no other module may import it
+    import ast
+
+    src = Path(__file__).parents[1] / "src" / "totreal"
+    importers = set()
+    for path in sorted(src.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            if any(name.split(".")[0] == "mpmath" for name in names):
+                importers.add(path.name)
+    assert importers == {"whittaker.py"}
+
+
 def test_no_method_is_cached():
     # a functools cache on a method keys on self, is shared by every
     # instance and keeps each one alive until evicted (flake8-bugbear B019);

@@ -6,7 +6,6 @@ import math
 import random
 from fractions import Fraction
 
-import mpmath as mp
 import pytest
 
 from totreal.characters import HeckeCharacter, characters_mod, unramified_character
@@ -17,13 +16,10 @@ from totreal.eisenstein import (
     constant_term_H_numeric,
     constant_term_local_factor,
     coset_index,
-    dedekind_zeta,
     eis_hecke_eigenvalue,
-    hecke_l_value,
     local_dimension,
     local_inner_product,
     local_vector_norm_sq,
-    newvector_fourier_magnitude,
     oldform_eis_coefficient,
 )
 from totreal.fields import Ideal, ideals_of_norm_up_to, make_field
@@ -260,63 +256,3 @@ def test_constant_term_H():
         h1 = constant_term_H_numeric(c, 1e-2)
         h2 = constant_term_H_numeric(c, 5e-3)
         assert abs(2 * h2 - h1 - exact) < 1e-3 * max(exact, 1e-6)
-
-
-def test_dedekind_zeta():
-    # zeta_Q(2) = pi^2/6; zeta_{Q(sqrt5)}(2) against a divisor-sum Dirichlet
-    # series with its n^{-1} tail window
-    assert dedekind_zeta(Q, 2.0) == pytest.approx(math.pi**2 / 6, rel=1e-10)
-    z5 = dedekind_zeta(K5, 2.0)
-    N = 20000
-    div = [0] * (N + 1)
-    for d in range(1, N + 1):
-        c = [0, 1, -1, -1, 1][d % 5]  # (5/d) = (d/5), the Legendre symbol mod 5
-        if c == 0:
-            continue
-        for m in range(d, N + 1, d):
-            div[m] += c
-    series = sum(div[n] / n**2 for n in range(1, N + 1))
-    assert abs(z5 - series) < 5.0 / N
-    # Euler product over prime ideals reproduces the same value coarsely
-    euler = 1.0
-    for p in range(2, 2000):
-        if any(p % q == 0 for q in range(2, int(p**0.5) + 1)):
-            continue
-        for P in K5.primes_above(p):
-            euler /= 1 - P.norm() ** -2.0
-    assert z5 == pytest.approx(euler, rel=1e-3)
-    # |disc| = 3164, where (a) for a near |disc| has norm above the ideal
-    # factoring limit; the value from the Kronecker symbol (d/a), d = 3164
-    K791 = make_field(791, allow_class_number=True)
-    assert dedekind_zeta(K791, 2.0) == pytest.approx(1.5237510204667726, rel=1e-13)
-
-
-def test_hecke_l_value_euler_route():
-    # every primitive character mod 5, 7, 8 and 12 over Q takes the
-    # truncated Euler product; L(1, chi) = -(1/q) sum over a of chi(a)
-    # psi(a/q), by mpmath's digamma, for nontrivial chi
-    for q in (5, 7, 8, 12):
-        for fin in characters_mod(Q.ideal(q)):
-            if fin.conductor() != Q.ideal(q):
-                continue
-            sign = 0 if fin.value_exponent(-Q.one()) == 0 else 1
-            chi = HeckeCharacter(Q, fin, [0.0], [sign])
-            exact = -sum(fin(Q.element(a)) * complex(mp.digamma(Fraction(a, q)))
-                         for a in range(1, q + 1)) / q
-            r = hecke_l_value(chi)
-            assert r["route"] == "euler"
-            assert abs(r["value"] - exact) < 1e-3, (q, fin.exponents)
-
-
-def test_newvector_magnitude():
-    chi = unramified_character(Q, [1.0])
-    r = newvector_fourier_magnitude(chi, Q.unit_ideal())
-    expect = math.sqrt(math.pi) / abs(complex(mp.zeta(1 + 2j)))
-    assert r["value"] == pytest.approx(expect, rel=1e-9)
-    assert r["F"] == 1.0  # F_{chi,(1)} = 1, the empty product
-    # t = t_chi: partial L over the empty removed set equals the full L
-    chi5 = unramified_character(K5, [1.0, 1.0])
-    r2 = newvector_fourier_magnitude(chi5, K5.unit_ideal())
-    assert r2["t_chi_norm"] == 1
-    with pytest.raises(ValueError):
-        newvector_fourier_magnitude(unramified_character(Q, [0.0]), Q.unit_ideal())

@@ -1,6 +1,5 @@
 """Tests for exact field/ideal arithmetic."""
 
-import cmath
 import gc
 import math
 import random
@@ -24,7 +23,6 @@ from totreal.fields import (
     make_field,
     primes_up_to,
     principal_generator,
-    psi,
     unit_mask,
 )
 
@@ -344,17 +342,6 @@ def test_unit_mask_ring_limit():
         assert c.norm() > 10**6
         with pytest.raises(ValueError, match="above the limit of 1000000"):
             unit_mask(c)
-
-
-def test_psi():
-    assert psi(Q.element(Fraction(1, 5))) == pytest.approx(cmath.exp(2j * cmath.pi / 5))
-    assert psi(Q.element(17)) == pytest.approx(1.0)
-    assert psi(K5.omega()) == pytest.approx(1.0)  # Tr omega = 1
-    x = K5.element(Fraction(1, 3), Fraction(2, 7))
-    assert abs(psi(x)) == pytest.approx(1.0)
-    # additivity
-    y = K5.element(Fraction(2, 5), Fraction(1, 2))
-    assert psi(x + y) == pytest.approx(psi(x) * psi(y))
 
 
 def test_ideal_count_growth():

@@ -98,7 +98,7 @@ def test_ramanujan_value():
     # S(0,0;c) = phi-related value over Q
     for c in (4, 9, 35, 100):
         S = kloosterman_sum(KloostermanQuery(Q.element(0), Q.element(0), Q.element(c)))
-        # sum over units of psi(0) counts... the 0-argument sum equals the
+        # every unit contributes e(0) = 1: the 0-argument sum is the
         # Ramanujan sum at 0, i.e. phi(c)
         assert S.real == pytest.approx(arith_functions(Q.ideal(c))[1])
 

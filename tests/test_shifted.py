@@ -40,9 +40,6 @@ def test_bump_properties():
     assert w(0.4) == 0.0 and w(2.1) == 0.0
     assert w(1.25) == pytest.approx(1.0)
     assert 0 < w(0.75) < 1
-    d1 = w.derivative(1)
-    h = 1e-5
-    assert d1(1.0) == pytest.approx((w(1.0 + h) - w(1.0 - h)) / (2 * h), abs=1e-3)
     with pytest.raises(ValueError):
         SmoothBump(-1.0, 2.0)
 

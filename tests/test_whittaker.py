@@ -1,4 +1,4 @@
-"""Tests for classical/normalized Whittaker functions and the A-norm."""
+"""Tests for classical/normalized Whittaker functions."""
 
 import math
 
@@ -10,7 +10,6 @@ from totreal import whittaker
 from totreal.quadrature import log_axis_grid
 from totreal.whittaker import (
     WhittakerDomainError,
-    a_norm,
     gram_matrix,
     normalized_whittaker_1d,
     nu_admissible,
@@ -203,26 +202,3 @@ def test_grid_cache_bounded():
     for i in range(maxsize + 5):
         whittaker._grid_values(-float(i), 0.5)
     assert whittaker._grid_values.cache_info().currsize == maxsize
-
-
-def test_a_norm_examples():
-    v = a_norm(lambda y: math.sqrt(y) * math.exp(-y), 0)
-    assert v == pytest.approx(1 / math.sqrt(2), rel=1e-6)
-    # mu = 0 equals the plain L^2(dxy) norm; monotone nondecreasing in mu
-    f = lambda y: math.exp(-((math.log(y)) ** 2)) if y > 0 else 0.0
-    sup = lambda kappa: None  # force finite differences
-    prev = 0.0
-    for mu in (0, 1, 2):
-        v = a_norm(f, mu, derivative_supplier=sup)
-        assert v >= prev - 1e-9
-        prev = v
-    assert math.isfinite(prev)
-
-
-def test_a_norm_analytic_derivatives():
-    # exp(-y) on (0, inf): derivatives known exactly
-    f = lambda y: math.exp(-y)
-    supply = lambda kappa: (lambda y, k=kappa[0]: (-1) ** k * math.exp(-y))
-    v0 = a_norm(f, 1, derivative_supplier=supply)
-    v1 = a_norm(f, 1)
-    assert v0 == pytest.approx(v1, rel=1e-3)
