@@ -87,9 +87,7 @@ def _pairs(u, x) -> tuple[np.ndarray, np.ndarray, tuple]:
 
 
 def _per_x(x: np.ndarray, f) -> np.ndarray:
-    """f(x) through math, once for each run of equal values in x."""
-    if not x.size:
-        return np.empty(0)
+    """f(x) through math, once for each run of equal values in a nonempty x."""
     starts = np.flatnonzero(np.concatenate(([True], x[1:] != x[:-1])))
     return np.repeat([f(v) for v in x[starts].tolist()], np.diff(np.append(starts, x.size)))
 

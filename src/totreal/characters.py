@@ -449,17 +449,13 @@ def unramified_character(K: FieldDesc, t: Sequence[float]) -> HeckeCharacter:
 def unramified_exponent_lattice(K: FieldDesc) -> dict:
     """Constraint lattice for totally even unramified Hecke characters.
 
-    The matrix M has first row all ones and the remaining rows the
-    log-absolute-embeddings of the fundamental unit; admissible exponent
-    vectors s in (iR)^d satisfy a lattice condition on M s.  For d = 2 the
-    antidiagonal offset s_1 - s_2 runs through (2 pi / log eps) Z, the
-    diagonal direction is free.
+    For d = 2 the antidiagonal offset s_1 - s_2 of an admissible exponent
+    vector runs through (2 pi / log eps) Z, its "spacing", and the diagonal
+    direction is free; over Q the spacing is None.
     """
     if K.d == 1:
-        return {"M": [[1.0]], "spacing": None, "free_direction": "diagonal"}
-    le = math.log(abs(K.eps.embeddings()[0]))
-    M = [[1.0] * K.d, [le, -le]]
-    return {"M": M, "spacing": 2 * math.pi / le, "free_direction": "diagonal"}
+        return {"spacing": None}
+    return {"spacing": 2 * math.pi / math.log(abs(K.eps.embeddings()[0]))}
 
 
 def enumerate_eisenstein_pairs(c: Ideal, X: float, resolution: float = 1.0) -> dict:

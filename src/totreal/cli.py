@@ -16,7 +16,7 @@ Each subcommand imports the layers it uses, and spectral, shifted and
 whittaker import numpy, scipy.special and the numeric layers inside the
 functions that evaluate with them.  So field, chars, eisen and shifted
 start without numpy, scipy or mpmath; kloosterman and spectral oldforms
-load numpy alone; whittaker loads numpy and mpmath, and scipy.special for
+load numpy alone; whittaker loads mpmath, and numpy and scipy.special for
 every kappa whose Laguerre form does not apply (so for every gram);
 spectral bessel and kuz-geom load numpy and scipy.special.
 """
@@ -443,7 +443,7 @@ def main(argv=None) -> int:
                      f" quadrature, got {args.tol}", 2)
     started = time.time()
     try:
-        out = args.run(args, make_field(args.field, allow_class_number=True))
+        out = args.run(args, make_field(args.field))
     except (ValueError, NotImplementedError) as exc:
         return _fail(str(exc), 2)
     if isinstance(out, list):

@@ -19,7 +19,6 @@ import cmath
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
 
 from .characters import HeckeCharacter
 from .fields import (
@@ -274,17 +273,14 @@ def constant_term_local_factor(
     s: complex,
     case: str = "unramified",
     v: int = 1,
-    v_eta: Optional[int] = None,
 ) -> complex:
     """Local factor of the intertwining integral at a prime of norm Np.
 
     case 'unramified':  (1 - Np^(-1-2s)) / (1 - Np^(-2s));
-    case 'level':       Np^(-2sv) (1 - 1/Np) / (1 - Np^(-2s));
-    case 'level-eta':   |eta|^(2s-1) times the level factor when
-                        v(eta) <= -v, and the constant Np^(-v) otherwise.
+    case 'level':       Np^(-2sv) (1 - 1/Np) / (1 - Np^(-2s)).
 
-    Np < 2, an s that is not finite, v < 1 in the level cases, and an Np or
-    a power of it beyond the float range are refused.
+    Np < 2, an s that is not finite, v < 1 in the level case, any other
+    case, and an Np or a power of it beyond the float range are refused.
     """
     if Np < 2:
         raise ValueError(f"Np must be >= 2, got {Np}")
@@ -292,7 +288,7 @@ def constant_term_local_factor(
         raise ValueError(f"s must be finite, got {s}")
     if s == 0:
         raise ValueError("s on the singular line")
-    if case in ("level", "level-eta") and v < 1:
+    if case == "level" and v < 1:
         raise ValueError(f"v must be >= 1 in the {case} case, got {v}")
     try:
         N = float(Np)
@@ -300,18 +296,6 @@ def constant_term_local_factor(
             return (1 - N ** (-1 - 2 * s)) / (1 - N ** (-2 * s))
         if case == "level":
             return N ** (-2 * s * v) * (1 - 1 / N) / (1 - N ** (-2 * s))
-        if case == "level-eta":
-            if v_eta is None:
-                raise ValueError("level-eta requires v_eta")
-            if v_eta <= -v:
-                eta_abs = N ** (-v_eta)
-                return (
-                    eta_abs ** (2 * s - 1)
-                    * N ** (-2 * s * v)
-                    * (1 - 1 / N)
-                    / (1 - N ** (-2 * s))
-                )
-            return N ** (-float(v))
         raise ValueError(f"unknown case {case!r}")
     except OverflowError as exc:
         raise ValueError(
@@ -325,10 +309,11 @@ def constant_term_H_at_half(c: Ideal) -> Fraction:
     return Fraction(1, abs(K.disc)) * Fraction(1, coset_index(c))
 
 
-def constant_term_H_numeric(c: Ideal, delta: float, prime_bound: int = 3000) -> float:
+def constant_term_H_numeric(c: Ideal, delta: float) -> float:
     """H(1/2 + delta) assembled from the intertwining integral divided by
     Lambda_K(1+2delta)/Lambda_K(2+2delta), with both zeta factors truncated
     at the same prime bound so the truncation error cancels in the ratio."""
+    bound = 3000  # prime norms above it are left out of every product
     K = c.field
     s = 0.5 + delta
     d = K.d
@@ -343,10 +328,10 @@ def constant_term_H_numeric(c: Ideal, delta: float, prime_bound: int = 3000) -> 
     zeta_den = 1.0  # prod (1 - Np^-(1+2s))^-1
     lam_num = 1.0  # zeta part of Lambda(1+2delta) = zeta_K(1+2delta)
     lam_den = 1.0  # zeta part of Lambda(2+2delta)
-    for p in primes_up_to(prime_bound):
+    for p in primes_up_to(bound):
         for P in K.primes_above(p):
             N = P.norm()
-            if N > prime_bound:
+            if N > bound:
                 continue
             lam_num /= 1 - N ** (-(1 + 2 * delta))
             lam_den /= 1 - N ** (-(2 + 2 * delta))

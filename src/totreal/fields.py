@@ -67,8 +67,8 @@ MAX_D = 10**7
 
 # enumerate_in_box refuses a box whose volume over the covolume of the
 # lattice exceeds this many points: over Q(sqrt D) a box of side B holds
-# about B^2/sqrt(disc) points of o_K, and the default trace height 300 of
-# shifted.dirichlet_D over Q(sqrt 5) needs about 6.4e5; ideals_of_norm_up_to
+# about B^2/sqrt(disc) points of o_K, and shifted.dirichlet_D over Q(sqrt 5)
+# at the CLI's default --height 300 needs about 6.4e5; ideals_of_norm_up_to
 # refuses a norm bound above it, and unit_mask a residue ring o/c with more
 # classes
 MAX_BOX_POINTS = 1_000_000
@@ -643,7 +643,7 @@ class PrimeIdeal:
 class FieldDesc:
     """A totally real field of degree <= 2 with unit and class data."""
 
-    def __init__(self, D: int, allow_class_number: bool = False):
+    def __init__(self, D: int):
         if D > MAX_D:
             raise FieldError(f"D = {D} is above the supported range D <= {MAX_D}")
         if D < 1 or not _is_squarefree(D):
@@ -683,10 +683,6 @@ class FieldDesc:
                     f"the fundamental unit of Q(sqrt({D})) is beyond the float range"
                 ) from None
             self.h = _class_number(self.disc)
-        if self.h != 1 and not allow_class_number:
-            raise FieldError(
-                f"Q(sqrt({D})) has class number {self.h}; pass allow_class_number=True"
-            )
         # the different is generated by f'(omega) = 2*omega - t (1 over Q)
         self.delta = self.one() if self.d == 1 else RingElement(self, -self.t_omega, 2)
         self.different = Ideal.principal(self.delta)
@@ -762,13 +758,14 @@ class FieldDesc:
 # module-level operations
 
 
-def make_field(D: int, allow_class_number: bool = False) -> FieldDesc:
+def make_field(D: int) -> FieldDesc:
     """Construct Q (D = 1) or the real quadratic field Q(sqrt(D)).
 
     The fundamental unit and the class number both come from the
-    continued-fraction walk (_walk, _class_number).
+    continued-fraction walk (_walk, _class_number).  Any class number h is
+    built; principal_generator, and all that reads it, refuses h != 1.
     """
-    return FieldDesc(D, allow_class_number=allow_class_number)
+    return FieldDesc(D)
 
 
 @functools.lru_cache(maxsize=200_000)

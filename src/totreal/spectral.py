@@ -538,10 +538,9 @@ def kuznetsov_geometric_side(
         raise ValueError("one test function per place")
     if not (math.isfinite(box) and box >= 0):
         raise ValueError(f"box must be finite and >= 0, got {box}")
-    # gamma: totally positive generator of d^2 (delta^2 works: N(delta^2)>0)
+    # gamma: totally positive generator of d^2; delta is 1, sqrt D or 2 sqrt D,
+    # real and nonzero at every place, so delta^2 is totally positive
     gamma = K.delta * K.delta
-    if not gamma.is_totally_positive():
-        gamma = -gamma
     # places with equal test functions share one ktilde and one transform
     # batch; in the batch each place passes its own first-seen floats and
     # reads its slice back by its own keys

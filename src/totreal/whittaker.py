@@ -20,10 +20,11 @@ The kbessel and laplace routes evaluate a whole array of x at once
 (whittaker_w_array), which is how the Gram grids are built.  mpmath gives
 only the Gamma factors of the normalization.
 
-Imports: scipy.special and bessel_kernels (about 0.27 s of start-up) are
-imported inside the two routes that evaluate with them, _w_kbessel and
-_w_laplace, so a process that stays on the laguerre route never loads
-them.
+Imports: numpy and quadrature are imported inside the functions that
+evaluate with arrays, and scipy.special and bessel_kernels (about 0.27 s of
+start-up) inside the two routes that evaluate with them, _w_kbessel and
+_w_laplace, so a process that stays on the laguerre route loads mpmath
+alone.
 """
 
 from __future__ import annotations
@@ -34,9 +35,6 @@ import math
 from typing import Optional, Sequence
 
 import mpmath as mp
-import numpy as np
-
-from .quadrature import gl_rows, log_axis_grid
 
 # The array routes sum an O(1) oscillating integrand to a value that falls
 # like e^{-pi |Im mu|/2} (K seeds) or e^{-pi |Im mu|} (Laplace) for small x.
@@ -60,8 +58,8 @@ class WhittakerDomainError(ValueError):
     """Parameters outside every implemented evaluation route."""
 
 
-def _is_int(x: float, tol: float = 1e-12) -> bool:
-    return abs(x - round(x)) < tol
+def _is_int(x: float) -> bool:
+    return abs(x - round(x)) < 1e-12
 
 
 def _nu_class(nu: complex) -> str:
@@ -128,6 +126,8 @@ def _w_kbessel(kappa: int, mu: complex, x: np.ndarray) -> np.ndarray:
     """W_{kappa,mu}(x), integer kappa >= 0, from W_0 = sqrt(x/pi) K_mu(x/2)
     and W_1 = (x/2) W_0 - x W_0' up through _recur_up; every W_k carries the
     factor e^{x/2} until the end."""
+    import numpy as np
+
     from .bessel_kernels import k_scaled
 
     w = x / 2
@@ -151,7 +151,10 @@ def _w_laplace(kappa: float, mu: complex, x: np.ndarray) -> np.ndarray:
     integrand falls like e^{Re(a) tau} below min(log x, 0) and like
     exp(-e^tau) above 0; each row gets a Gauss-Legendre rule between the
     cuts, where the integrand is below e^{-40} of its peak."""
+    import numpy as np
     from scipy.special import loggamma
+
+    from .quadrature import gl_rows
 
     if mu.real < 0:
         mu = -mu
@@ -181,6 +184,8 @@ def whittaker_w_array(kappa: float, mu: complex, x) -> tuple[np.ndarray, str]:
     tag: ``laplace`` for kappa < 0, ``kbessel`` for integer kappa >= 0, and
     ``laplace`` for half-integer kappa >= 1/2, run up by _recur_up from the
     Laplace values at kappa = -3/2 and -1/2."""
+    import numpy as np
+
     two_k = _twice_kappa(kappa)
     mu = complex(mu)
     if abs(mu.imag) > _MU_IMAG_MAX:
@@ -260,6 +265,10 @@ def normalized_whittaker_1d(q: int, nu: complex, y: float) -> complex:
 # (12 kB), and criterion 1 and the benchmark's warm passes use at most 20 keys.
 @functools.lru_cache(maxsize=64)
 def _grid_values(m: float, nu: complex) -> np.ndarray:
+    import numpy as np
+
+    from .quadrature import log_axis_grid
+
     ys, _ = log_axis_grid(*_GRID)
     p = _gamma_pair(m, nu)
     if p is None:
@@ -288,6 +297,10 @@ def whittaker_inner(q: int, q2: int, nu: complex, tol: float = 1e-6) -> float:
     convergence certificate; failure raises, and so does |q| or |q2| above
     Q_MAX, before any grid is built.
     """
+    import numpy as np
+
+    from .quadrature import log_axis_grid
+
     _check_orders((q, q2))
     ys, w = log_axis_grid(*_GRID)
     h = _GRID[2]
@@ -313,6 +326,8 @@ def whittaker_inner(q: int, q2: int, nu: complex, tol: float = 1e-6) -> float:
 
 def gram_matrix(qs: Sequence[int], nu: complex, tol: float = 1e-6) -> np.ndarray:
     """Gram matrix of {W~_{q/2,nu} : q in qs} in L^2(R^x, d^x y); |q| <= Q_MAX."""
+    import numpy as np
+
     _check_orders(qs)
     n = len(qs)
     G = np.zeros((n, n))

@@ -7,7 +7,6 @@ import time
 from fractions import Fraction
 
 import numpy as np
-import pytest
 
 from totreal.characters import (
     HeckeCharacter,

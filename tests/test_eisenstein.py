@@ -199,7 +199,7 @@ def test_oldform_bound():
 _LAYER_DEPTH = 40
 
 
-def constant_term_local_factor_layers(Np, s, case="unramified", v=1, v_eta=None):
+def constant_term_local_factor_layers(Np, s, case="unramified", v=1):
     """constant_term_local_factor from the raw p-adic layer decomposition,
     truncated before layer _LAYER_DEPTH (cross-check route)."""
     N = float(Np)
@@ -211,15 +211,6 @@ def constant_term_local_factor_layers(Np, s, case="unramified", v=1, v_eta=None)
         return sum(
             N ** (-j * (1 + 2 * s)) * N**j * (1 - 1 / N) for j in range(v, _LAYER_DEPTH)
         )
-    if case == "level-eta":
-        if v_eta is None:
-            raise ValueError("level-eta requires v_eta")
-        if v_eta <= -v:
-            eta_abs = N ** (-v_eta)
-            return eta_abs ** (2 * s - 1) * sum(
-                N ** (-j * (1 + 2 * s)) * N**j * (1 - 1 / N) for j in range(v, _LAYER_DEPTH)
-            )
-        return N ** (-float(v))
     raise ValueError(f"unknown case {case!r}")
 
 
@@ -235,8 +226,6 @@ def test_constant_term_local_factors():
         ("unramified", {}),
         ("level", {"v": 1}),
         ("level", {"v": 3}),
-        ("level-eta", {"v": 1, "v_eta": -2}),
-        ("level-eta", {"v": 2, "v_eta": 0}),
     ):
         for s in (1.0, 0.75 + 0.4j, 0.5 + 1e-2):
             a = constant_term_local_factor(3, s, case, **kw)

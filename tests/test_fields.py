@@ -70,14 +70,12 @@ def test_field_errors():
         make_field(12)  # not squarefree
     with pytest.raises(FieldError):
         make_field(0)
-    with pytest.raises(FieldError):
-        make_field(10)  # h = 2
-    assert make_field(10, allow_class_number=True).h == 2
+    assert make_field(10).h == 2
 
 
 def test_class_numbers_against_tables():
     for D, h in KNOWN_H.items():
-        K = make_field(D, allow_class_number=True)
+        K = make_field(D)
         assert K.h == h, f"D={D}: got {K.h}, expected {h}"
         # fundamental unit sanity: > 1, unit norm
         assert K.eps.embeddings()[0] > 1
@@ -120,10 +118,10 @@ def test_class_number_formula():
     many_cycles = {1: [10005, 10077, 10117, 10003], -1: [10001, 10069, 10249, 10202]}
     for sign, group in many_cycles.items():
         for D in group:
-            K = make_field(D, allow_class_number=True)
+            K = make_field(D)
             assert K.h >= 2 and K.eps_norm == sign, D
     for D in Ds + long_periods + many_cycles[1] + many_cycles[-1]:
-        K = make_field(D, allow_class_number=True)
+        K = make_field(D)
         dk = K.disc
         rhs = -0.5 * sum(
             _kronecker(dk, a) * math.log(math.sin(math.pi * a / dk)) for a in range(1, dk)
@@ -137,7 +135,7 @@ def test_prime_decomposition():
     for D in range(1, 201):
         if any(D % (q * q) == 0 for q in range(2, 15)):
             continue
-        K = make_field(D, allow_class_number=True)
+        K = make_field(D)
         for p in primes_up_to(500):
             Ps = K.primes_above(p)
             prod = K.unit_ideal()
@@ -754,7 +752,7 @@ def test_principal_closed_form_against_generators(D):
     # the closed-form HNF of (r) against the lattice HNF of its generators,
     # and by another route: (r) contains r and r*omega and has norm |N(r)|,
     # so it is the one ideal of that norm between (r) and o_K r
-    K = make_field(D, allow_class_number=True)
+    K = make_field(D)
     rng = random.Random(D)
     dens = (1, 1, 2, 3, 6, 35)
     elems = [K.element(n) for n in (1, -1, 2, -7, 12, 10**12 + 39)]
@@ -778,7 +776,7 @@ def test_enumerate_trace_cap_is_the_filtered_box(D):
     # each row stops at trace(l*x) = T by an exact floor: the points and
     # their order are those of the box with the trace filter, T on the
     # boundary included
-    K = make_field(D, allow_class_number=True)
+    K = make_field(D)
     rng = random.Random(D + 1)
     ls = [K.one(), K.element(3)] + ([K.element(4, 1), K.eps * K.eps] if K.d == 2 else [])
     ideals = [K.unit_ideal(), K.ideal(2), Ideal.principal(K.element(Fraction(1, 3)))]

@@ -152,7 +152,7 @@ def test_nonintegral_r_refused():
 
 
 def test_h1_required():
-    K10 = make_field(10, allow_class_number=True)
+    K10 = make_field(10)
     with pytest.raises(FieldError):
         KloostermanQuery(K10.one(), K10.one(), K10.element(3))
 

@@ -351,7 +351,7 @@ def _simplex_cases():
     """(K, l1, l2, y, q, heights): shifts other than 1 and y other than o,
     over Q, Q(sqrt 5), Q(sqrt 13) and Q(sqrt 10) (class number 2, y not
     principal)."""
-    K13, K10 = make_field(13), make_field(10, allow_class_number=True)
+    K13, K10 = make_field(13), make_field(10)
     return [
         (Q, Q.element(3), Q.element(2), Q.ideal(2), Q.element(2), (7.0, 12.5, 40.0, 101.3)),
         (K5, K5.element(1, 1), K5.element(2), K5.ideal(K5.element(3, 1)), K5.element(3, 1),

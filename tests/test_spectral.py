@@ -15,12 +15,11 @@ from scipy.special import k0e
 
 from totreal import bessel_kernels, spectral
 from totreal.bessel_kernels import rj_bound, rj_kernel, wk_bound, wk_kernel
-from totreal.fields import Ideal, divisors, enumerate_in_box, ideals_of_norm_up_to, make_field
+from totreal.fields import divisors, enumerate_in_box, ideals_of_norm_up_to, make_field
 from totreal.quadrature import _leggauss, equal_panels, gl_from_panels, gl_panels, graded_panels
 from totreal.spectral import (
     EigenvalueSystem,
     KTestGaussian,
-    OldformBasis,
     TRANSFORM_CACHE_SIZE,
     _RECORDS,
     _tail_window,
@@ -145,7 +144,7 @@ def test_shifted_inner_worked_value():
 def test_divisor_system_any_class_number():
     # Q(sqrt 10) has h = 2 and (2, sqrt 10) is not principal: the trivial
     # character needs no generator, and lambda(P^k) = k + 1 at every prime
-    K10 = make_field(10, allow_class_number=True)
+    K10 = make_field(10)
     dv = divisor_system(K10)
     for p in (2, 3, 5, 7, 13):
         for P in K10.primes_above(p):
